@@ -15,10 +15,12 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"sync"
 	"testing"
 
 	"github.com/genbase/genbase/internal/analytics"
 	"github.com/genbase/genbase/internal/arraydb"
+	"github.com/genbase/genbase/internal/bicluster"
 	"github.com/genbase/genbase/internal/cluster"
 	"github.com/genbase/genbase/internal/colstore"
 	"github.com/genbase/genbase/internal/core"
@@ -410,6 +412,139 @@ func BenchmarkKernelSVD(b *testing.B) {
 			}
 		})
 	}
+}
+
+// --- second-pass kernel benches (DESIGN.md §9) ---
+//
+// The four non-GEMM kernel bodies under every Figure 1/3 cell, at the medium
+// preset's shapes, each beside the test-only body it replaced
+// (kernel_ref_test.go). "serial" pins one worker; "parallel" sizes the pool
+// from GOMAXPROCS, so `-cpu 1,2,4` sweeps it. Cheng–Church has no parallel
+// row: its reductions are ordered and it runs on one goroutine.
+
+// kernelFixture holds the medium preset's kernel inputs, built once.
+type kernelFixture struct {
+	design  *linalg.Matrix // Q1: [1 | patients × genes with function < 250], 1000×204
+	y       []float64
+	expr    *linalg.Matrix // Q3: the whole expression matrix, 1000×750
+	cov     *linalg.Matrix // Q2: its 750² covariance
+	means   []float64      // Q5: per-gene means over the sampled patients
+	members [][]int32      // Q5: genes of each of the 200 GO terms
+	sampled int
+}
+
+var mediumKernels = sync.OnceValues(func() (*kernelFixture, error) {
+	ds, err := datagen.Generate(datagen.Config{Size: datagen.Medium, Seed: 1})
+	if err != nil {
+		return nil, err
+	}
+	p := engine.DefaultParams()
+	f := &kernelFixture{expr: ds.Expression, cov: linalg.CovarianceP(ds.Expression, 1)}
+	var genes []int
+	for _, g := range ds.Genes {
+		if int64(g.Function) < p.FunctionThreshold {
+			genes = append(genes, int(g.ID))
+		}
+	}
+	sel := linalg.NewMatrix(ds.Dims.Patients, len(genes))
+	for i := 0; i < sel.Rows; i++ {
+		row, out := ds.Expression.Row(i), sel.Row(i)
+		for j, g := range genes {
+			out[j] = row[g]
+		}
+	}
+	f.design = linalg.AddInterceptColumn(sel)
+	for _, pt := range ds.Patients {
+		f.y = append(f.y, pt.DrugResponse)
+	}
+	f.means = make([]float64, ds.Dims.Genes)
+	for i := 0; i < ds.Dims.Patients; i += p.SamplePatientStep() {
+		for j, v := range ds.Expression.Row(i) {
+			f.means[j] += v
+		}
+		f.sampled++
+	}
+	for j := range f.means {
+		f.means[j] /= float64(f.sampled)
+	}
+	f.members = make([][]int32, ds.Dims.GOTerms)
+	for g := 0; g < ds.Dims.Genes; g++ {
+		for t := range f.members {
+			if ds.GOAt(g, t) == 1 {
+				f.members[t] = append(f.members[t], int32(g))
+			}
+		}
+	}
+	return f, nil
+})
+
+func kernelInputs(tb testing.TB) *kernelFixture {
+	tb.Helper()
+	f, err := mediumKernels()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return f
+}
+
+// benchKernel runs the reference body ("ref"), the kernel at one worker
+// ("serial") and, for kernels that fan out, at GOMAXPROCS workers
+// ("parallel" — read inside the sub-benchmark, which is what -cpu re-runs).
+func benchKernel(b *testing.B, fansOut bool, ref func(), kernel func(workers int)) {
+	run := func(name string, fn func()) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				fn()
+			}
+		})
+	}
+	run("ref", ref)
+	run("serial", func() { kernel(1) })
+	if fansOut {
+		b.Run("parallel", func(b *testing.B) {
+			b.ReportAllocs()
+			workers := runtime.GOMAXPROCS(0)
+			for i := 0; i < b.N; i++ {
+				kernel(workers)
+			}
+		})
+	}
+}
+
+func BenchmarkKernelLstsq(b *testing.B) {
+	f := kernelInputs(b)
+	benchKernel(b, true,
+		func() { refLeastSquares(f.design, f.y) },
+		func(w int) { linalg.LeastSquaresP(f.design, f.y, w) })
+}
+
+func BenchmarkKernelBicluster(b *testing.B) {
+	f := kernelInputs(b)
+	opts := bicluster.Options{MaxBiclusters: engine.DefaultParams().MaxBiclusters, Seed: 1}
+	benchKernel(b, false,
+		func() { refBiclusterRun(f.expr, opts) },
+		func(int) { bicluster.Run(f.expr, opts) })
+}
+
+// BenchmarkKernelTopK: "ref" is only the replaced step — gather |cov|, sort
+// all of it, read the threshold; "serial" is the whole of today's
+// SummarizeCovariance (gather, select, the pass that collects the surviving
+// pairs, the top-20 sort), so the comparison understates the selection's gain.
+func BenchmarkKernelTopK(b *testing.B) {
+	f := kernelInputs(b)
+	frac := engine.DefaultParams().CovarianceTopFrac
+	benchKernel(b, false,
+		func() { refCovThreshold(f.cov, frac) },
+		func(int) { engine.SummarizeCovariance(f.cov, frac, noFunctions{}, f.expr.Rows) })
+}
+
+func BenchmarkKernelEnrichment(b *testing.B) {
+	f := kernelInputs(b)
+	ctx := context.Background()
+	benchKernel(b, true,
+		func() { refEnrichmentTest(ctx, f.means, f.members, f.sampled) },
+		func(w int) { engine.EnrichmentTestP(ctx, f.means, f.members, f.sampled, w) })
 }
 
 // --- ablation benches (DESIGN.md §8) ---

@@ -237,7 +237,7 @@ func (e *Engine) GeneMeta(_ context.Context) (engine.GeneMeta, error) {
 // host, even for the accelerated configuration.
 func (e *Engine) RunRegression(_ context.Context, sw *engine.StopWatch, x *linalg.Matrix, y []float64) ([]float64, float64, error) {
 	sw.StartAnalytics()
-	return engine.FitLeastSquares(x, y)
+	return engine.FitLeastSquares(x, y, e.Workers)
 }
 
 // RunCovariance implements plan.Physical (pdgemm-style kernel, offloadable).
@@ -291,7 +291,7 @@ func (e *Engine) RunBicluster(ctx context.Context, sw *engine.StopWatch, x *lina
 	inBytes := int64(x.Rows) * int64(x.Cols) * 8
 	err := e.runKernel(ctx, sw, "bicluster", inBytes, 4096, func() error {
 		var kerr error
-		blocks, kerr = bicluster.Run(x, bicluster.Options{MaxBiclusters: maxB, Seed: seed})
+		blocks, kerr = bicluster.RunCtx(ctx, x, bicluster.Options{MaxBiclusters: maxB, Seed: seed})
 		return kerr
 	})
 	linalg.PutMatrix(x)
@@ -307,7 +307,7 @@ func (e *Engine) RunStats(ctx context.Context, sw *engine.StopWatch, means []flo
 	inBytes := int64(len(means))*8 + int64(len(e.goArr))
 	err := e.runKernel(ctx, sw, "rank", inBytes, int64(e.numTerm)*16, func() error {
 		var kerr error
-		ans, kerr = engine.EnrichmentTest(ctx, means, members, sampled)
+		ans, kerr = engine.EnrichmentTestP(ctx, means, members, sampled, e.Workers)
 		return kerr
 	})
 	if err != nil {

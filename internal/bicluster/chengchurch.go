@@ -6,8 +6,10 @@
 package bicluster
 
 import (
+	"context"
 	"errors"
 	"math"
+	"slices"
 
 	"github.com/genbase/genbase/internal/linalg"
 )
@@ -108,7 +110,8 @@ func (mk *Masker) Mask(work *linalg.Matrix, bc *Bicluster) {
 // have defaults resolved (see Options.WithDefaults). Returns nil when no
 // sub-matrix reaches the delta threshold.
 func FindOne(work *linalg.Matrix, opts Options) *Bicluster {
-	return findOne(work, opts)
+	bc, _ := FindOneCtx(context.Background(), work, opts)
+	return bc
 }
 
 // MSROf computes the mean squared residue of an arbitrary sub-matrix of m —
@@ -118,6 +121,11 @@ func MSROf(m *linalg.Matrix, rows, cols []int) float64 { return msrOf(m, rows, c
 // Run extracts up to MaxBiclusters biclusters from m using the Cheng–Church
 // algorithm, masking each find before searching again.
 func Run(m *linalg.Matrix, opts Options) ([]Bicluster, error) {
+	return RunCtx(context.Background(), m, opts)
+}
+
+// RunCtx is Run under a context (see FindOneCtx).
+func RunCtx(ctx context.Context, m *linalg.Matrix, opts Options) ([]Bicluster, error) {
 	if m.Rows == 0 || m.Cols == 0 {
 		return nil, errors.New("bicluster: empty matrix")
 	}
@@ -127,7 +135,10 @@ func Run(m *linalg.Matrix, opts Options) ([]Bicluster, error) {
 
 	var out []Bicluster
 	for b := 0; b < opts.MaxBiclusters; b++ {
-		bc := FindOne(work, opts)
+		bc, err := FindOneCtx(ctx, work, opts)
+		if err != nil {
+			return nil, err
+		}
 		if bc == nil {
 			break
 		}
@@ -145,15 +156,40 @@ func Run(m *linalg.Matrix, opts Options) ([]Bicluster, error) {
 	return out, nil
 }
 
-// state tracks the live row/col sets plus incremental means for one search.
+// state tracks the live row/col sets of one search and the means and
+// residues of the live sub-matrix, computed at most once per change of the
+// sets. Column quantities are COMPACT: colMean[t] and colRes[t] belong to
+// column live[t], so the per-cell loops index a dense list of live columns
+// instead of testing a flag per cell.
+//
+// Every sum below keeps the order the textbook loops give it — a row's sum
+// over j ascending, a column's over i ascending, the grand totals over
+// (i, j) row-major — because those orders define the answer's bits. That is
+// also why the sweep stays on one goroutine: total and colRes[t] are ordered
+// reductions over rows.
 type state struct {
 	m          *linalg.Matrix
 	rows, cols []bool
 	nr, nc     int
+
+	liveRows          []int     // live row indices, ascending
+	live, dead        []int     // live / dead column indices, ascending
+	rowMean, rowRes   []float64 // by row index; valid for live rows
+	colMean, colRes   []float64 // by position in live
+	deadMean, deadRes []float64 // by position in dead (phase 3 candidates)
+	all, h            float64
+	stale             bool // the sets changed since the last sweep
 }
 
 func newState(m *linalg.Matrix) *state {
-	s := &state{m: m, rows: make([]bool, m.Rows), cols: make([]bool, m.Cols), nr: m.Rows, nc: m.Cols}
+	s := &state{
+		m: m, rows: make([]bool, m.Rows), cols: make([]bool, m.Cols), nr: m.Rows, nc: m.Cols,
+		liveRows: make([]int, 0, m.Rows), live: make([]int, 0, m.Cols), dead: make([]int, 0, m.Cols),
+		rowMean: make([]float64, m.Rows), rowRes: make([]float64, m.Rows),
+		colMean: make([]float64, m.Cols), colRes: make([]float64, m.Cols),
+		deadMean: make([]float64, m.Cols), deadRes: make([]float64, m.Cols),
+		stale: true,
+	}
 	for i := range s.rows {
 		s.rows[i] = true
 	}
@@ -163,107 +199,148 @@ func newState(m *linalg.Matrix) *state {
 	return s
 }
 
-// means recomputes row means, column means and the overall mean of the live
-// sub-matrix.
-func (s *state) means() (rowMean, colMean []float64, all float64) {
-	rowMean = make([]float64, s.m.Rows)
-	colMean = make([]float64, s.m.Cols)
-	total := 0.0
-	for i := 0; i < s.m.Rows; i++ {
-		if !s.rows[i] {
-			continue
+func (s *state) setRow(i int, on bool) {
+	s.rows[i] = on
+	if on {
+		s.nr++
+	} else {
+		s.nr--
+	}
+	s.stale = true
+}
+
+func (s *state) setCol(j int, on bool) {
+	s.cols[j] = on
+	if on {
+		s.nc++
+	} else {
+		s.nc--
+	}
+	s.stale = true
+}
+
+// sweep brings the means, the residues and H(I,J) = mean over live cells of
+// (a_ij − rowMean − colMean + all)² up to date with the live sets: two passes
+// over the live cells, and none when nothing changed since the last call.
+func (s *state) sweep() {
+	if !s.stale {
+		return
+	}
+	s.stale = false
+	s.live, s.dead = s.live[:0], s.dead[:0]
+	for j, on := range s.cols {
+		if on {
+			s.live = append(s.live, j)
+		} else {
+			s.dead = append(s.dead, j)
 		}
+	}
+	s.liveRows = s.liveRows[:0]
+	for i, on := range s.rows {
+		if on {
+			s.liveRows = append(s.liveRows, i)
+		}
+	}
+	live := s.live
+	colMean, colRes := s.colMean[:len(live)], s.colRes[:len(live)]
+	for t := range colMean {
+		colMean[t], colRes[t] = 0, 0
+	}
+	fnr, fnc := float64(s.nr), float64(s.nc)
+
+	// Means. Four live rows go through the columns together: each row's sum
+	// is its own chain over j ascending, and colMean[t] still takes the rows
+	// in i ascending order, so the bits are those of the row-at-a-time loop —
+	// but the four sums no longer wait on one another's additions.
+	total := 0.0
+	rows := s.liveRows
+	for len(rows) >= 4 {
+		i0, i1, i2, i3 := rows[0], rows[1], rows[2], rows[3]
+		r0, r1, r2, r3 := s.m.Row(i0), s.m.Row(i1), s.m.Row(i2), s.m.Row(i3)
+		var s0, s1, s2, s3 float64
+		for t, j := range live {
+			v0, v1, v2, v3 := r0[j], r1[j], r2[j], r3[j]
+			s0 += v0
+			s1 += v1
+			s2 += v2
+			s3 += v3
+			colMean[t] = colMean[t] + v0 + v1 + v2 + v3
+		}
+		s.rowMean[i0], s.rowMean[i1], s.rowMean[i2], s.rowMean[i3] = s0/fnc, s1/fnc, s2/fnc, s3/fnc
+		total = total + s0 + s1 + s2 + s3
+		rows = rows[4:]
+	}
+	for _, i := range rows {
 		ri := s.m.Row(i)
 		sum := 0.0
-		for j := 0; j < s.m.Cols; j++ {
-			if !s.cols[j] {
-				continue
-			}
+		for t, j := range live {
 			v := ri[j]
 			sum += v
-			colMean[j] += v
+			colMean[t] += v
 		}
-		rowMean[i] = sum / float64(s.nc)
+		s.rowMean[i] = sum / fnc
 		total += sum
 	}
-	for j := range colMean {
-		if s.cols[j] {
-			colMean[j] /= float64(s.nr)
-		}
+	for t := range colMean {
+		colMean[t] /= fnr
 	}
-	all = total / float64(s.nr*s.nc)
-	return rowMean, colMean, all
-}
+	all := total / float64(s.nr*s.nc)
+	s.all = all
 
-// residues returns the per-row and per-column mean squared residues and the
-// overall MSR H(I,J) = mean over live cells of (a_ij − rowMean − colMean + all)².
-func (s *state) residues() (rowRes, colRes []float64, h float64) {
-	rowMean, colMean, all := s.means()
-	rowRes = make([]float64, s.m.Rows)
-	colRes = make([]float64, s.m.Cols)
-	total := 0.0
-	for i := 0; i < s.m.Rows; i++ {
-		if !s.rows[i] {
-			continue
-		}
+	// Residues. total is one sum over every live cell in row-major order, so
+	// this pass cannot interleave rows.
+	total = 0.0
+	for _, i := range s.liveRows {
 		ri := s.m.Row(i)
-		for j := 0; j < s.m.Cols; j++ {
-			if !s.cols[j] {
-				continue
-			}
-			d := ri[j] - rowMean[i] - colMean[j] + all
+		rm, rr := s.rowMean[i], 0.0
+		for t, j := range live {
+			d := ri[j] - rm - colMean[t] + all
 			sq := d * d
-			rowRes[i] += sq
-			colRes[j] += sq
+			rr += sq
+			colRes[t] += sq
 			total += sq
 		}
+		s.rowRes[i] = rr / fnc
 	}
-	for i := range rowRes {
-		if s.rows[i] {
-			rowRes[i] /= float64(s.nc)
-		}
+	for t := range colRes {
+		colRes[t] /= fnr
 	}
-	for j := range colRes {
-		if s.cols[j] {
-			colRes[j] /= float64(s.nr)
-		}
-	}
-	h = total / float64(s.nr*s.nc)
-	return rowRes, colRes, h
+	s.h = total / float64(s.nr*s.nc)
 }
 
-// findOne runs one full Cheng–Church search on the working matrix.
-func findOne(m *linalg.Matrix, opts Options) *Bicluster {
+// FindOneCtx is FindOne under a context, checked once per deletion/addition
+// sweep; a cancelled search returns ctx.Err().
+func FindOneCtx(ctx context.Context, m *linalg.Matrix, opts Options) (*Bicluster, error) {
 	s := newState(m)
 
 	// Phase 1: multiple node deletion — drop every row/col whose residue
 	// exceeds alpha × H in one sweep, while the matrix is large.
 	for {
-		_, _, h := s.residues()
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		s.sweep()
+		h := s.h
 		if h <= opts.Delta || s.nr <= opts.MinRows || s.nc <= opts.MinCols {
 			break
 		}
-		rowRes, colRes, _ := s.residues()
-		removed := false
-		if s.nr > opts.MinRows {
-			for i := 0; i < m.Rows && s.nr > opts.MinRows; i++ {
-				if s.rows[i] && rowRes[i] > opts.Alpha*h {
-					s.rows[i] = false
-					s.nr--
-					removed = true
-				}
+		for _, i := range s.liveRows {
+			if s.nr <= opts.MinRows {
+				break
+			}
+			if s.rowRes[i] > opts.Alpha*h {
+				s.setRow(i, false)
 			}
 		}
-		if s.nc > opts.MinCols {
-			for j := 0; j < m.Cols && s.nc > opts.MinCols; j++ {
-				if s.cols[j] && colRes[j] > opts.Alpha*h {
-					s.cols[j] = false
-					s.nc--
-					removed = true
-				}
+		for t, j := range s.live {
+			if s.nc <= opts.MinCols {
+				break
+			}
+			if s.colRes[t] > opts.Alpha*h {
+				s.setCol(j, false)
 			}
 		}
-		if !removed {
+		if !s.stale {
 			break
 		}
 	}
@@ -271,116 +348,117 @@ func findOne(m *linalg.Matrix, opts Options) *Bicluster {
 	// Phase 2: single node deletion — remove the worst row or column until
 	// H ≤ delta.
 	for {
-		rowRes, colRes, h := s.residues()
-		if h <= opts.Delta {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		s.sweep()
+		if s.h <= opts.Delta {
 			break
 		}
 		bestRow, bestCol := -1, -1
 		worstRow, worstCol := 0.0, 0.0
-		for i := range rowRes {
-			if s.rows[i] && rowRes[i] > worstRow {
-				worstRow, bestRow = rowRes[i], i
+		for _, i := range s.liveRows {
+			if s.rowRes[i] > worstRow {
+				worstRow, bestRow = s.rowRes[i], i
 			}
 		}
-		for j := range colRes {
-			if s.cols[j] && colRes[j] > worstCol {
-				worstCol, bestCol = colRes[j], j
+		for t, j := range s.live {
+			if s.colRes[t] > worstCol {
+				worstCol, bestCol = s.colRes[t], j
 			}
 		}
 		switch {
 		case worstRow >= worstCol && bestRow >= 0 && s.nr > opts.MinRows:
-			s.rows[bestRow] = false
-			s.nr--
+			s.setRow(bestRow, false)
 		case bestCol >= 0 && s.nc > opts.MinCols:
-			s.cols[bestCol] = false
-			s.nc--
+			s.setCol(bestCol, false)
 		default:
 			// Cannot shrink further; give up on reaching delta.
-			return nil
+			return nil, nil
 		}
 	}
 
 	// Phase 3: node addition — re-admit rows/cols whose residue is below the
 	// current H (they do not hurt the bicluster quality).
 	for {
-		added := false
-		rowMean, colMean, all := s.means()
-		_, _, h := s.residues()
-		for j := 0; j < m.Cols; j++ {
-			if s.cols[j] {
-				continue
-			}
-			res := 0.0
-			cnt := 0
-			cm := 0.0
-			for i := 0; i < m.Rows; i++ {
-				if s.rows[i] {
-					cm += m.At(i, j)
-					cnt++
-				}
-			}
-			if cnt == 0 {
-				continue
-			}
-			cm /= float64(cnt)
-			for i := 0; i < m.Rows; i++ {
-				if !s.rows[i] {
-					continue
-				}
-				d := m.At(i, j) - rowMean[i] - cm + all
-				res += d * d
-			}
-			if res/float64(cnt) <= h {
-				s.cols[j] = true
-				s.nc++
-				added = true
-			}
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		rowMean, colMean, all = s.means()
-		_, _, h = s.residues()
-		for i := 0; i < m.Rows; i++ {
-			if s.rows[i] {
-				continue
-			}
-			rm := 0.0
-			for j := 0; j < m.Cols; j++ {
-				if s.cols[j] {
-					rm += m.At(i, j)
-				}
-			}
-			rm /= float64(s.nc)
-			res := 0.0
-			for j := 0; j < m.Cols; j++ {
-				if !s.cols[j] {
-					continue
-				}
-				d := m.At(i, j) - rm - colMean[j] + all
-				res += d * d
-			}
-			if res/float64(s.nc) <= h {
-				s.rows[i] = true
-				s.nr++
-				added = true
-			}
-		}
-		if !added {
+		s.sweep()
+		added := s.addCols()
+		s.sweep()
+		if !s.addRows() && !added {
 			break
 		}
 	}
 
-	bc := &Bicluster{}
+	s.sweep()
+	return &Bicluster{Rows: slices.Clone(s.liveRows), Cols: slices.Clone(s.live), MSR: s.h}, nil
+}
+
+// addCols re-admits every dead column whose residue against the current
+// (swept) rows is at most H. All candidates are scored together, one pass
+// over the live rows for their means and one for their residues, each
+// column's sums still running over i ascending.
+func (s *state) addCols() (added bool) {
+	dead := s.dead
+	cm, res := s.deadMean[:len(dead)], s.deadRes[:len(dead)]
+	for t := range cm {
+		cm[t], res[t] = 0, 0
+	}
+	for _, i := range s.liveRows {
+		ri := s.m.Row(i)
+		for t, j := range dead {
+			cm[t] += ri[j]
+		}
+	}
+	cnt, all, h := float64(s.nr), s.all, s.h
+	for t := range cm {
+		cm[t] /= cnt
+	}
+	for _, i := range s.liveRows {
+		ri := s.m.Row(i)
+		rm := s.rowMean[i]
+		for t, j := range dead {
+			d := ri[j] - rm - cm[t] + all
+			res[t] += d * d
+		}
+	}
+	for t, j := range dead {
+		if res[t]/cnt <= h {
+			s.setCol(j, true)
+			added = true
+		}
+	}
+	return added
+}
+
+// addRows re-admits every dead row whose residue against the current (swept)
+// columns is at most H.
+func (s *state) addRows() (added bool) {
+	live, colMean := s.live, s.colMean[:len(s.live)]
+	fnc, all, h := float64(s.nc), s.all, s.h
 	for i, on := range s.rows {
 		if on {
-			bc.Rows = append(bc.Rows, i)
+			continue
+		}
+		ri := s.m.Row(i)
+		rm := 0.0
+		for _, j := range live {
+			rm += ri[j]
+		}
+		rm /= fnc
+		res := 0.0
+		for t, j := range live {
+			d := ri[j] - rm - colMean[t] + all
+			res += d * d
+		}
+		if res/fnc <= h {
+			s.setRow(i, true)
+			added = true
 		}
 	}
-	for j, on := range s.cols {
-		if on {
-			bc.Cols = append(bc.Cols, j)
-		}
-	}
-	_, _, bc.MSR = s.residues()
-	return bc
+	return added
 }
 
 // msrOf computes the mean squared residue of an arbitrary sub-matrix of m.

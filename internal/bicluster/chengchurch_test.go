@@ -1,6 +1,8 @@
 package bicluster
 
 import (
+	"context"
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -206,6 +208,23 @@ func TestRunIndexInvariants(t *testing.T) {
 		return res[0].MSR <= 1.0+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A dead context stops the search before its first sweep, and Run/FindOne
+// (the Background wrappers) are unaffected.
+func TestRunCtxHonoursContext(t *testing.T) {
+	m := noiseMatrix(30, 24, 4, 7)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if blocks, err := RunCtx(ctx, m, Options{Seed: 1}); blocks != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunCtx on a dead context = %v, %v", blocks, err)
+	}
+	if bc, err := FindOneCtx(ctx, m, Options{}.WithDefaults(m)); bc != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("FindOneCtx on a dead context = %v, %v", bc, err)
+	}
+	if _, err := Run(m, Options{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 }

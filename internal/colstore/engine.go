@@ -256,7 +256,10 @@ func (e *Engine) biclusterViaUDF(ctx context.Context, sw *engine.StopWatch, x *l
 			return nil, err
 		}
 		sw.StartAnalytics()
-		bc := bicluster.FindOne(udfInput, opts)
+		bc, err := bicluster.FindOneCtx(ctx, udfInput, opts)
+		if err != nil {
+			return nil, err
+		}
 		if bc == nil {
 			break
 		}

@@ -401,7 +401,7 @@ func (d *DistMatrix) LeastSquares(y []float64) (*linalg.LeastSquaresResult, erro
 	}
 	var beta []float64
 	err = d.C.ExecCoordinator(func() error {
-		qr, qerr := linalg.NewQR(gram)
+		qr, qerr := linalg.NewQRP(gram, 1)
 		if qerr != nil {
 			return qerr
 		}

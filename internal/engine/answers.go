@@ -2,12 +2,16 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"github.com/genbase/genbase/internal/bicluster"
 	"github.com/genbase/genbase/internal/linalg"
+	"github.com/genbase/genbase/internal/parallel"
 	"github.com/genbase/genbase/internal/stats"
 )
 
@@ -114,35 +118,79 @@ func BiclusterAnswerFromBlocks(blocks []bicluster.Bicluster, patientIDs []int64)
 // would produce identical statistics at a small fraction of the cost, but
 // would misrepresent the workload the benchmark measures.
 func EnrichmentTest(ctx context.Context, means []float64, members [][]int32, sampled int) (*StatsAnswer, error) {
+	return EnrichmentTestP(ctx, means, members, sampled, 0)
+}
+
+// EnrichmentTestP is EnrichmentTest with an explicit worker count. Terms are
+// independent — each re-ranks its own split of the population — so the
+// workers pull them in ascending order from one counter and write every
+// result at its term's index: the answer is identical at any worker count.
+// Each worker checks the context every 16 terms it takes. After the first
+// failure no further term is handed out; the terms below it are all already
+// taken and run to their end, so the error returned is the LOWEST failing
+// term's, as in the serial loop.
+func EnrichmentTestP(ctx context.Context, means []float64, members [][]int32, sampled, workers int) (*StatsAnswer, error) {
 	ans := &StatsAnswer{SampledPatients: sampled}
-	inSet := make([]bool, len(means))
-	in := make([]float64, 0, len(means))
-	out := make([]float64, 0, len(means))
-	for t, genes := range members {
-		if t%16 == 0 {
-			if err := CheckCtx(ctx); err != nil {
-				return nil, err
+	if len(members) == 0 {
+		return ans, nil
+	}
+	ans.Terms = make([]TermStat, len(members))
+	var (
+		next    atomic.Int64
+		failed  atomic.Bool
+		mu      sync.Mutex
+		failAt  = len(members)
+		failErr error
+	)
+	fail := func(t int, err error) {
+		mu.Lock()
+		if t < failAt {
+			failAt, failErr = t, err
+		}
+		mu.Unlock()
+		failed.Store(true)
+	}
+	w := min(parallel.Resolve(workers), len(members))
+	parallel.For(w, w, func(int) {
+		inSet := make([]bool, len(means))
+		in := make([]float64, 0, len(means))
+		out := make([]float64, 0, len(means))
+		for taken := 0; !failed.Load(); taken++ {
+			t := int(next.Add(1)) - 1
+			if t >= len(members) {
+				return
 			}
-		}
-		in, out = in[:0], out[:0]
-		for _, j := range genes {
-			inSet[j] = true
-		}
-		for j, v := range means {
-			if inSet[j] {
-				in = append(in, v)
-			} else {
-				out = append(out, v)
+			if taken%16 == 0 {
+				if err := CheckCtx(ctx); err != nil {
+					fail(t, err)
+					return
+				}
 			}
+			genes := members[t]
+			in, out = in[:0], out[:0]
+			for _, j := range genes {
+				inSet[j] = true
+			}
+			for j, v := range means {
+				if inSet[j] {
+					in = append(in, v)
+				} else {
+					out = append(out, v)
+				}
+			}
+			for _, j := range genes {
+				inSet[j] = false
+			}
+			res, err := stats.WilcoxonRankSum(in, out)
+			if err != nil {
+				fail(t, fmt.Errorf("engine: enrichment of term %d: %w", t, err))
+				return
+			}
+			ans.Terms[t] = TermStat{Term: t, Z: res.Z, P: res.P}
 		}
-		for _, j := range genes {
-			inSet[j] = false
-		}
-		res, err := stats.WilcoxonRankSum(in, out)
-		if err != nil {
-			return nil, err
-		}
-		ans.Terms = append(ans.Terms, TermStat{Term: t, Z: res.Z, P: res.P})
+	})
+	if failErr != nil {
+		return nil, failErr
 	}
 	return ans, nil
 }
@@ -162,9 +210,9 @@ type GeneMeta interface {
 func SummarizeCovariance(cov *linalg.Matrix, topFrac float64, meta GeneMeta, numPatients int) *CovarianceAnswer {
 	n := cov.Rows
 	total := n * (n - 1) / 2
-	// The |cov| ranking buffer is pooled scratch (it is O(genes²)) and the
-	// sorts are allocation-free generic sorts, so the shared answer assembly
-	// adds almost nothing to a query's allocation count.
+	// The |cov| buffer is pooled scratch (it is O(genes²)) and the selection
+	// and sorts are allocation-free, so the shared answer assembly adds almost
+	// nothing to a query's allocation count.
 	abs := linalg.GetSlice(total)
 	k := 0
 	for i := 0; i < n; i++ {
@@ -174,7 +222,6 @@ func SummarizeCovariance(cov *linalg.Matrix, topFrac float64, meta GeneMeta, num
 			k++
 		}
 	}
-	slices.Sort(abs)
 	keep := int(float64(total) * topFrac)
 	if keep < 1 {
 		keep = 1
@@ -182,7 +229,8 @@ func SummarizeCovariance(cov *linalg.Matrix, topFrac float64, meta GeneMeta, num
 	if keep > total {
 		keep = total
 	}
-	threshold := abs[total-keep]
+	// One order statistic is needed, not the order: select, do not sort.
+	threshold := stats.SelectKth(abs, total-keep)
 	linalg.PutSlice(abs)
 
 	ans := &CovarianceAnswer{NumPatients: numPatients, Threshold: threshold}
@@ -249,10 +297,10 @@ func SummarizeCovariance(cov *linalg.Matrix, topFrac float64, meta GeneMeta, num
 // funnels through here, so the numerical idiom cannot drift apart across
 // engines — the divergence risk the plan layer exists to remove. x is
 // consumed.
-func FitLeastSquares(x *linalg.Matrix, y []float64) ([]float64, float64, error) {
+func FitLeastSquares(x *linalg.Matrix, y []float64, workers int) ([]float64, float64, error) {
 	xi := linalg.AddInterceptColumn(x)
 	linalg.PutMatrix(x)
-	fit, err := linalg.LeastSquares(xi, y)
+	fit, err := linalg.LeastSquaresP(xi, y, workers)
 	linalg.PutMatrix(xi)
 	if err != nil {
 		return nil, 0, err

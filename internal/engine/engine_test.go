@@ -2,11 +2,14 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/genbase/genbase/internal/linalg"
+	"github.com/genbase/genbase/internal/stats"
 )
 
 func TestQueryIDStrings(t *testing.T) {
@@ -163,5 +166,45 @@ func TestEnrichmentTestBasic(t *testing.T) {
 	top := ans.TopEnriched(1)
 	if top[0].Term != 0 {
 		t.Fatalf("top term %d", top[0].Term)
+	}
+}
+
+// Terms run across the pool with results written by term index: the answer
+// must not depend on the worker count, and a failing term must surface as
+// the same (lowest) one at every count.
+func TestEnrichmentTestPWorkerInvariant(t *testing.T) {
+	const genes, terms = 120, 45
+	means := make([]float64, genes)
+	for j := range means {
+		means[j] = float64((j*37)%11) / 3 // ties
+	}
+	members := make([][]int32, terms)
+	for tm := range members {
+		for g := tm % 7; g < genes; g += 3 + tm%5 {
+			members[tm] = append(members[tm], int32(g))
+		}
+	}
+	want, err := EnrichmentTestP(context.Background(), means, members, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w := 2; w <= 8; w++ {
+		got, err := EnrichmentTestP(context.Background(), means, members, 4, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want.Terms {
+			g, r := got.Terms[i], want.Terms[i]
+			if g.Term != r.Term || math.Float64bits(g.Z) != math.Float64bits(r.Z) || math.Float64bits(g.P) != math.Float64bits(r.P) {
+				t.Fatalf("workers=%d term %d: %+v vs %+v", w, i, g, r)
+			}
+		}
+	}
+	members[31], members[9] = nil, nil
+	for w := 1; w <= 8; w++ {
+		_, err := EnrichmentTestP(context.Background(), means, members, 4, w)
+		if !errors.Is(err, stats.ErrEmptyGroup) || !strings.Contains(err.Error(), "term 9:") {
+			t.Fatalf("workers=%d: error %v, want term 9's ErrEmptyGroup", w, err)
+		}
 	}
 }

@@ -76,6 +76,47 @@ func TestParallelKernelsBitwiseDeterministic(t *testing.T) {
 	}
 }
 
+// The QR applies each reflector to the trailing columns across the pool, one
+// column per output; the factor must not depend on the worker count. The
+// shape is large enough that the update really fans out (and then, as the
+// trailing block shrinks, falls back to inline mid-factorization).
+func TestParallelQRBitwiseDeterministic(t *testing.T) {
+	a := randMatrix(400, 131, 6)
+	b := randMatrix(400, 1, 7).Col(0)
+	f1, err := NewQRP(a, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1, q1 := f1.R(), f1.Q()
+	x1, err := f1.Solve(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls1, err := LeastSquaresP(a, b, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{2, 3, 8} {
+		f, err := NewQRP(a, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bitsEqualMat(t, "QR R", w, f.R(), r1)
+		bitsEqualMat(t, "QR Q", w, f.Q(), q1)
+		x, err := f.Solve(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bitsEqualVec(t, "QR Solve", w, x, x1)
+		ls, err := LeastSquaresP(a, b, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bitsEqualVec(t, "LeastSquares", w, ls.Coefficients, ls1.Coefficients)
+		bitsEqualVec(t, "LeastSquares fit", w, []float64{ls.Residual, ls.RSquared}, []float64{ls1.Residual, ls1.RSquared})
+	}
+}
+
 // The default-knob entry points must match the explicit-worker variants
 // bitwise too (they are the same kernels).
 func TestDefaultEntryPointsMatchExplicit(t *testing.T) {

@@ -99,7 +99,7 @@ func (x *exec) RunRegression(ctx context.Context, _ *engine.StopWatch, d *distli
 		}
 		err = x.c.ExecCoordinator(func() error {
 			var kerr error
-			fit, kerr = linalg.LeastSquares(linalg.AddInterceptColumn(xm), y)
+			fit, kerr = linalg.LeastSquaresP(linalg.AddInterceptColumn(xm), y, 1)
 			return kerr
 		})
 	default:
@@ -346,7 +346,7 @@ func (x *exec) RunBicluster(ctx context.Context, _ *engine.StopWatch, d *distlin
 	inBytes := int64(xm.Rows) * int64(xm.Cols) * 8
 	err := x.execKernel(x.c.Coordinator(), xeonphi.KindBicluster, inBytes, 4096, func() error {
 		var kerr error
-		blocks, kerr = bicluster.Run(xm, bicluster.Options{MaxBiclusters: maxB, Seed: seed})
+		blocks, kerr = bicluster.RunCtx(ctx, xm, bicluster.Options{MaxBiclusters: maxB, Seed: seed})
 		return kerr
 	})
 	if err != nil {
@@ -364,7 +364,7 @@ func (x *exec) RunStats(ctx context.Context, _ *engine.StopWatch, means []float6
 	inBytes := int64(x.e.numGenes)*8 + int64(len(x.e.goArr))
 	err := x.execKernel(x.c.Coordinator(), xeonphi.KindRank, inBytes, int64(x.e.numTerms)*16, func() error {
 		var kerr error
-		ans, kerr = engine.EnrichmentTest(ctx, means, members, sampled)
+		ans, kerr = engine.EnrichmentTestP(ctx, means, members, sampled, 1)
 		return kerr
 	})
 	if err != nil {

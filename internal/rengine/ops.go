@@ -164,7 +164,7 @@ func (e *Engine) RunRegression(_ context.Context, sw *engine.StopWatch, x *linal
 		return nil, 0, err
 	}
 	sw.StartAnalytics()
-	return engine.FitLeastSquares(x, y)
+	return engine.FitLeastSquares(x, y, e.Workers)
 }
 
 // RunCovariance implements plan.Physical, charging the gene×gene result
@@ -186,9 +186,9 @@ func (e *Engine) RunSVD(_ context.Context, sw *engine.StopWatch, a *linalg.Matri
 }
 
 // RunBicluster implements plan.Physical.
-func (e *Engine) RunBicluster(_ context.Context, sw *engine.StopWatch, x *linalg.Matrix, maxB int, seed uint64) ([]bicluster.Bicluster, error) {
+func (e *Engine) RunBicluster(ctx context.Context, sw *engine.StopWatch, x *linalg.Matrix, maxB int, seed uint64) ([]bicluster.Bicluster, error) {
 	sw.StartAnalytics()
-	blocks, err := bicluster.Run(x, bicluster.Options{MaxBiclusters: maxB, Seed: seed})
+	blocks, err := bicluster.RunCtx(ctx, x, bicluster.Options{MaxBiclusters: maxB, Seed: seed})
 	linalg.PutMatrix(x)
 	if err != nil {
 		return nil, err
@@ -199,7 +199,7 @@ func (e *Engine) RunBicluster(_ context.Context, sw *engine.StopWatch, x *linalg
 // RunStats implements plan.Physical.
 func (e *Engine) RunStats(ctx context.Context, sw *engine.StopWatch, means []float64, members [][]int32, sampled int) (*engine.StatsAnswer, error) {
 	sw.StartAnalytics()
-	return engine.EnrichmentTest(ctx, means, members, sampled)
+	return engine.EnrichmentTestP(ctx, means, members, sampled, e.Workers)
 }
 
 // PhysicalName implements plan.Physical.

@@ -156,7 +156,7 @@ func (e *Engine) RunRegression(ctx context.Context, sw *engine.StopWatch, x *lin
 		}
 	}
 	sw.StartAnalytics()
-	return engine.FitLeastSquares(x, y)
+	return engine.FitLeastSquares(x, y, e.Workers)
 }
 
 // RunCovariance implements plan.Physical.
@@ -201,7 +201,7 @@ func (e *Engine) RunBicluster(ctx context.Context, sw *engine.StopWatch, x *lina
 		return nil, err
 	}
 	sw.StartAnalytics()
-	blocks, err := bicluster.Run(x, bicluster.Options{MaxBiclusters: maxB, Seed: seed})
+	blocks, err := bicluster.RunCtx(ctx, x, bicluster.Options{MaxBiclusters: maxB, Seed: seed})
 	linalg.PutMatrix(x)
 	if err != nil {
 		return nil, err
@@ -223,7 +223,7 @@ func (e *Engine) RunStats(ctx context.Context, sw *engine.StopWatch, means []flo
 		return nil, err
 	}
 	sw.StartAnalytics()
-	return engine.EnrichmentTest(ctx, means, members, sampled)
+	return engine.EnrichmentTestP(ctx, means, members, sampled, e.Workers)
 }
 
 // PhysicalName implements plan.Physical.
