@@ -104,6 +104,13 @@ type Config struct {
 	// HedgeOverheadSec is the virtual cost of a cancelled speculative
 	// attempt (default DefaultHedgeOverheadSec).
 	HedgeOverheadSec float64
+
+	// Now is the clock that times each exec's compute (nil = time.Now).
+	// Tests install a stepping clock so an exec costs a fixed tick and a
+	// makespan is an exact function of placement and bytes sent; with one
+	// installed RunNodes takes its serial path, since readings of a shared
+	// stepping clock only mean that when execs do not interleave.
+	Now func() time.Time
 }
 
 // DefaultConfig returns the calibration used by the benchmark harness:
@@ -316,9 +323,9 @@ func (c *Cluster) ExecCtx(ctx context.Context, node int, fn func() error) error 
 				return fmt.Errorf("node %d step %d: %w", node, step, err)
 			}
 		}
-		start := time.Now()
+		start := c.now()
 		err := fn()
-		d := time.Since(start).Seconds() / c.cfg.ComputeRate
+		d := c.now().Sub(start).Seconds() / c.cfg.ComputeRate
 		d *= c.NodeSlowFactor(node)
 		c.clocks[node] += d
 		if err == nil && c.cfg.ExecTimeoutSec > 0 && d > c.cfg.ExecTimeoutSec {
@@ -405,7 +412,7 @@ func (c *Cluster) RunNodes(ctx context.Context, fn func(ctx context.Context, nod
 			cancel()
 		}
 	}
-	if n == 1 || runtime.NumCPU() < n || runtime.GOMAXPROCS(0) < n {
+	if n == 1 || c.cfg.Now != nil || runtime.NumCPU() < n || runtime.GOMAXPROCS(0) < n {
 		for i := 0; i < n; i++ {
 			run(i)
 		}
@@ -444,6 +451,14 @@ func joinNodeErrors(ctx context.Context, errs []error) error {
 		keep = append(keep, err)
 	}
 	return errors.Join(keep...)
+}
+
+// now reads the clock that times compute (Config.Now, else the wall clock).
+func (c *Cluster) now() time.Time {
+	if c.cfg.Now != nil {
+		return c.cfg.Now()
+	}
+	return time.Now()
 }
 
 // Charge adds pre-measured virtual seconds to a node's clock (used by the

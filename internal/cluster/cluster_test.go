@@ -6,6 +6,46 @@ import (
 	"time"
 )
 
+// steppingClock is a Config.Now that advances one tick per reading, so every
+// exec is measured as exactly one tick.
+func steppingClock(tick time.Duration) func() time.Time {
+	now := time.Unix(0, 0)
+	return func() time.Time {
+		now = now.Add(tick)
+		return now
+	}
+}
+
+func steppedConfig(nodes int, tick time.Duration) Config {
+	cfg := DefaultConfig(nodes)
+	cfg.Now = steppingClock(tick)
+	return cfg
+}
+
+// With an injected clock every exec costs one tick, scaled by the compute
+// rate, and ExecAll runs its nodes serially so the readings do not interleave.
+func TestInjectedClockChargesExactTicks(t *testing.T) {
+	const tick = 10 * time.Millisecond
+	cfg := steppedConfig(4, tick)
+	cfg.ComputeRate = 2
+	c := New(cfg)
+	for i := 0; i < 3; i++ {
+		if err := c.Exec(1, func() error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.ExecAll(func(int) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	per := tick.Seconds() / 2
+	want := []float64{per, 3*per + per, per, per}
+	for i, v := range c.clocks {
+		if diff := v - want[i]; diff > 1e-12 || diff < -1e-12 {
+			t.Fatalf("clocks=%v want %v", c.clocks, want)
+		}
+	}
+}
+
 func TestExecChargesOwningNode(t *testing.T) {
 	c := New(DefaultConfig(2))
 	if err := c.Exec(0, func() error { time.Sleep(2 * time.Millisecond); return nil }); err != nil {
@@ -149,16 +189,17 @@ func TestResetClearsState(t *testing.T) {
 }
 
 func TestComputeRateScalesCharge(t *testing.T) {
-	cfg := DefaultConfig(1)
+	const tick = 4 * time.Millisecond
+	cfg := steppedConfig(1, tick)
 	cfg.ComputeRate = 2
 	c := New(cfg)
-	c.Exec(0, func() error { time.Sleep(4 * time.Millisecond); return nil })
+	c.Exec(0, func() error { return nil })
 	fast := c.MakespanSeconds()
-	c2 := New(DefaultConfig(1))
-	c2.Exec(0, func() error { time.Sleep(4 * time.Millisecond); return nil })
+	c2 := New(steppedConfig(1, tick))
+	c2.Exec(0, func() error { return nil })
 	slow := c2.MakespanSeconds()
-	if fast >= slow {
-		t.Fatalf("rate 2 (%v) should be faster than rate 1 (%v)", fast, slow)
+	if slow != tick.Seconds() || fast != slow/2 {
+		t.Fatalf("rate 2 charged %v and rate 1 %v for a %v exec", fast, slow, tick)
 	}
 }
 

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"strings"
-	"time"
 )
 
 // MRScheduler places MapReduce waves onto the virtual cluster: task i of a
@@ -37,11 +36,11 @@ func (s *MRScheduler) RunWave(ctx context.Context, phase string, n int, task fun
 		default:
 		}
 		node := nodes[i]
-		start := time.Now()
+		start := s.C.now()
 		if err := task(i); err != nil {
 			return err
 		}
-		s.C.Charge(node, time.Since(start).Seconds())
+		s.C.Charge(node, s.C.now().Sub(start).Seconds())
 	}
 	if strings.HasSuffix(phase, ":map") {
 		s.lastMapNodes = nodes

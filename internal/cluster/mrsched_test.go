@@ -7,19 +7,15 @@ import (
 )
 
 func TestMRSchedulerSpreadsWaves(t *testing.T) {
-	c := New(DefaultConfig(4))
+	c := New(steppedConfig(4, time.Millisecond))
 	s := &MRScheduler{C: c}
-	err := s.RunWave(context.Background(), "hive-x:map", 8, func(i int) error {
-		time.Sleep(time.Millisecond)
-		return nil
-	})
+	err := s.RunWave(context.Background(), "hive-x:map", 8, func(i int) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 8 tasks of ~1ms over 4 nodes → makespan ≈ 2ms, not 8ms.
-	ms := c.MakespanSeconds()
-	if ms < 0.0015 || ms > 0.006 {
-		t.Fatalf("makespan %v, want ≈2ms", ms)
+	// 8 tasks of one 1-ms tick over 4 nodes → makespan 2ms, not 8ms.
+	if ms := c.MakespanSeconds(); ms != 2*time.Millisecond.Seconds() {
+		t.Fatalf("makespan %v, want 2ms", ms)
 	}
 }
 

@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sort"
@@ -139,59 +140,67 @@ func (e *Engine) Run(ctx context.Context, q engine.QueryID, p engine.Params) (*e
 // patient into dense row lines "patient \t v1,v2,...,vk" (the restructure
 // step). The driver then parses the rows it needs.
 func (e *Engine) joinPivotJob(ctx context.Context, geneIDs, patientIDs []int64) (*linalg.Matrix, error) {
-	gIdx := make(map[int64]int, len(geneIDs))
-	for i, id := range geneIDs {
-		gIdx[id] = i
+	if patientIDs == nil {
+		patientIDs = allIDs(e.numPats)
 	}
-	var pIdx map[int64]int
-	if patientIDs != nil {
-		pIdx = make(map[int64]int, len(patientIDs))
-		for i, id := range patientIDs {
-			pIdx[id] = i
-		}
-	}
+	gIdx := denseIndex(geneIDs, e.numGenes)
+	pIdx := denseIndex(patientIDs, e.numPats)
 	k := len(geneIDs)
 	job := &Job{
 		Name:        "hive-join-pivot",
 		Input:       e.micro,
 		NumReducers: e.splits(),
-		Map: func(line string, emit func(k2, v string)) error {
-			c1 := strings.IndexByte(line, ',')
-			c2 := c1 + 1 + strings.IndexByte(line[c1+1:], ',')
-			g, err := strconv.ParseInt(line[:c1], 10, 64)
+		Map: func(line string, out *Emitter) error {
+			// Lazy, as Hive's SerDe is: a line whose gene is not selected is
+			// dropped on its first field alone.
+			gene, rest, _ := strings.Cut(line, ",")
+			g, err := strconv.ParseInt(gene, 10, 64)
 			if err != nil {
-				return err
+				return malformed(line, err)
 			}
-			gi, ok := gIdx[g]
-			if !ok {
+			gi := indexOf(gIdx, g)
+			if gi < 0 {
 				return nil
 			}
-			p, err := strconv.ParseInt(line[c1+1:c2], 10, 64)
+			var f [2]string // patient, value
+			if err := fields(rest, ',', f[:]); err != nil {
+				return malformed(line, err)
+			}
+			p, err := strconv.ParseInt(f[0], 10, 64)
 			if err != nil {
-				return err
+				return malformed(line, err)
 			}
-			if pIdx != nil {
-				if _, ok := pIdx[p]; !ok {
-					return nil
-				}
+			if indexOf(pIdx, p) < 0 {
+				return nil
 			}
-			emit(pad(line[c1+1:c2]), strconv.Itoa(gi)+":"+line[c2+1:])
+			var kbuf, vbuf [32]byte
+			v := append(strconv.AppendInt(vbuf[:0], int64(gi), 10), ':')
+			out.Emit(appendPad(kbuf[:0], f[0]), append(v, f[1]...))
 			return nil
 		},
-		Reduce: func(key string, values []string, emit func(k2, v string)) error {
-			row := make([]string, k)
-			for i := range row {
-				row[i] = "0"
-			}
+		Reduce: func(key []byte, values [][]byte, out *Emitter) error {
+			cells := make([][]byte, k)
+			size := k
 			for _, v := range values {
-				colon := strings.IndexByte(v, ':')
-				gi, err := strconv.Atoi(v[:colon])
-				if err != nil {
-					return err
+				colon := max(bytes.IndexByte(v, ':'), 0)
+				i, err := strconv.Atoi(string(v[:colon]))
+				if err != nil || i < 0 || i >= k {
+					return malformed(string(v), fmt.Errorf("want column:value with column in [0,%d)", k))
 				}
-				row[gi] = v[colon+1:]
+				cells[i] = v[colon+1:]
+				size += len(v) - colon - 1
 			}
-			emit(key, strings.Join(row, ","))
+			row := make([]byte, 0, size)
+			for i, cell := range cells {
+				if i > 0 {
+					row = append(row, ',')
+				}
+				if cell == nil {
+					cell = []byte("0")
+				}
+				row = append(row, cell...)
+			}
+			out.Emit(key, row)
 			return nil
 		},
 	}
@@ -199,55 +208,58 @@ func (e *Engine) joinPivotJob(ctx context.Context, geneIDs, patientIDs []int64) 
 	if err != nil {
 		return nil, err
 	}
-	// Driver: parse row lines into the dense matrix.
-	nRows := e.numPats
-	if patientIDs != nil {
-		nRows = len(patientIDs)
-	}
-	m := linalg.NewMatrix(nRows, k)
-	for _, part := range out {
-		for _, line := range part {
-			tab := strings.IndexByte(line, '\t')
-			pi, err := parsePadded(line[:tab])
-			if err != nil {
-				return nil, err
-			}
-			p := int64(pi)
-			ri := int(p)
-			if pIdx != nil {
-				ri = pIdx[p]
-			}
-			// Columnar decode straight into the matrix row — no []string
-			// intermediary (see parseFloatFields).
-			if err := parseFloatFields(line[tab+1:], m.Row(ri)); err != nil {
-				return nil, err
-			}
+	// Driver: parse row lines into the dense matrix — a columnar decode
+	// straight into the matrix row, no []string intermediary (see
+	// parseFloatFields).
+	m := linalg.NewMatrix(len(patientIDs), k)
+	err = records(out, func(key, value string) error {
+		p, err := parseIndex(key, len(pIdx))
+		if err != nil {
+			return err
 		}
+		if pIdx[p] < 0 {
+			return fmt.Errorf("patient %d was not selected", p)
+		}
+		return parseFloatFields(value, m.Row(int(pIdx[p])))
+	})
+	if err != nil {
+		return nil, err
 	}
 	return m, nil
 }
 
-// pad zero-pads numeric string keys so lexicographic key order matches
-// numeric order (Hadoop sorts keys as bytes).
-func pad(s string) string {
-	const w = 10
-	if len(s) >= w {
-		return s
+// denseIndex maps each id in [0, n) to its position in ids, and to -1 when
+// it is not among them.
+func denseIndex(ids []int64, n int) []int32 {
+	idx := make([]int32, n)
+	for i := range idx {
+		idx[i] = -1
 	}
-	return strings.Repeat("0", w-len(s)) + s
+	for i, id := range ids {
+		if id >= 0 && id < int64(n) {
+			idx[id] = int32(i)
+		}
+	}
+	return idx
+}
+
+// indexOf is idx[id], and -1 for an id outside the table.
+func indexOf(idx []int32, id int64) int32 {
+	if id < 0 || id >= int64(len(idx)) {
+		return -1
+	}
+	return idx[id]
 }
 
 func collectIDs(parts [][]string) ([]int64, error) {
 	var ids []int64
-	for _, part := range parts {
-		for _, line := range part {
-			tab := strings.IndexByte(line, '\t')
-			id, err := parsePadded(line[:tab])
-			if err != nil {
-				return nil, err
-			}
-			ids = append(ids, int64(id))
-		}
+	err := records(parts, func(key, _ string) error {
+		id, err := parsePadded(key)
+		ids = append(ids, int64(id))
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	// Reducer partitions interleave keys; sort numerically.
 	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })

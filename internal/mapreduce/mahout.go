@@ -1,8 +1,10 @@
 package mapreduce
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -20,31 +22,113 @@ import (
 // between DM and analytics jobs is part of Hadoop's cost.
 func matrixLines(m *linalg.Matrix, splits int) [][]string {
 	lines := make([]string, m.Rows)
-	var sb strings.Builder
-	for i := 0; i < m.Rows; i++ {
-		sb.Reset()
-		sb.WriteString(pad(strconv.Itoa(i)))
-		sb.WriteByte('\t')
-		row := m.Row(i)
-		for j, v := range row {
+	var buf []byte
+	for i := range lines {
+		buf = append(appendPadInt(buf[:0], i), '\t')
+		for j, v := range m.Row(i) {
 			if j > 0 {
-				sb.WriteByte(',')
+				buf = append(buf, ',')
 			}
-			sb.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
+			buf = strconv.AppendFloat(buf, v, 'g', -1, 64)
 		}
-		lines[i] = sb.String()
+		lines[i] = string(buf)
 	}
 	return SplitLines(lines, splits)
 }
 
-func parseRowLine(line string, dst []float64) (int, error) {
-	tab := strings.IndexByte(line, '\t')
-	id, err := parsePadded(line[:tab])
-	if err != nil {
-		return 0, err
+// malformed wraps the reason a text record could not be decoded. Every
+// reader of table lines, shuffle values and reducer output reports through
+// it, so bad text is an error and never an index panic or a silent zero.
+func malformed(rec string, err error) error {
+	if len(rec) > 48 {
+		rec = rec[:48] + "..."
 	}
-	if err := parseFloatFields(line[tab+1:], dst); err != nil {
-		return 0, err
+	return fmt.Errorf("mapreduce: malformed record %q: %w", rec, err)
+}
+
+// fields splits rec on sep into exactly len(dst) fields. Like every parse
+// error below it, its error names no record: the reader that holds the whole
+// record wraps it with malformed, once.
+func fields(rec string, sep byte, dst []string) error {
+	rest := rec
+	for i := range dst {
+		j := strings.IndexByte(rest, sep)
+		if (j < 0) != (i == len(dst)-1) {
+			return fmt.Errorf("want %d fields separated by %q", len(dst), sep)
+		}
+		if j < 0 {
+			dst[i] = rest
+		} else {
+			dst[i], rest = rest[:j], rest[j+1:]
+		}
+	}
+	return nil
+}
+
+// records hands every "key\tvalue" line of the reducers' output to fn.
+func records(parts [][]string, fn func(key, value string) error) error {
+	var kv [2]string
+	for _, part := range parts {
+		for _, line := range part {
+			err := fields(line, '\t', kv[:])
+			if err == nil {
+				err = fn(kv[0], kv[1])
+			}
+			if err != nil {
+				return malformed(line, err)
+			}
+		}
+	}
+	return nil
+}
+
+// padWidth is the width numeric keys are zero-padded to, so that
+// lexicographic key order matches numeric order (Hadoop sorts keys as bytes).
+const padWidth = 10
+
+func appendPad[S string | []byte](dst []byte, s S) []byte {
+	for i := len(s); i < padWidth; i++ {
+		dst = append(dst, '0')
+	}
+	return append(dst, s...)
+}
+
+func appendPadInt(dst []byte, n int) []byte {
+	var digits [20]byte
+	return appendPad(dst, strconv.AppendInt(digits[:0], int64(n), 10))
+}
+
+func parsePadded(s string) (int, error) {
+	t := strings.TrimLeft(s, "0")
+	if t == "" && s != "" {
+		return 0, nil
+	}
+	return strconv.Atoi(t)
+}
+
+// parseIndex decodes a (padded) id that must index a table of n entries.
+func parseIndex(s string, n int) (int, error) {
+	i, err := parsePadded(s)
+	if err == nil && (i < 0 || i >= n) {
+		err = fmt.Errorf("id %d outside [0,%d)", i, n)
+	}
+	return i, err
+}
+
+// parseRowLine decodes a matrix row line into dst and returns its row id,
+// which must be below rows.
+func parseRowLine(line string, dst []float64, rows int) (int, error) {
+	var f [2]string
+	err := fields(line, '\t', f[:])
+	var id int
+	if err == nil {
+		id, err = parseIndex(f[0], rows)
+	}
+	if err == nil {
+		err = parseFloatFields(f[1], dst)
+	}
+	if err != nil {
+		return 0, malformed(line, err)
 	}
 	return id, nil
 }
@@ -76,12 +160,81 @@ func parseFloatFields(s string, dst []float64) error {
 	return nil
 }
 
-func parsePadded(s string) (int, error) {
-	t := strings.TrimLeft(s, "0")
-	if t == "" {
-		return 0, nil
+// addOuter adds the upper triangle of row·rowᵀ into the len(row)² gram.
+func addOuter(gram, row []float64) {
+	k := len(row)
+	for i, vi := range row {
+		if vi == 0 {
+			continue
+		}
+		for j := i; j < k; j++ {
+			gram[i*k+j] += vi * row[j]
+		}
 	}
-	return strconv.Atoi(t)
+}
+
+// emitGram emits the upper triangle of the k×k partial gram as
+// "tag:i:j \t value" records, in key order.
+func emitGram(out *Emitter, tag byte, gram []float64, k int) {
+	var kbuf, vbuf [32]byte
+	for i := 0; i < k && out.err == nil; i++ {
+		row := append(appendPadInt(append(kbuf[:0], tag, ':'), i), ':')
+		for j := i; j < k; j++ {
+			out.Emit(appendPadInt(row, j), strconv.AppendFloat(vbuf[:0], gram[i*k+j], 'g', -1, 64))
+		}
+	}
+}
+
+// emitVector emits v as "<prefix>j \t value" records, in key order.
+func emitVector(out *Emitter, prefix string, v []float64) {
+	var kbuf, vbuf [32]byte
+	for j, x := range v {
+		out.Emit(appendPadInt(append(kbuf[:0], prefix...), j), strconv.AppendFloat(vbuf[:0], x, 'g', -1, 64))
+	}
+}
+
+// readGram is the driver's read of a gram job's output: "tag:i:j" records
+// fill gram symmetrically and "y:i" records fill aty.
+func readGram(parts [][]string, gram *linalg.Matrix, aty []float64) error {
+	return records(parts, func(key, value string) error {
+		v, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			return err
+		}
+		if rest, ok := strings.CutPrefix(key, "y:"); ok {
+			i, err := parseIndex(rest, len(aty))
+			if err == nil {
+				aty[i] = v
+			}
+			return err
+		}
+		var f [3]string
+		if err := fields(key, ':', f[:]); err != nil {
+			return err
+		}
+		i, err := parseIndex(f[1], gram.Rows)
+		if err != nil {
+			return err
+		}
+		j, err := parseIndex(f[2], gram.Cols)
+		if err != nil {
+			return err
+		}
+		gram.Set(i, j, v)
+		gram.Set(j, i, v)
+		return nil
+	})
+}
+
+// readVector is the driver's read of "j \t value" records into dst.
+func readVector(parts [][]string, dst []float64) error {
+	return records(parts, func(key, value string) error {
+		j, err := parseIndex(key, len(dst))
+		if err == nil {
+			dst[j], err = strconv.ParseFloat(value, 64)
+		}
+		return err
+	})
 }
 
 // gramJob computes XᵀX and Xᵀy partials per mapper and reduces them — the
@@ -91,7 +244,7 @@ func (e *Engine) gramJob(ctx context.Context, matrix [][]string, k int, y []floa
 		Name:        "mahout-gram",
 		Input:       matrix,
 		NumReducers: e.splits(),
-		MapSplit: func(split []string, emit func(key, v string)) error {
+		MapSplit: func(split []string, out *Emitter) error {
 			gram := make([]float64, k*k)
 			aty := make([]float64, k)
 			row := make([]float64, k)
@@ -101,37 +254,18 @@ func (e *Engine) gramJob(ctx context.Context, matrix [][]string, k int, y []floa
 						return err
 					}
 				}
-				id, err := parseRowLine(line, row)
+				id, err := parseRowLine(line, row, len(y))
 				if err != nil {
 					return err
 				}
+				addOuter(gram, row)
+				yi := y[id]
 				for i := 0; i < k; i++ {
-					vi := row[i]
-					if vi == 0 {
-						continue
-					}
-					for j := i; j < k; j++ {
-						gram[i*k+j] += vi * row[j]
-					}
-				}
-				if y != nil {
-					yi := y[id]
-					for i := 0; i < k; i++ {
-						aty[i] += yi * row[i]
-					}
+					aty[i] += yi * row[i]
 				}
 			}
-			for i := 0; i < k; i++ {
-				for j := i; j < k; j++ {
-					emit("g:"+pad(strconv.Itoa(i))+":"+pad(strconv.Itoa(j)),
-						strconv.FormatFloat(gram[i*k+j], 'g', -1, 64))
-				}
-			}
-			if y != nil {
-				for i := 0; i < k; i++ {
-					emit("y:"+pad(strconv.Itoa(i)), strconv.FormatFloat(aty[i], 'g', -1, 64))
-				}
-			}
+			emitGram(out, 'g', gram, k)
+			emitVector(out, "y:", aty)
 			return nil
 		},
 		Reduce: sumReduce,
@@ -142,43 +276,25 @@ func (e *Engine) gramJob(ctx context.Context, matrix [][]string, k int, y []floa
 	}
 	gram := linalg.NewMatrix(k, k)
 	aty := make([]float64, k)
-	for _, part := range out {
-		for _, line := range part {
-			tab := strings.IndexByte(line, '\t')
-			key := line[:tab]
-			v, err := strconv.ParseFloat(line[tab+1:], 64)
-			if err != nil {
-				return nil, nil, err
-			}
-			switch key[0] {
-			case 'g':
-				rest := key[2:]
-				colon := strings.IndexByte(rest, ':')
-				i, _ := parsePadded(rest[:colon])
-				j, _ := parsePadded(rest[colon+1:])
-				gram.Set(i, j, v)
-				gram.Set(j, i, v)
-			case 'y':
-				i, _ := parsePadded(key[2:])
-				aty[i] = v
-			}
-		}
+	if err := readGram(out, gram, aty); err != nil {
+		return nil, nil, err
 	}
 	return gram, aty, nil
 }
 
-// sumReduce adds string-encoded float values (with string round-trips, as a
+// sumReduce adds text-encoded float values (with text round-trips, as a
 // streaming reducer would).
-func sumReduce(key string, values []string, emit func(k, v string)) error {
+func sumReduce(key []byte, values [][]byte, out *Emitter) error {
 	s := 0.0
 	for _, v := range values {
-		f, err := strconv.ParseFloat(v, 64)
+		f, err := strconv.ParseFloat(string(v), 64)
 		if err != nil {
-			return err
+			return malformed(string(v), err)
 		}
 		s += f
 	}
-	emit(key, strconv.FormatFloat(s, 'g', -1, 64))
+	var vbuf [32]byte
+	out.Emit(key, strconv.AppendFloat(vbuf[:0], s, 'g', -1, 64))
 	return nil
 }
 
@@ -188,20 +304,18 @@ func (e *Engine) colMeansJob(ctx context.Context, matrix [][]string, k int, nRow
 		Name:        "mahout-colmeans",
 		Input:       matrix,
 		NumReducers: e.splits(),
-		MapSplit: func(split []string, emit func(key, v string)) error {
+		MapSplit: func(split []string, out *Emitter) error {
 			sums := make([]float64, k)
 			row := make([]float64, k)
 			for _, line := range split {
-				if _, err := parseRowLine(line, row); err != nil {
+				if _, err := parseRowLine(line, row, nRows); err != nil {
 					return err
 				}
 				for j, v := range row {
 					sums[j] += v
 				}
 			}
-			for j, s := range sums {
-				emit(pad(strconv.Itoa(j)), strconv.FormatFloat(s, 'g', -1, 64))
-			}
+			emitVector(out, "", sums)
 			return nil
 		},
 		Reduce: sumReduce,
@@ -211,19 +325,11 @@ func (e *Engine) colMeansJob(ctx context.Context, matrix [][]string, k int, nRow
 		return nil, err
 	}
 	means := make([]float64, k)
-	for _, part := range out {
-		for _, line := range part {
-			tab := strings.IndexByte(line, '\t')
-			j, err := parsePadded(line[:tab])
-			if err != nil {
-				return nil, err
-			}
-			v, err := strconv.ParseFloat(line[tab+1:], 64)
-			if err != nil {
-				return nil, err
-			}
-			means[j] = v / float64(nRows)
-		}
+	if err := readVector(out, means); err != nil {
+		return nil, err
+	}
+	for j := range means {
+		means[j] /= float64(nRows)
 	}
 	return means, nil
 }
@@ -235,7 +341,7 @@ func (e *Engine) centeredGramJob(ctx context.Context, matrix [][]string, k int, 
 		Name:        "mahout-centered-gram",
 		Input:       matrix,
 		NumReducers: e.splits(),
-		MapSplit: func(split []string, emit func(key, v string)) error {
+		MapSplit: func(split []string, out *Emitter) error {
 			gram := make([]float64, k*k)
 			row := make([]float64, k)
 			for ln, line := range split {
@@ -244,31 +350,15 @@ func (e *Engine) centeredGramJob(ctx context.Context, matrix [][]string, k int, 
 						return err
 					}
 				}
-				if _, err := parseRowLine(line, row); err != nil {
+				if _, err := parseRowLine(line, row, math.MaxInt); err != nil {
 					return err
 				}
 				for j := range row {
 					row[j] -= means[j]
 				}
-				for i := 0; i < k; i++ {
-					vi := row[i]
-					if vi == 0 {
-						continue
-					}
-					for j := i; j < k; j++ {
-						gram[i*k+j] += vi * row[j]
-					}
-				}
+				addOuter(gram, row)
 			}
-			for i := 0; i < k; i++ {
-				if err := engine.CheckCtx(ctx); err != nil {
-					return err
-				}
-				for j := i; j < k; j++ {
-					emit("c:"+pad(strconv.Itoa(i))+":"+pad(strconv.Itoa(j)),
-						strconv.FormatFloat(gram[i*k+j], 'g', -1, 64))
-				}
-			}
+			emitGram(out, 'c', gram, k)
 			return nil
 		},
 		Reduce: sumReduce,
@@ -278,20 +368,8 @@ func (e *Engine) centeredGramJob(ctx context.Context, matrix [][]string, k int, 
 		return nil, err
 	}
 	gram := linalg.NewMatrix(k, k)
-	for _, part := range out {
-		for _, line := range part {
-			tab := strings.IndexByte(line, '\t')
-			key := line[2:tab]
-			colon := strings.IndexByte(key, ':')
-			i, _ := parsePadded(key[:colon])
-			j, _ := parsePadded(key[colon+1:])
-			v, err := strconv.ParseFloat(line[tab+1:], 64)
-			if err != nil {
-				return nil, err
-			}
-			gram.Set(i, j, v)
-			gram.Set(j, i, v)
-		}
+	if err := readGram(out, gram, nil); err != nil {
+		return nil, err
 	}
 	return gram, nil
 }
@@ -321,7 +399,7 @@ func (o *mrATAOperator) Apply(x []float64) []float64 {
 		Name:        "mahout-lanczos-matvec",
 		Input:       o.matrix,
 		NumReducers: o.e.splits(),
-		MapSplit: func(split []string, emit func(key, v string)) error {
+		MapSplit: func(split []string, out *Emitter) error {
 			z := make([]float64, o.k)
 			row := make([]float64, o.k)
 			for ln, line := range split {
@@ -330,7 +408,7 @@ func (o *mrATAOperator) Apply(x []float64) []float64 {
 						return err
 					}
 				}
-				if _, err := parseRowLine(line, row); err != nil {
+				if _, err := parseRowLine(line, row, math.MaxInt); err != nil {
 					return err
 				}
 				yi := 0.0
@@ -341,34 +419,16 @@ func (o *mrATAOperator) Apply(x []float64) []float64 {
 					z[j] += yi * v
 				}
 			}
-			for j, v := range z {
-				emit(pad(strconv.Itoa(j)), strconv.FormatFloat(v, 'g', -1, 64))
-			}
+			emitVector(out, "", z)
 			return nil
 		},
 		Reduce: sumReduce,
 	}
 	res, err := Run(o.ctx, job, o.e.Sched)
-	if err != nil {
-		o.err = err
-		return out
+	if err == nil {
+		err = readVector(res, out)
 	}
-	for _, part := range res {
-		for _, line := range part {
-			tab := strings.IndexByte(line, '\t')
-			j, err := parsePadded(line[:tab])
-			if err != nil {
-				o.err = err
-				return out
-			}
-			v, err := strconv.ParseFloat(line[tab+1:], 64)
-			if err != nil {
-				o.err = err
-				return out
-			}
-			out[j] = v
-		}
-	}
+	o.err = err
 	return out
 }
 
@@ -378,11 +438,11 @@ func (e *Engine) ssResJob(ctx context.Context, matrix [][]string, beta, y []floa
 	job := &Job{
 		Name:  "mahout-ssres",
 		Input: matrix,
-		MapSplit: func(split []string, emit func(key, v string)) error {
+		MapSplit: func(split []string, out *Emitter) error {
 			row := make([]float64, k)
 			ss := 0.0
 			for _, line := range split {
-				id, err := parseRowLine(line, row)
+				id, err := parseRowLine(line, row, len(y))
 				if err != nil {
 					return err
 				}
@@ -393,7 +453,8 @@ func (e *Engine) ssResJob(ctx context.Context, matrix [][]string, beta, y []floa
 				d := y[id] - pred
 				ss += d * d
 			}
-			emit("ssres", strconv.FormatFloat(ss, 'g', -1, 64))
+			var vbuf [32]byte
+			out.Emit([]byte("ssres"), strconv.AppendFloat(vbuf[:0], ss, 'g', -1, 64))
 			return nil
 		},
 		Reduce: sumReduce,
@@ -402,13 +463,16 @@ func (e *Engine) ssResJob(ctx context.Context, matrix [][]string, beta, y []floa
 	if err != nil {
 		return 0, err
 	}
-	for _, part := range out {
-		for _, line := range part {
-			tab := strings.IndexByte(line, '\t')
-			return strconv.ParseFloat(line[tab+1:], 64)
-		}
+	ss, n := 0.0, 0
+	err = records(out, func(_, value string) (err error) {
+		n++
+		ss, err = strconv.ParseFloat(value, 64)
+		return err
+	})
+	if err == nil && n != 1 {
+		err = fmt.Errorf("mapreduce: ssres job produced %d records, want 1", n)
 	}
-	return 0, fmt.Errorf("mapreduce: ssres job produced no output")
+	return ss, err
 }
 
 // solveSymmetric solves Gx = b for a symmetric positive-definite G by QR.
@@ -433,22 +497,27 @@ func allIDs(n int) []int64 {
 }
 
 // sumCountReduce folds "sum:count" encoded values.
-func sumCountReduce(key string, values []string, emit func(k, v string)) error {
+func sumCountReduce(key []byte, values [][]byte, out *Emitter) error {
 	sum, cnt := 0.0, 0.0
 	for _, v := range values {
-		colon := strings.LastIndexByte(v, ':')
-		s, err := strconv.ParseFloat(v[:colon], 64)
-		if err != nil {
-			return err
+		colon := bytes.LastIndexByte(v, ':')
+		if colon < 0 {
+			return malformed(string(v), fmt.Errorf("want sum:count"))
 		}
-		c, err := strconv.ParseFloat(v[colon+1:], 64)
+		s, err := strconv.ParseFloat(string(v[:colon]), 64)
 		if err != nil {
-			return err
+			return malformed(string(v), err)
+		}
+		c, err := strconv.ParseFloat(string(v[colon+1:]), 64)
+		if err != nil {
+			return malformed(string(v), err)
 		}
 		sum += s
 		cnt += c
 	}
-	emit(key, strconv.FormatFloat(sum, 'g', -1, 64)+":"+strconv.FormatFloat(cnt, 'g', -1, 64))
+	var vbuf [64]byte
+	v := append(strconv.AppendFloat(vbuf[:0], sum, 'g', -1, 64), ':')
+	out.Emit(key, strconv.AppendFloat(v, cnt, 'g', -1, 64))
 	return nil
 }
 

@@ -5,11 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"github.com/genbase/genbase/internal/datagen"
 	"github.com/genbase/genbase/internal/engine"
@@ -21,9 +24,9 @@ func TestWordCount(t *testing.T) {
 	job := &Job{
 		Name:  "wordcount",
 		Input: input,
-		Map: func(line string, emit func(k, v string)) error {
+		Map: func(line string, out *Emitter) error {
 			for _, w := range strings.Fields(line) {
-				emit(w, "1")
+				out.Emit([]byte(w), []byte("1"))
 			}
 			return nil
 		},
@@ -58,12 +61,12 @@ func TestShuffleExactlyOnce(t *testing.T) {
 		job := &Job{
 			Name:  "identity",
 			Input: SplitLines(lines, 3),
-			Map: func(line string, emit func(k, v string)) error {
-				emit(line, "x")
+			Map: func(line string, out *Emitter) error {
+				out.Emit([]byte(line), []byte("x"))
 				return nil
 			},
-			Reduce: func(key string, values []string, emit func(k, v string)) error {
-				emit(key, strconv.Itoa(len(values)))
+			Reduce: func(key []byte, values [][]byte, out *Emitter) error {
+				out.Emit(key, []byte(strconv.Itoa(len(values))))
 				return nil
 			},
 			NumReducers: int(reducers%5) + 1,
@@ -97,12 +100,12 @@ func TestReducerKeysSorted(t *testing.T) {
 	job := &Job{
 		Name:  "sorted",
 		Input: SplitLines(lines, 2),
-		Map: func(line string, emit func(k, v string)) error {
-			emit(pad(line), "1")
+		Map: func(line string, out *Emitter) error {
+			out.Emit([]byte(pad(line)), []byte("1"))
 			return nil
 		},
-		Reduce: func(key string, values []string, emit func(k, v string)) error {
-			emit(key, "1")
+		Reduce: func(key []byte, values [][]byte, out *Emitter) error {
+			out.Emit(key, []byte("1"))
 			return nil
 		},
 	}
@@ -123,7 +126,7 @@ func TestMapErrorPropagates(t *testing.T) {
 	job := &Job{
 		Name:  "boom",
 		Input: [][]string{{"x"}},
-		Map: func(string, func(k, v string)) error {
+		Map: func(string, *Emitter) error {
 			return fmt.Errorf("boom")
 		},
 		Reduce: sumReduce,
@@ -133,24 +136,80 @@ func TestMapErrorPropagates(t *testing.T) {
 	}
 }
 
+// A cancelled context stops the job wherever it is — before it starts, while
+// mappers emit, inside the combiner's pass over a run, inside a reducer's
+// merge — within ctxStride records per task, and no goroutine outlives Run.
 func TestContextCancelStopsJob(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	lines := make([]string, 100000)
+	const nLines, cancelAt = 100000, 100
+	lines := make([]string, nLines)
 	for i := range lines {
-		lines[i] = "x"
+		lines[i] = strconv.Itoa(nLines - i) // descending: every run needs its sort
 	}
-	job := &Job{
-		Name:  "cancel",
-		Input: SplitLines(lines, 2),
-		Map: func(line string, emit func(k, v string)) error {
-			emit("k", "1")
-			return nil
-		},
-		Reduce: sumReduce,
-	}
-	if _, err := Run(ctx, job, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err=%v", err)
+	for _, stage := range []string{"before", "map", "combine", "reduce"} {
+		t.Run(stage, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var calls [3]atomic.Int64 // map, combine, reduce
+			hit := func(i int, name string) {
+				if calls[i].Add(1) == cancelAt && stage == name {
+					cancel()
+				}
+			}
+			group := func(i int, name string) func(key []byte, values [][]byte, out *Emitter) error {
+				return func(key []byte, values [][]byte, out *Emitter) error {
+					hit(i, name)
+					out.Emit(key, values[0])
+					return nil
+				}
+			}
+			job := &Job{
+				Name:  "cancel",
+				Input: SplitLines(lines, 2),
+				Map: func(line string, out *Emitter) error {
+					hit(0, "map")
+					out.Emit([]byte(pad(line)), []byte("1"))
+					return nil
+				},
+				Combine:     group(1, "combine"),
+				Reduce:      group(2, "reduce"),
+				NumReducers: 2,
+			}
+			if stage == "before" {
+				cancel()
+			}
+			if _, err := Run(ctx, job, LocalScheduler{Workers: 2}); !errors.Is(err, context.Canceled) {
+				t.Fatalf("err=%v", err)
+			}
+			// Each of the two concurrent tasks of the cancelled wave may run
+			// on until its next poll; nothing after that wave runs at all.
+			const slack = cancelAt + 2*ctxStride
+			m, c, r := calls[0].Load(), calls[1].Load(), calls[2].Load()
+			switch stage {
+			case "before":
+				if m+c+r != 0 {
+					t.Fatalf("ran %d map, %d combine, %d reduce calls on a cancelled context", m, c, r)
+				}
+			case "map":
+				if m > slack || c+r != 0 {
+					t.Fatalf("%d map calls (want <= %d), %d combine, %d reduce after cancelling in map", m, slack, c, r)
+				}
+			case "combine":
+				if c > slack || r != 0 {
+					t.Fatalf("%d combine calls (want <= %d), %d reduce after cancelling in combine", c, slack, r)
+				}
+			case "reduce":
+				if r > slack {
+					t.Fatalf("%d reduce calls after cancelling in reduce, want <= %d", r, slack)
+				}
+			}
+			for i := 0; runtime.NumGoroutine() > before && i < 1000; i++ {
+				time.Sleep(time.Millisecond) // exiting workers are still counted for a moment
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Fatalf("%d goroutines before Run, %d after", before, n)
+			}
+		})
 	}
 }
 
@@ -163,6 +222,9 @@ func TestSplitLines(t *testing.T) {
 		t.Fatal("empty input should give one empty split")
 	}
 }
+
+// pad zero-pads a numeric string key the way the jobs' appendPad does.
+func pad(s string) string { return string(appendPad(nil, s)) }
 
 func TestPadRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 42, 99999, 1234567890} {

@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -44,7 +45,7 @@ func (e *Engine) Dims() (int, int) { return e.numPats, e.numGenes }
 // SelectIDs implements plan.Physical: a map-only filter job over the text
 // table, reduced to the surviving ids.
 func (e *Engine) SelectIDs(ctx context.Context, table string, preds []plan.Pred) ([]int64, error) {
-	fields, ok := tableFields[table]
+	schema, ok := tableFields[table]
 	if !ok {
 		return nil, fmt.Errorf("mapreduce: no text table %q", table)
 	}
@@ -57,7 +58,7 @@ func (e *Engine) SelectIDs(ctx context.Context, table string, preds []plan.Pred)
 	}
 	cols := make([]int, len(preds))
 	for i, p := range preds {
-		c, ok := fields[p.Col]
+		c, ok := schema[p.Col]
 		if !ok {
 			return nil, fmt.Errorf("mapreduce: table %s has no column %q", table, p.Col)
 		}
@@ -66,22 +67,27 @@ func (e *Engine) SelectIDs(ctx context.Context, table string, preds []plan.Pred)
 	job := &Job{
 		Name:  "hive-filter-" + table,
 		Input: SplitLines(lines, e.splits()),
-		Map: func(line string, emit func(k, v string)) error {
-			f := strings.Split(line, ",")
+		Map: func(line string, out *Emitter) error {
+			var fbuf [6]string
+			f := fbuf[:len(schema)]
+			if err := fields(line, ',', f); err != nil {
+				return malformed(line, err)
+			}
 			for i, p := range preds {
 				v, err := strconv.ParseInt(f[cols[i]], 10, 64)
 				if err != nil {
-					return err
+					return malformed(line, err)
 				}
 				if !p.Eval(v) {
 					return nil
 				}
 			}
-			emit(pad(f[0]), "1")
+			var kbuf [32]byte
+			out.Emit(appendPad(kbuf[:0], f[0]), []byte("1"))
 			return nil
 		},
-		Reduce: func(key string, _ []string, emit func(k, v string)) error {
-			emit(key, "1")
+		Reduce: func(key []byte, _ [][]byte, out *Emitter) error {
+			out.Emit(key, []byte("1"))
 			return nil
 		},
 	}
@@ -98,24 +104,23 @@ func (e *Engine) ScanFloats(_ context.Context, table, col string, ids []int64) (
 		return nil, fmt.Errorf("mapreduce: no physical scan for %s.%s", table, col)
 	}
 	if ids == nil {
-		y := make([]float64, e.numPats)
-		for _, line := range e.patients {
-			f := strings.Split(line, ",")
-			id, _ := strconv.Atoi(f[0])
-			y[id], _ = strconv.ParseFloat(f[5], 64)
-		}
-		return y, nil
+		ids = allIDs(e.numPats)
 	}
-	pos := make(map[int64]int, len(ids))
-	for i, id := range ids {
-		pos[id] = i
-	}
+	pos := denseIndex(ids, e.numPats)
 	y := make([]float64, len(ids))
+	var f [6]string
 	for _, line := range e.patients {
-		f := strings.Split(line, ",")
-		id, _ := strconv.Atoi(f[0])
-		if i, ok := pos[int64(id)]; ok {
-			y[i], _ = strconv.ParseFloat(f[5], 64)
+		if err := fields(line, ',', f[:]); err != nil {
+			return nil, malformed(line, err)
+		}
+		id, err := parseIndex(f[0], e.numPats)
+		if err != nil {
+			return nil, malformed(line, err)
+		}
+		if i := pos[id]; i >= 0 {
+			if y[i], err = strconv.ParseFloat(f[5], 64); err != nil {
+				return nil, malformed(line, err)
+			}
 		}
 	}
 	return y, nil
@@ -137,17 +142,20 @@ func (e *Engine) SampleMeans(ctx context.Context, step int) ([]float64, int, err
 		Name:        "hive-sample-means",
 		Input:       e.micro,
 		NumReducers: e.splits(),
-		Map: func(line string, emit func(k, v string)) error {
-			c1 := strings.IndexByte(line, ',')
-			c2 := c1 + 1 + strings.IndexByte(line[c1+1:], ',')
-			pid, err := strconv.ParseInt(line[c1+1:c2], 10, 64)
+		Map: func(line string, out *Emitter) error {
+			var f [3]string // gene, patient, value
+			if err := fields(line, ',', f[:]); err != nil {
+				return malformed(line, err)
+			}
+			pid, err := strconv.ParseInt(f[1], 10, 64)
 			if err != nil {
-				return err
+				return malformed(line, err)
 			}
 			if pid%step64 != 0 {
 				return nil
 			}
-			emit(pad(line[:c1]), line[c2+1:]+":1")
+			var kbuf, vbuf [32]byte
+			out.Emit(appendPad(kbuf[:0], f[0]), append(append(vbuf[:0], f[2]...), ":1"...))
 			return nil
 		},
 		Combine: sumCountReduce,
@@ -158,24 +166,25 @@ func (e *Engine) SampleMeans(ctx context.Context, step int) ([]float64, int, err
 		return nil, 0, err
 	}
 	means := make([]float64, e.numGenes)
-	for _, part := range out {
-		for _, line := range part {
-			tab := strings.IndexByte(line, '\t')
-			g, err := parsePadded(line[:tab])
-			if err != nil {
-				return nil, 0, err
-			}
-			colon := strings.LastIndexByte(line, ':')
-			sum, err := strconv.ParseFloat(line[tab+1:colon], 64)
-			if err != nil {
-				return nil, 0, err
-			}
-			cnt, err := strconv.ParseFloat(line[colon+1:], 64)
-			if err != nil {
-				return nil, 0, err
-			}
-			means[g] = sum / cnt
+	err = records(out, func(key, value string) error {
+		g, err := parseIndex(key, len(means))
+		if err != nil {
+			return err
 		}
+		var f [2]string // sum, count
+		if err := fields(value, ':', f[:]); err != nil {
+			return err
+		}
+		sum, err := strconv.ParseFloat(f[0], 64)
+		if err != nil {
+			return err
+		}
+		cnt, err := strconv.ParseFloat(f[1], 64)
+		means[g] = sum / cnt
+		return err
+	})
+	if err != nil {
+		return nil, 0, err
 	}
 	sampled := 0
 	for pid := int64(0); pid < int64(e.numPats); pid += step64 {
@@ -191,16 +200,20 @@ func (e *Engine) GOMembers(ctx context.Context) ([][]int32, error) {
 		Name:        "hive-go-members",
 		Input:       e.goLines,
 		NumReducers: e.splits(),
-		Map: func(line string, emit func(k, v string)) error {
-			f := strings.Split(line, ",")
+		Map: func(line string, out *Emitter) error {
+			var f [3]string // gene, term, belongs
+			if err := fields(line, ',', f[:]); err != nil {
+				return malformed(line, err)
+			}
 			if f[2] != "1" {
 				return nil
 			}
-			emit(pad(f[1]), f[0])
+			var kbuf, vbuf [32]byte
+			out.Emit(appendPad(kbuf[:0], f[1]), append(vbuf[:0], f[0]...))
 			return nil
 		},
-		Reduce: func(key string, values []string, emit func(k, v string)) error {
-			emit(key, strings.Join(values, ","))
+		Reduce: func(key []byte, values [][]byte, out *Emitter) error {
+			out.Emit(key, bytes.Join(values, []byte(",")))
 			return nil
 		},
 	}
@@ -209,35 +222,41 @@ func (e *Engine) GOMembers(ctx context.Context) ([][]int32, error) {
 		return nil, err
 	}
 	members := make([][]int32, e.numTerms)
-	for _, part := range goOut {
-		for _, line := range part {
-			tab := strings.IndexByte(line, '\t')
-			t, err := parsePadded(line[:tab])
-			if err != nil {
-				return nil, err
-			}
-			var gs []int32
-			for _, f := range strings.Split(line[tab+1:], ",") {
-				g, err := strconv.Atoi(f)
-				if err != nil {
-					return nil, err
-				}
-				gs = append(gs, int32(g))
-			}
-			sortInt32(gs)
-			members[t] = gs
+	err = records(goOut, func(key, value string) error {
+		t, err := parseIndex(key, len(members))
+		if err != nil {
+			return err
 		}
-	}
-	return members, nil
+		var gs []int32
+		for _, f := range strings.Split(value, ",") {
+			g, err := strconv.Atoi(f)
+			if err != nil {
+				return err
+			}
+			gs = append(gs, int32(g))
+		}
+		sortInt32(gs)
+		members[t] = gs
+		return nil
+	})
+	return members, err
 }
 
 // GeneMeta implements plan.Physical by parsing the genes text table.
 func (e *Engine) GeneMeta(_ context.Context) (engine.GeneMeta, error) {
 	fns := make([]int64, e.numGenes)
+	var f [5]string
 	for _, line := range e.genes {
-		f := strings.Split(line, ",")
-		id, _ := strconv.Atoi(f[0])
-		fns[id], _ = strconv.ParseInt(f[4], 10, 64)
+		if err := fields(line, ',', f[:]); err != nil {
+			return nil, malformed(line, err)
+		}
+		id, err := parseIndex(f[0], len(fns))
+		if err == nil {
+			fns[id], err = strconv.ParseInt(f[4], 10, 64)
+		}
+		if err != nil {
+			return nil, malformed(line, err)
+		}
 	}
 	return mrFuncLookup{fns}, nil
 }
