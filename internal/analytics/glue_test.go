@@ -2,15 +2,21 @@ package analytics
 
 import (
 	"context"
+	"errors"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"github.com/genbase/genbase/internal/engine"
 	"github.com/genbase/genbase/internal/linalg"
 )
 
 func TestTextGlueRoundTripExact(t *testing.T) {
+	noLeak(t)
 	// strconv shortest formatting round-trips float64 exactly, so the text
 	// export path must be lossless — required for cross-engine answer
 	// equality.
@@ -42,6 +48,7 @@ func TestTextGlueRoundTripExact(t *testing.T) {
 }
 
 func TestTextGlueMultiRow(t *testing.T) {
+	noLeak(t)
 	m := linalg.NewMatrix(5, 3)
 	for i := range m.Data {
 		m.Data[i] = float64(i) * 0.1
@@ -61,6 +68,7 @@ func TestTextGlueMultiRow(t *testing.T) {
 }
 
 func TestTextGlueVector(t *testing.T) {
+	noLeak(t)
 	v := []float64{1.5, -2.25, 1e-300}
 	out, err := TextGlue{}.TransferVector(context.Background(), v)
 	if err != nil {
@@ -74,6 +82,7 @@ func TestTextGlueVector(t *testing.T) {
 }
 
 func TestTextGlueCancellation(t *testing.T) {
+	noLeak(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	m := linalg.NewMatrix(300, 10)
@@ -132,6 +141,143 @@ func TestTextSlowerThanBinary(t *testing.T) {
 	bin := timeIt(BinaryGlue{})
 	if text <= bin {
 		t.Fatalf("text (%v) should cost more than binary (%v)", text, bin)
+	}
+}
+
+// noLeak fails the test if it ends with more goroutines running than it
+// started with. Exiting goroutines are still counted for a moment, so the
+// count is polled for up to a second before failing.
+func noLeak(t *testing.T) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		for i := 0; runtime.NumGoroutine() > before && i < 1000; i++ {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("%d goroutines before the test, %d after", before, n)
+		}
+	})
+}
+
+// TestGluesAgreeOnEmptyShapes holds the three glues to one contract on
+// zero-row and zero-column inputs, where the text stream is empty or made of
+// empty lines.
+func TestGluesAgreeOnEmptyShapes(t *testing.T) {
+	noLeak(t)
+	ctx := context.Background()
+	glues := []Glue{TextGlue{}, BinaryGlue{}, ZeroCopyGlue{}}
+	for _, sh := range [][2]int{{0, 0}, {0, 4}, {4, 0}, {1, 1}, {1, 4}, {4, 1}} {
+		m := linalg.NewMatrix(sh[0], sh[1])
+		for i := range m.Data {
+			m.Data[i] = float64(i) - 1.5
+		}
+		for _, g := range glues {
+			out, err := g.TransferMatrix(ctx, m)
+			if err != nil {
+				t.Fatalf("%s on %d×%d: %v", g.Name(), sh[0], sh[1], err)
+			}
+			if out.Rows != m.Rows || out.Cols != m.Cols || linalg.MaxAbsDiff(out, m) != 0 {
+				t.Fatalf("%s on %d×%d returned %d×%d with different values", g.Name(), sh[0], sh[1], out.Rows, out.Cols)
+			}
+		}
+	}
+	for _, v := range [][]float64{nil, {}, {2.5}, {1, -2, 3}} {
+		for _, g := range glues {
+			out, err := g.TransferVector(ctx, v)
+			if err != nil || len(out) != len(v) {
+				t.Fatalf("%s on a %d-vector: %v (len %d)", g.Name(), len(v), err, len(out))
+			}
+			for i := range v {
+				if out[i] != v[i] {
+					t.Fatalf("%s on a %d-vector: element %d is %v, want %v", g.Name(), len(v), i, out[i], v[i])
+				}
+			}
+		}
+	}
+}
+
+// cancelAfter is a context whose Done channel closes on its limit-th call, so a
+// test can cancel a transfer at a chosen context check, including one made
+// by a worker mid-range.
+type cancelAfter struct {
+	context.Context
+	n     atomic.Int64
+	once  sync.Once
+	done  chan struct{}
+	limit int64
+}
+
+func newCancelAfter(limit int64) *cancelAfter {
+	return &cancelAfter{Context: context.Background(), done: make(chan struct{}), limit: limit}
+}
+
+func (c *cancelAfter) Done() <-chan struct{} {
+	if c.n.Add(1) >= c.limit {
+		c.once.Do(func() { close(c.done) })
+	}
+	return c.done
+}
+
+func (c *cancelAfter) Err() error {
+	select {
+	case <-c.done:
+		return context.Canceled
+	default:
+		return nil
+	}
+}
+
+// TestTextGlueCancelMidTransfer cancels a parallel transfer at each of its
+// context checks, in the writer and in the reader: the call returns
+// ctx.Err(), no goroutine outlives it, and TransferMatrixTimed still
+// releases its input.
+func TestTextGlueCancelMidTransfer(t *testing.T) {
+	noLeak(t)
+	const rows, cols = 2048, 40 // 8 checks in the writer, 8 in the reader
+	probe := newCancelAfter(math.MaxInt64)
+	src := linalg.NewMatrix(rows, cols)
+	if _, err := (TextGlue{}).TransferMatrix(probe, src); err != nil {
+		t.Fatal(err)
+	}
+	checks := probe.n.Load()
+	if checks < 16 {
+		t.Fatalf("a %d×%d transfer made %d context checks, want at least 16", rows, cols, checks)
+	}
+	for limit := int64(1); limit <= checks; limit++ {
+		x := linalg.GetMatrixZeroed(rows, cols)
+		out, err := TransferMatrixTimed(newCancelAfter(limit), TextGlue{}, &engine.StopWatch{}, x)
+		if !errors.Is(err, context.Canceled) || out != nil {
+			t.Fatalf("cancelled at check %d of %d: got %v, %v; want context.Canceled", limit, checks, out, err)
+		}
+		if x.Data != nil {
+			t.Fatalf("cancelled at check %d: TransferMatrixTimed kept its input", limit)
+		}
+	}
+}
+
+// TestTextGlueAllocsDoNotGrowWithRows is the transfer's allocation floor:
+// buffers are sized up front and the output comes from the arena, so ten
+// times the rows costs no more than twice the allocations plus a constant.
+func TestTextGlueAllocsDoNotGrowWithRows(t *testing.T) {
+	ctx := context.Background()
+	allocs := func(rows int) float64 {
+		m := linalg.NewMatrix(rows, 750)
+		for i := range m.Data {
+			m.Data[i] = float64(i) * 1.000000001
+		}
+		return testing.AllocsPerRun(5, func() {
+			out, err := TextGlue{}.TransferMatrix(ctx, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			linalg.PutMatrix(out)
+		})
+	}
+	small, large := allocs(100), allocs(1000)
+	t.Logf("allocations per transfer: %v at 100×750, %v at 1000×750", small, large)
+	if large > 2*small+8 {
+		t.Fatalf("1000×750 transfer makes %v allocations, more than twice the %v of 100×750 plus 8", large, small)
 	}
 }
 

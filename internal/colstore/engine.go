@@ -257,6 +257,9 @@ func (e *Engine) biclusterViaUDF(ctx context.Context, sw *engine.StopWatch, x *l
 		}
 		sw.StartAnalytics()
 		bc, err := bicluster.FindOneCtx(ctx, udfInput, opts)
+		// The UDF's copy dies with the invocation: FindOneCtx returns fresh
+		// index slices and keeps no reference to its input.
+		linalg.PutMatrix(udfInput)
 		if err != nil {
 			return nil, err
 		}

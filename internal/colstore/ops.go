@@ -249,6 +249,7 @@ func (e *Engine) RunBicluster(ctx context.Context, sw *engine.StopWatch, x *lina
 		}
 		sw.StartAnalytics()
 		blocks, err = bicluster.RunCtx(ctx, x, bicluster.Options{MaxBiclusters: maxB, Seed: seed})
+		linalg.PutMatrix(x)
 	}
 	if err != nil {
 		return nil, err
