@@ -44,7 +44,6 @@ func TestEveryScenarioSupportedBySomeEngine(t *testing.T) {
 // single-node configuration (the acceptance bar is ≥ 4 engines) and the
 // answers must agree across engines.
 func TestCohortRegressionRunsEverywhereWithZeroEngineCode(t *testing.T) {
-	engine.SetZeroCopy(true)
 	ds, err := datagen.Generate(datagen.Config{Size: datagen.Small, Seed: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -23,7 +23,6 @@ func TestDistAnswersInvariantToNodeCount(t *testing.T) {
 	if testing.Short() {
 		t.Skip("node-count sweep is not short")
 	}
-	engine.SetZeroCopy(true)
 	ds, err := datagen.Generate(datagen.Config{Size: datagen.Small, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +63,6 @@ func TestDistSupportsAgreesWithRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full config×query sweep is not short")
 	}
-	engine.SetZeroCopy(true)
 	ds, err := datagen.Generate(datagen.Config{Size: datagen.Small, Scale: 0.3, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +105,6 @@ func TestDistSupportsAgreesWithRun(t *testing.T) {
 // cluster answers agree with each other (the distributed normal equations
 // and the gathered QR solve differ only in rounding).
 func TestDistCohortRegressionOnAllClusterConfigs(t *testing.T) {
-	engine.SetZeroCopy(true)
 	ds, err := datagen.Generate(datagen.Config{Size: datagen.Small, Seed: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -227,8 +227,8 @@ func (g TextGlue) TransferVector(ctx context.Context, v []float64) ([]float64, e
 // ZeroCopyGlue is the zero-copy UDF boundary: the analytics runtime receives
 // the DBMS's matrix itself (a view over storage or a pooled gather), paying
 // no transfer at all. Safe because the kernels never mutate their operands
-// (view.go's aliasing contract); the engines select it only on the
-// in-process UDF path when the zero-copy knob is on.
+// (view.go's aliasing contract); the column store's in-process UDF
+// configuration uses it for every kernel but biclustering.
 type ZeroCopyGlue struct{}
 
 // Name implements Glue.
@@ -250,7 +250,8 @@ func (ZeroCopyGlue) TransferVector(ctx context.Context, v []float64) ([]float64,
 	return v, nil
 }
 
-// BinaryGlue is the in-process UDF boundary: a flat binary copy.
+// BinaryGlue is a copying in-process boundary: a flat binary copy. No
+// engine uses it; it is the binary side of the export-format ablation bench.
 type BinaryGlue struct{}
 
 // Name implements Glue.

@@ -133,9 +133,8 @@ func (a *Array2D) DenseView() (*linalg.Matrix, bool) {
 }
 
 // GatherRowsDense extracts the given rows, in order, directly into one
-// pooled dense matrix with chunk-aligned copies — a single pass where the
-// old GatherRows(...).Materialize() chain copied every cell twice through a
-// second chunked array. Release the result with linalg.PutMatrix.
+// pooled dense matrix with chunk-aligned copies — one copy per cell.
+// Release the result with linalg.PutMatrix.
 func (a *Array2D) GatherRowsDense(rows []int64) *linalg.Matrix {
 	m := linalg.GetMatrix(len(rows), a.Cols)
 	for k, i := range rows {
@@ -159,33 +158,6 @@ func (a *Array2D) GatherColsDense(cols []int64) *linalg.Matrix {
 	}
 	linalg.PutSlice(src)
 	return m
-}
-
-// GatherRows builds a new chunked array holding the given rows, in order —
-// the array-native "subarray along a dimension" operation (no join needed).
-func (a *Array2D) GatherRows(rows []int64) *Array2D {
-	out := NewArray2D(len(rows), a.Cols, a.ChunkR, a.ChunkC)
-	buf := make([]float64, a.Cols)
-	for k, i := range rows {
-		a.CopyRow(int(i), buf)
-		out.setRowFrom(k, buf)
-	}
-	return out
-}
-
-// GatherCols builds a new chunked array holding the given columns, in order.
-func (a *Array2D) GatherCols(cols []int64) *Array2D {
-	out := NewArray2D(a.Rows, len(cols), a.ChunkR, a.ChunkC)
-	src := make([]float64, a.Cols)
-	dst := make([]float64, len(cols))
-	for i := 0; i < a.Rows; i++ {
-		a.CopyRow(i, src)
-		for k, j := range cols {
-			dst[k] = src[j]
-		}
-		out.setRowFrom(i, dst)
-	}
-	return out
 }
 
 // NumTiles reports the allocated chunk count (for tests and the chunk-size

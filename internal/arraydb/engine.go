@@ -32,8 +32,8 @@ type Engine struct {
 	// 1-D attribute arrays indexed by gene id.
 	function []int64
 	// Compressed twins of the attribute arrays (internal/colpage), built at
-	// Load so the compression knob can flip at query time: SelectIDs pushes
-	// structured predicates down to these instead of scanning dense.
+	// Load: SelectIDs pushes structured predicates down to these instead of
+	// scanning dense.
 	attrPages map[string]*colpage.IntPage
 	// GO membership in array form: belongs[gene, term].
 	goArr   []uint8
@@ -75,8 +75,13 @@ func (e *Engine) Supports(q engine.QueryID) bool { return plan.Supports(e.Capabi
 // concurrent queries begin.
 func (e *Engine) SetWorkers(n int) { e.Workers = n }
 
-// Close implements engine.Engine.
-func (e *Engine) Close() error { return nil }
+// Close implements engine.Engine: the engine returns to its not-loaded
+// state.
+func (e *Engine) Close() error {
+	e.expr, e.attrPages, e.goArr = nil, nil, nil
+	e.age, e.gender, e.disease, e.function, e.drugResponse = nil, nil, nil, nil, nil
+	return nil
+}
 
 // Load implements engine.Engine: everything is stored natively as arrays.
 func (e *Engine) Load(ds *datagen.Dataset) error {

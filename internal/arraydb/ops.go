@@ -13,8 +13,8 @@ import (
 )
 
 // The array store's physical operators (plan.Physical): metadata lives in
-// 1-D attribute arrays scanned directly, pivots are chunk-aligned subarray
-// gathers (single-pass pooled dense gathers on the zero-copy path), and the
+// 1-D attribute arrays selected through their encoded pages, pivots are
+// chunk-aligned single-pass gathers into pooled dense matrices, and the
 // kernels run on the host — or on the coprocessor device model when an
 // Accelerator is attached, which books modeled compute and transfer time in
 // place of measured host time.
@@ -41,59 +41,43 @@ func (e *Engine) attrOf(table, col string) ([]int64, error) {
 	}
 }
 
-// SelectIDs implements plan.Physical (ids are array coordinates). With the
-// compression knob on, predicates push down to the encoded attribute pages
-// (dictionary-code equality, RLE run skipping, packed-word range tests —
-// DESIGN.md §15) and rejected coordinates are never decoded; the ablation
-// path is the historical dense scan.
+// SelectIDs implements plan.Physical (ids are array coordinates).
+// Predicates push down to the encoded attribute pages (dictionary-code
+// equality, RLE run skipping, packed-word range tests — DESIGN.md §15) and
+// rejected coordinates are never decoded. An empty conjunction keeps every
+// coordinate of the gene dimension, or of the patient dimension for the
+// patients table.
 func (e *Engine) SelectIDs(_ context.Context, table string, preds []plan.Pred) ([]int64, error) {
-	if engine.CompressionEnabled() && len(preds) > 0 {
-		var sel []int32
-		for i, p := range preds {
-			if _, err := e.attrOf(table, p.Col); err != nil {
-				return nil, err
-			}
-			pg := e.attrPages[p.Col]
-			cp := colpage.Pred{Op: colpage.LT, Val: p.Val}
-			if p.Op == plan.CmpEQ {
-				cp.Op = colpage.EQ
-			}
-			if i == 0 {
-				sel = pg.Select(cp, nil)
-			} else {
-				sel = pg.RefinePred(cp, sel)
-			}
+	if len(preds) == 0 {
+		n := e.numGen
+		if table == plan.TablePatients {
+			n = e.numPats
 		}
-		out := make([]int64, len(sel))
-		for i, c := range sel {
-			out[i] = int64(c)
+		out := make([]int64, n)
+		for i := range out {
+			out[i] = int64(i)
 		}
 		return out, nil
 	}
-	cols := make([][]int64, len(preds))
+	var sel []int32
 	for i, p := range preds {
-		a, err := e.attrOf(table, p.Col)
-		if err != nil {
+		if _, err := e.attrOf(table, p.Col); err != nil {
 			return nil, err
 		}
-		cols[i] = a
-	}
-	n := e.numGen
-	if table == plan.TablePatients {
-		n = e.numPats
-	}
-	var out []int64
-	for i := 0; i < n; i++ {
-		ok := true
-		for j, p := range preds {
-			if !p.Eval(cols[j][i]) {
-				ok = false
-				break
-			}
+		pg := e.attrPages[p.Col]
+		cp := colpage.Pred{Op: colpage.LT, Val: p.Val}
+		if p.Op == plan.CmpEQ {
+			cp.Op = colpage.EQ
 		}
-		if ok {
-			out = append(out, int64(i))
+		if i == 0 {
+			sel = pg.Select(cp, nil)
+		} else {
+			sel = pg.RefinePred(cp, sel)
 		}
+	}
+	out := make([]int64, len(sel))
+	for i, c := range sel {
+		out[i] = int64(c)
 	}
 	return out, nil
 }
@@ -113,54 +97,37 @@ func (e *Engine) ScanFloats(_ context.Context, table, col string, ids []int64) (
 	return out, nil
 }
 
-// Pivot implements plan.Physical: chunk-aligned subarray gathers. The
-// zero-copy path lands the selection in one pooled dense matrix in a single
-// pass; the ablation path keeps the historical Gather → Materialize double
-// copy for every kernel. (Pre-plan, the Q2/Q4 ablation paths fed chunked
-// operators — Array2D.CovarianceP, NewATAOperatorP — straight to the
-// kernels without a dense materialization; those kernels accumulate in the
-// same element order as the dense ones, so answers are unchanged, and the
-// chunked implementations remain exercised by the arraydb unit tests.)
+// Pivot implements plan.Physical: chunk-aligned subarray gathers that land
+// the selection in one pooled dense matrix in a single pass (a single-chunk
+// array's full pivot is a view of its tile). The chunked operators
+// (Array2D.CovarianceP, NewATAOperatorP) accumulate in the same element
+// order as the dense kernels and remain exercised by the arraydb unit tests.
 func (e *Engine) Pivot(ctx context.Context, patientIDs, geneIDs []int64) (*linalg.Matrix, error) {
 	var x *linalg.Matrix
 	switch {
 	case patientIDs == nil && geneIDs == nil:
-		if engine.ZeroCopyEnabled() {
-			if v, ok := e.expr.DenseView(); ok {
-				x = v
-				break
-			}
+		if v, ok := e.expr.DenseView(); ok {
+			x = v
+		} else {
+			x = e.expr.Materialize()
 		}
-		x = e.expr.Materialize()
 	case patientIDs == nil:
-		if engine.ZeroCopyEnabled() {
-			x = e.expr.GatherColsDense(geneIDs)
-		} else {
-			x = e.expr.GatherCols(geneIDs).Materialize()
-		}
+		x = e.expr.GatherColsDense(geneIDs)
 	case geneIDs == nil:
-		if engine.ZeroCopyEnabled() {
-			x = e.expr.GatherRowsDense(patientIDs)
-		} else {
-			x = e.expr.GatherRows(patientIDs).Materialize()
-		}
+		x = e.expr.GatherRowsDense(patientIDs)
 	default:
 		// Both axes selected (the cohort scenarios): gather the patient rows
 		// through one scratch row, picking the selected genes.
-		if engine.ZeroCopyEnabled() {
-			x = linalg.GetMatrix(len(patientIDs), len(geneIDs))
-			buf := linalg.GetSlice(e.numGen)
-			for i, pid := range patientIDs {
-				e.expr.CopyRow(int(pid), buf)
-				dst := x.Row(i)
-				for j, gid := range geneIDs {
-					dst[j] = buf[gid]
-				}
+		x = linalg.GetMatrix(len(patientIDs), len(geneIDs))
+		buf := linalg.GetSlice(e.numGen)
+		for i, pid := range patientIDs {
+			e.expr.CopyRow(int(pid), buf)
+			dst := x.Row(i)
+			for j, gid := range geneIDs {
+				dst[j] = buf[gid]
 			}
-			linalg.PutSlice(buf)
-		} else {
-			x = e.expr.GatherRows(patientIDs).GatherCols(geneIDs).Materialize()
 		}
+		linalg.PutSlice(buf)
 	}
 	if err := engine.CheckCtx(ctx); err != nil {
 		linalg.PutMatrix(x)
@@ -170,41 +137,29 @@ func (e *Engine) Pivot(ctx context.Context, patientIDs, geneIDs []int64) (*linal
 }
 
 // SampleMeans implements plan.Physical: stream the sampled rows off chunked
-// storage (views or one pooled buffer on the zero-copy path, a gathered
-// subarray on the ablation path). Accumulation order is ascending patient
-// either way, so the means are bitwise identical.
+// storage (views of a single-chunk array, else one pooled row buffer),
+// accumulating in ascending patient order.
 func (e *Engine) SampleMeans(_ context.Context, step int) ([]float64, int, error) {
 	var sampled []int64
 	for i := 0; i < e.numPats; i += step {
 		sampled = append(sampled, int64(i))
 	}
 	means := make([]float64, e.numGen)
-	if engine.ZeroCopyEnabled() {
-		if v, ok := e.expr.DenseView(); ok {
-			for _, pid := range sampled {
-				for j, x := range v.Row(int(pid)) {
-					means[j] += x
-				}
+	if v, ok := e.expr.DenseView(); ok {
+		for _, pid := range sampled {
+			for j, x := range v.Row(int(pid)) {
+				means[j] += x
 			}
-		} else {
-			buf := linalg.GetSlice(e.numGen)
-			for _, pid := range sampled {
-				e.expr.CopyRow(int(pid), buf)
-				for j, v := range buf {
-					means[j] += v
-				}
-			}
-			linalg.PutSlice(buf)
 		}
 	} else {
-		sub := e.expr.GatherRows(sampled)
-		buf := make([]float64, e.numGen)
-		for i := 0; i < sub.Rows; i++ {
-			sub.CopyRow(i, buf)
+		buf := linalg.GetSlice(e.numGen)
+		for _, pid := range sampled {
+			e.expr.CopyRow(int(pid), buf)
 			for j, v := range buf {
 				means[j] += v
 			}
 		}
+		linalg.PutSlice(buf)
 	}
 	for j := range means {
 		means[j] /= float64(len(sampled))
@@ -324,10 +279,7 @@ func (e *Engine) PhysicalName(k plan.OpKind) string {
 	}
 	switch k {
 	case plan.OpSelectPred:
-		if engine.CompressionEnabled() {
-			return "encoded attribute-page pushdown"
-		}
-		return "attribute-array scan"
+		return "encoded attribute-page pushdown"
 	case plan.OpScanTable:
 		return "attribute-array projection"
 	case plan.OpSamplePatients:

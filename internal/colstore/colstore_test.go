@@ -308,7 +308,7 @@ func TestPivotDenseFullSelectionIsAView(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	m, err := e.pivotMicro(ctx, nil, nil)
+	m, err := e.Pivot(ctx, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,11 @@ func TestPivotDenseFullSelectionIsAView(t *testing.T) {
 	}
 	// An identity gene selection (every id, in order) is also served as a
 	// view — the shape a predicate that nothing fails produces.
-	m2, err := e.pivotMicro(ctx, nil, identityIDs(e.numGenes))
+	allGenes := make([]int64, e.numGenes)
+	for i := range allGenes {
+		allGenes[i] = int64(i)
+	}
+	m2, err := e.Pivot(ctx, nil, allGenes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +329,7 @@ func TestPivotDenseFullSelectionIsAView(t *testing.T) {
 		t.Fatal("identity gene selection must be a zero-copy view")
 	}
 	// A genuine subset must NOT alias storage (it is a pooled gather).
-	m3, err := e.pivotMicro(ctx, []int64{1, 3}, nil)
+	m3, err := e.Pivot(ctx, []int64{1, 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

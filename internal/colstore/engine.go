@@ -43,21 +43,18 @@ type Engine struct {
 
 	numPatients, numGenes, numTerms int
 
-	// Zero-copy path state (DESIGN.md §10): Load stores the microarray
-	// value column patient-major dense, so vals IS the expression matrix in
-	// row-major layout. denseVals records that invariant; fns caches the
-	// decoded gene-function column the Q2 summary joins against.
-	vals      []float64
-	denseVals bool
-	meta      engine.GeneMeta // funcLookup over the decoded function column, boxed once at Load
+	// Load stores the microarray value column patient-major dense, so vals
+	// IS the expression matrix in row-major layout (DESIGN.md §10); meta
+	// caches the decoded gene-function column the Q2 summary joins against.
+	vals []float64
+	meta engine.GeneMeta // funcLookup over the decoded function column, boxed once at Load
 
 	text analytics.Glue
-	bin  analytics.Glue
 }
 
 // New creates a column-store engine.
 func New(mode Mode) *Engine {
-	return &Engine{mode: mode, text: analytics.TextGlue{}, bin: analytics.BinaryGlue{}}
+	return &Engine{mode: mode, text: analytics.TextGlue{}}
 }
 
 // Name implements engine.Engine.
@@ -78,8 +75,12 @@ func (e *Engine) Supports(q engine.QueryID) bool { return plan.Supports(e.Capabi
 // concurrent queries begin.
 func (e *Engine) SetWorkers(n int) { e.Workers = n }
 
-// Close implements engine.Engine.
-func (e *Engine) Close() error { return nil }
+// Close implements engine.Engine: the engine returns to its not-loaded
+// state.
+func (e *Engine) Close() error {
+	e.micro, e.pats, e.genes, e.goTab, e.vals, e.meta = nil, nil, nil, nil, nil, nil
+	return nil
+}
 
 // Load implements engine.Engine: columns are built once, compressed.
 func (e *Engine) Load(ds *datagen.Dataset) error {
@@ -100,11 +101,9 @@ func (e *Engine) Load(ds *datagen.Dataset) error {
 	}
 	e.micro = NewTable("microarray", n).AddInt("geneid", geneCol).AddInt("patientid", patCol).AddFloat("value", valCol)
 	// The loop above wrote valCol patient-major dense: row pi of the
-	// expression matrix is valCol[pi*g : (pi+1)*g]. The zero-copy pivot
-	// exploits this; the compressed columns stay authoritative for the
-	// general (slow) path.
+	// expression matrix is valCol[pi*g : (pi+1)*g], which the pivot and the
+	// Q5 sample read directly.
 	e.vals = valCol
-	e.denseVals = true
 
 	ids := make([]int64, p)
 	ages := make([]int64, p)
@@ -160,80 +159,13 @@ func (e *Engine) Run(ctx context.Context, q engine.QueryID, p engine.Params) (*e
 
 // glue returns the boundary used for ordinary analytics calls. The text
 // COPY stream is the "+ R" configuration's defining cost and is never
-// bypassed; the in-process UDF hand-off becomes a true zero-copy hand-off
-// when the knob is on (the kernels never mutate their operands).
+// bypassed; the in-process UDF hand-off is zero-copy (the kernels never
+// mutate their operands).
 func (e *Engine) glue() analytics.Glue {
 	if e.mode == ModeUDF {
-		if engine.ZeroCopyEnabled() {
-			return analytics.ZeroCopyGlue{}
-		}
-		return e.bin
+		return analytics.ZeroCopyGlue{}
 	}
 	return e.text
-}
-
-// pivotMicro builds the dense matrix for the given patient and gene id sets
-// (nil means all) using selection vectors over the compressed microarray
-// columns — the column store's late-materialization path.
-func (e *Engine) pivotMicro(ctx context.Context, patientIDs, geneIDs []int64) (*linalg.Matrix, error) {
-	if err := engine.CheckCtx(ctx); err != nil {
-		return nil, err
-	}
-	if e.denseVals && engine.ZeroCopyEnabled() {
-		// Zero-copy pivot over the patient-major dense value column:
-		// identity selections are views, subsets are pooled gathers.
-		return engine.PivotDense(ctx, e.vals, e.numPatients, e.numGenes, patientIDs, geneIDs)
-	}
-	if patientIDs == nil {
-		patientIDs = identityIDs(e.numPatients)
-	}
-	if geneIDs == nil {
-		geneIDs = identityIDs(e.numGenes)
-	}
-	patIdx := make([]int32, e.numPatients)
-	for i := range patIdx {
-		patIdx[i] = -1
-	}
-	for i, id := range patientIDs {
-		patIdx[id] = int32(i)
-	}
-	geneIdx := make([]int32, e.numGenes)
-	for i := range geneIdx {
-		geneIdx[i] = -1
-	}
-	for i, id := range geneIDs {
-		geneIdx[id] = int32(i)
-	}
-
-	// Selection on the RLE patientid column: whole patient runs accepted or
-	// rejected at run granularity.
-	sel := e.micro.Int("patientid").Select(func(v int64) bool { return patIdx[v] >= 0 }, nil)
-	if len(geneIDs) < e.numGenes {
-		gc := e.micro.Int("geneid")
-		sel = gc.SelectRefine(func(v int64) bool { return geneIdx[v] >= 0 }, sel)
-	}
-	if err := engine.CheckCtx(ctx); err != nil {
-		return nil, err
-	}
-
-	m := linalg.NewMatrix(len(patientIDs), len(geneIDs))
-	gc := e.micro.Int("geneid")
-	pc := e.micro.Int("patientid")
-	vals := e.micro.Float("value")
-	for _, i := range sel {
-		pi := patIdx[pc.At(int(i))]
-		gi := geneIdx[gc.At(int(i))]
-		m.Set(int(pi), int(gi), vals[i])
-	}
-	return m, nil
-}
-
-func identityIDs(n int) []int64 {
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(i)
-	}
-	return out
 }
 
 type funcLookup struct{ fns []int64 }

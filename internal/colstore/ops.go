@@ -30,9 +30,7 @@ func (e *Engine) Dims() (int, int) { return e.numPatients, e.numGenes }
 // predicates pushed to the encoded form (dictionary-code equality, RLE run
 // skipping, packed-word range tests; DESIGN.md §15) — later conjuncts
 // refine the selection vector, and the surviving positions gather the id
-// column. The SetCompression(false) ablation decodes every predicate column and
-// filters row by row instead. Selection vectors are query-local
-// (DESIGN.md §11).
+// column. Selection vectors are query-local (DESIGN.md §11).
 func (e *Engine) SelectIDs(_ context.Context, table string, preds []plan.Pred) ([]int64, error) {
 	var t *Table
 	var idCol string
@@ -45,28 +43,6 @@ func (e *Engine) SelectIDs(_ context.Context, table string, preds []plan.Pred) (
 		return nil, fmt.Errorf("colstore: no physical select over table %q", table)
 	}
 	var sel []int32
-	if !engine.CompressionEnabled() {
-		// Decode-then-filter baseline: materialize each predicate column.
-		for i, p := range preds {
-			vals := t.Int(p.Col).Materialize()
-			if i == 0 {
-				for j, v := range vals {
-					if p.Eval(v) {
-						sel = append(sel, int32(j))
-					}
-				}
-				continue
-			}
-			out := sel[:0]
-			for _, j := range sel {
-				if p.Eval(vals[j]) {
-					out = append(out, j)
-				}
-			}
-			sel = out
-		}
-		return t.Int(idCol).Gather(sel, nil), nil
-	}
 	for i, p := range preds {
 		cp := pushdownPred(p)
 		if i == 0 {
@@ -106,71 +82,35 @@ func (e *Engine) ScanFloats(_ context.Context, table, col string, ids []int64) (
 	return out, nil
 }
 
-// Pivot implements plan.Physical via the late-materialization pivot
-// (zero-copy views over the dense value column when the knob is on).
+// Pivot implements plan.Physical over the patient-major dense value
+// column: identity selections are zero-copy views, subsets are pooled
+// gathers.
 func (e *Engine) Pivot(ctx context.Context, patientIDs, geneIDs []int64) (*linalg.Matrix, error) {
-	return e.pivotMicro(ctx, patientIDs, geneIDs)
+	return engine.PivotDense(ctx, e.vals, e.numPatients, e.numGenes, patientIDs, geneIDs)
 }
 
-// SampleMeans implements plan.Physical: Q5's fused sample+aggregate, either
-// streaming the sampled patients' contiguous rows off the dense value column
-// (zero-copy) or filtering the RLE patientid column with a selection vector.
-// Per gene the contributions accumulate in ascending patient order on both
-// paths, so the means are bitwise identical.
+// SampleMeans implements plan.Physical: Q5's fused sample+aggregate,
+// streaming the sampled patients' contiguous rows off the dense value
+// column in ascending patient order.
 func (e *Engine) SampleMeans(ctx context.Context, step int) ([]float64, int, error) {
 	sums := make([]float64, e.numGenes)
+	g := e.numGenes
 	sampled := 0
 	for pid := 0; pid < e.numPatients; pid += step {
+		if sampled%64 == 0 {
+			if err := engine.CheckCtx(ctx); err != nil {
+				return nil, 0, err
+			}
+		}
 		sampled++
-	}
-	if e.denseVals && engine.ZeroCopyEnabled() {
-		g := e.numGenes
-		k := 0
-		for pid := 0; pid < e.numPatients; pid += step {
-			if k%64 == 0 {
-				if err := engine.CheckCtx(ctx); err != nil {
-					return nil, 0, err
-				}
-			}
-			k++
-			row := e.vals[pid*g : (pid+1)*g]
-			for j, v := range row {
-				sums[j] += v
-			}
-		}
-		if sampled > 0 {
-			for j := range sums {
-				sums[j] /= float64(sampled)
-			}
-		}
-		return sums, sampled, nil
-	}
-	step64 := int64(step)
-	sample := func(v int64) bool { return v%step64 == 0 }
-	var sel []int32
-	if engine.CompressionEnabled() {
-		// Encoded-space sample: the modulus runs once per patientid run
-		// (the column is loaded patient-major, so runs are long) and
-		// filtered-out rows are never decoded.
-		sel = e.micro.Int("patientid").Select(sample, nil)
-	} else {
-		for i, v := range e.micro.Int("patientid").Materialize() {
-			if sample(v) {
-				sel = append(sel, int32(i))
-			}
+		row := e.vals[pid*g : (pid+1)*g]
+		for j, v := range row {
+			sums[j] += v
 		}
 	}
-	gc := e.micro.Int("geneid")
-	vals := e.micro.Float("value")
-	counts := make([]int64, e.numGenes)
-	for _, i := range sel {
-		g := gc.At(int(i))
-		sums[g] += vals[i]
-		counts[g]++
-	}
-	for j := range sums {
-		if counts[j] > 0 {
-			sums[j] /= float64(counts[j])
+	if sampled > 0 {
+		for j := range sums {
+			sums[j] /= float64(sampled)
 		}
 	}
 	return sums, sampled, nil
@@ -188,14 +128,10 @@ func (e *Engine) GOMembers(_ context.Context) ([][]int32, error) {
 	return members, nil
 }
 
-// GeneMeta implements plan.Physical. The zero-copy path serves the
-// function-column lookup boxed once at Load; the ablation path re-decodes
-// the column (the historical cost).
+// GeneMeta implements plan.Physical: the function-column lookup boxed once
+// at Load.
 func (e *Engine) GeneMeta(_ context.Context) (engine.GeneMeta, error) {
-	if engine.ZeroCopyEnabled() {
-		return e.meta, nil
-	}
-	return funcLookup{e.genes.Int("function").Materialize()}, nil
+	return e.meta, nil
 }
 
 // RunRegression implements plan.Physical: both operands cross the mode's
@@ -277,10 +213,7 @@ func (e *Engine) PhysicalName(k plan.OpKind) string {
 	}
 	switch k {
 	case plan.OpSelectPred:
-		if engine.CompressionEnabled() {
-			return "encoded-page pushdown (dict-code EQ, run skip, packed-word LT)"
-		}
-		return "decode-then-filter column scan"
+		return "encoded-page pushdown (dict-code EQ, run skip, packed-word LT)"
 	case plan.OpScanTable:
 		return "column projection"
 	case plan.OpSamplePatients:

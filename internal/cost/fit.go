@@ -39,8 +39,10 @@ import (
 // FitDims is the dataset shape the committed baselines were recorded at.
 var FitDims = Dims{Patients: 250, Genes: 250, GOTerms: 100}
 
-// pipelineBenches maps BENCH_pipeline.json bench names (zerocopy variant:
-// the default execution path) to the configuration and query they measure.
+// pipelineBenches maps BENCH_pipeline.json bench names to the configuration
+// and query they measure. Only the "zerocopy" rows are read: they time the
+// engines' one data path (the file's "copy" rows measured a copying path
+// the engines no longer have).
 var pipelineBenches = map[string]struct {
 	system string
 	query  engine.QueryID

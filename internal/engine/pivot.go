@@ -8,12 +8,10 @@ import (
 
 // PivotDense is the shared zero-copy pivot over a patient-major dense value
 // column (vals[pid*nGenes+gid]): colstore and rengine both lay their
-// microarray out this way at load time, and both route their pivots here
-// when the zero-copy knob is on. Identity selections on both axes are
-// served as a stride-aware view (no bytes move); anything else is a
-// single-pass contiguous row copy / gene gather into pooled scratch. Cell
-// values are identical to the engines' selection-vector and triple-scan
-// pivots, so answers are bitwise unchanged; callers release the result with
+// microarray out this way at load time, and both route their pivots here.
+// Identity selections on both axes are served as a stride-aware view (no
+// bytes move); anything else is a single-pass contiguous row copy / gene
+// gather into pooled scratch. Callers release the result with
 // linalg.PutMatrix (a no-op for the view case).
 func PivotDense(ctx context.Context, vals []float64, nPats, nGenes int, patientIDs, geneIDs []int64) (*linalg.Matrix, error) {
 	if isIdentitySel(patientIDs, nPats) && isIdentitySel(geneIDs, nGenes) {

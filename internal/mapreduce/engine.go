@@ -53,8 +53,12 @@ func (e *Engine) Name() string { return "hadoop" + e.NameSuffix }
 // so any plan containing it is unsupported — no hardcoded query switch.
 func (e *Engine) Supports(q engine.QueryID) bool { return plan.Supports(e.Capabilities(), q) }
 
-// Close implements engine.Engine.
-func (e *Engine) Close() error { return nil }
+// Close implements engine.Engine: the engine returns to its not-loaded
+// state.
+func (e *Engine) Close() error {
+	e.micro, e.patients, e.genes, e.goLines = nil, nil, nil, nil
+	return nil
+}
 
 // SetWorkers pins the map/reduce slot count (serve.Server uses it to split
 // the host's worker budget across admission slots). It also re-sizes an

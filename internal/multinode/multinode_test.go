@@ -148,13 +148,16 @@ func TestHadoopMultiNodeMatchesReference(t *testing.T) {
 // makespan as nodes grow for the compute-heavy regression, which touches
 // every patient row (Q2's disease filter keeps too few rows at test scale
 // for compute to dominate communication — itself a faithful miniature of the
-// paper's "scalability of all systems is less than ideal").
+// paper's "scalability of all systems is less than ideal"). Execs are timed
+// with a stepping clock, so the makespans are exact: one tick per exec on
+// the busiest node plus the modeled communication.
 func TestPBDRRegressionScales(t *testing.T) {
 	ds := datagen.MustGenerate(datagen.Config{Size: datagen.Medium, Seed: 9}) // 1000×750
 	p := engine.DefaultParams()
 	times := map[int]float64{}
 	for _, nodes := range []int{1, 4} {
 		e := New(PBDR, nodes)
+		e.now = steppingClock(time.Millisecond)
 		if err := e.Load(ds); err != nil {
 			t.Fatal(err)
 		}

@@ -14,8 +14,8 @@ import (
 // Each method is one physical operator family; the generic executor wires
 // them together according to the compiled DAG. Implementations keep their
 // storage-native execution strategies — the column store serves selections
-// from compressed columns and pivots as zero-copy views, the row store runs
-// Volcano plans over heap pages, the array store gathers chunks, Hadoop runs
+// from compressed columns and pivots as zero-copy views, the row store scans
+// heap pages and their compressed sidecars, the array store gathers chunks, Hadoop runs
 // MR jobs, the virtual-cluster engines run per-shard pivots on their owner
 // nodes — and their configuration-specific kernel boundaries (external-R
 // text glue, in-database UDFs, SQL simulation, coprocessor offload,

@@ -9,8 +9,8 @@
 // arraydb, rengine and mapreduce, so each new workload cost five duplicated
 // implementations and five chances to diverge. Now a query is compiled once
 // into a shared plan; engines only implement the physical operators
-// (selection-vector scans for the column store, Volcano plans for the row
-// store, chunked gathers for the array store, MR jobs for Hadoop), and a new
+// (selection-vector scans for the column store, heap and sidecar scans for
+// the row store, chunked gathers for the array store, MR jobs for Hadoop), and a new
 // scenario is a planner-only change (see Q6CohortRegression).
 //
 // The IR (ISSUE: ScanTable, SelectPred, SamplePatients, PivotMicro,

@@ -6,7 +6,6 @@ import (
 
 	"github.com/genbase/genbase/internal/datagen"
 	"github.com/genbase/genbase/internal/engine"
-	"github.com/genbase/genbase/internal/linalg"
 	"github.com/genbase/genbase/internal/plan"
 )
 
@@ -31,11 +30,10 @@ type Engine struct {
 	genes *Frame
 	goTri *Frame // gene, term sparse membership triples
 
-	// Zero-copy path state: Load writes the value triple column
-	// patient-major dense, so vals doubles as the expression matrix in
-	// row-major layout (vals[pi*numGenes+gi]).
-	vals      []float64
-	denseVals bool
+	// Load writes the value triple column patient-major dense, so vals
+	// doubles as the expression matrix in row-major layout
+	// (vals[pi*numGenes+gi]).
+	vals []float64
 }
 
 // New creates an unloaded engine.
@@ -53,8 +51,12 @@ func (e *Engine) Supports(q engine.QueryID) bool { return plan.Supports(e.Capabi
 // concurrent queries begin.
 func (e *Engine) SetWorkers(n int) { e.Workers = n }
 
-// Close implements engine.Engine.
-func (e *Engine) Close() error { return nil }
+// Close implements engine.Engine: the engine returns to its not-loaded
+// state.
+func (e *Engine) Close() error {
+	e.ds, e.micro, e.pats, e.genes, e.goTri, e.vals = nil, nil, nil, nil, nil, nil
+	return nil
+}
 
 func (e *Engine) maxCells() int64 {
 	if e.MaxCells == 0 {
@@ -94,10 +96,9 @@ func (e *Engine) Load(ds *datagen.Dataset) error {
 		}
 	}
 	e.micro = NewFrame(int(triples)).AddInt("geneid", geneCol).AddInt("patientid", patCol).AddFloat("value", valCol)
-	// The loop above wrote valCol patient-major dense; the zero-copy pivot
-	// reads it as the expression matrix without touching the triples.
+	// The loop above wrote valCol patient-major dense; the pivot reads it as
+	// the expression matrix without touching the triples.
 	e.vals = valCol
-	e.denseVals = true
 
 	ids := make([]int64, p)
 	ages := make([]int64, p)
@@ -148,69 +149,6 @@ func (e *Engine) Run(ctx context.Context, q engine.QueryID, p engine.Params) (*e
 		return nil, err
 	}
 	return plan.Execute(ctx, e, pl)
-}
-
-// selectGenes applies the Q1/Q4 metadata predicate, returning ascending ids.
-// pivotGenes restructures the microarray triples into a dense matrix holding
-// the given genes (columns, in the given order; nil = all) for the given
-// patients (rows, in the given order; nil = all, ascending id). This is the
-// paper's "restructure the information as a matrix" step, R's reshape/acast.
-// With the zero-copy knob on, the full pivot is a view over the value column
-// and subsets are contiguous row copies into pooled scratch; the triple scan
-// below is the copy-path ablation. Cell values are identical either way.
-func (e *Engine) pivotGenes(ctx context.Context, patientIDs, geneIDs []int64) (*linalg.Matrix, error) {
-	if e.denseVals && engine.ZeroCopyEnabled() {
-		// Zero-copy pivot over the patient-major dense value column:
-		// identity selections are views, subsets are pooled gathers.
-		return engine.PivotDense(ctx, e.vals, e.pats.Len(), e.genes.Len(), patientIDs, geneIDs)
-	}
-	nPat := e.pats.Len()
-	patientIdx := allPatientsIndex(nPat)
-	if patientIDs != nil {
-		nPat = len(patientIDs)
-		patientIdx = indexOf(patientIDs)
-	}
-	geneIdx := allPatientsIndex(e.genes.Len()) // identity index over genes
-	if geneIDs != nil {
-		geneIdx = indexOf(geneIDs)
-	}
-	m := linalg.NewMatrix(nPat, len(geneIdx))
-	gc := e.micro.Int("geneid")
-	pc := e.micro.Int("patientid")
-	vc := e.micro.Float("value")
-	for k := range vc {
-		if k%65536 == 0 {
-			if err := engine.CheckCtx(ctx); err != nil {
-				return nil, err
-			}
-		}
-		gi, ok := geneIdx[gc[k]]
-		if !ok {
-			continue
-		}
-		pi, ok := patientIdx[pc[k]]
-		if !ok {
-			continue
-		}
-		m.Set(pi, gi, vc[k])
-	}
-	return m, nil
-}
-
-func allPatientsIndex(n int) map[int64]int {
-	idx := make(map[int64]int, n)
-	for i := 0; i < n; i++ {
-		idx[int64(i)] = i
-	}
-	return idx
-}
-
-func indexOf(ids []int64) map[int64]int {
-	idx := make(map[int64]int, len(ids))
-	for i, v := range ids {
-		idx[v] = i
-	}
-	return idx
 }
 
 func (e *Engine) checkMatrixBudget(rows, cols int) error {

@@ -11,8 +11,8 @@ import (
 )
 
 // Vanilla R's physical operators (plan.Physical): selections and scans walk
-// the dataframes directly, the pivot is R's reshape/acast over the triple
-// frame (or a view over the dense value column on the zero-copy path), and
+// the dataframes directly, the pivot is R's reshape/acast served as a view
+// over (or pooled copy of) the triple frame's dense value column, and
 // kernels run in-process — subject to R's memory wall: the cell budget is
 // charged before any dataframe or matrix materializes, reproducing "Vanilla
 // R cannot scale to the large dataset".
@@ -74,7 +74,10 @@ func (e *Engine) ScanFloats(_ context.Context, table, col string, ids []int64) (
 }
 
 // Pivot implements plan.Physical: R's reshape of the triples into a dense
-// matrix, after charging the result against the cell budget.
+// matrix holding the given patients (rows, in order; nil = all, ascending
+// id) and genes (columns, in order; nil = all), after charging the result
+// against the cell budget. The full pivot is a view over the patient-major
+// value column; subsets are contiguous row copies into pooled scratch.
 func (e *Engine) Pivot(ctx context.Context, patientIDs, geneIDs []int64) (*linalg.Matrix, error) {
 	rows := e.pats.Len()
 	if patientIDs != nil {
@@ -87,13 +90,12 @@ func (e *Engine) Pivot(ctx context.Context, patientIDs, geneIDs []int64) (*linal
 	if err := e.checkMatrixBudget(rows, cols); err != nil {
 		return nil, err
 	}
-	return e.pivotGenes(ctx, patientIDs, geneIDs)
+	return engine.PivotDense(ctx, e.vals, e.pats.Len(), e.genes.Len(), patientIDs, geneIDs)
 }
 
-// SampleMeans implements plan.Physical: an R aggregate over the merged
-// selection, straight from the triples (or the contiguous dense rows on the
-// zero-copy path — same ascending-patient accumulation order, bitwise
-// identical means).
+// SampleMeans implements plan.Physical: an R aggregate over the sampled
+// patients' contiguous rows of the dense value column, accumulated in
+// ascending patient order.
 func (e *Engine) SampleMeans(ctx context.Context, step int) ([]float64, int, error) {
 	nPat := e.pats.Len()
 	var sampled []int64
@@ -102,35 +104,15 @@ func (e *Engine) SampleMeans(ctx context.Context, step int) ([]float64, int, err
 	}
 	g := e.genes.Len()
 	sums := make([]float64, g)
-	if e.denseVals && engine.ZeroCopyEnabled() {
-		for k, pid := range sampled {
-			if k%64 == 0 {
-				if err := engine.CheckCtx(ctx); err != nil {
-					return nil, 0, err
-				}
-			}
-			row := e.vals[int(pid)*g : (int(pid)+1)*g]
-			for j, v := range row {
-				sums[j] += v
+	for k, pid := range sampled {
+		if k%64 == 0 {
+			if err := engine.CheckCtx(ctx); err != nil {
+				return nil, 0, err
 			}
 		}
-	} else {
-		inSample := make(map[int64]bool, len(sampled))
-		for _, s := range sampled {
-			inSample[s] = true
-		}
-		gc := e.micro.Int("geneid")
-		pc := e.micro.Int("patientid")
-		vc := e.micro.Float("value")
-		for k := range vc {
-			if k%65536 == 0 {
-				if err := engine.CheckCtx(ctx); err != nil {
-					return nil, 0, err
-				}
-			}
-			if inSample[pc[k]] {
-				sums[gc[k]] += vc[k]
-			}
+		row := e.vals[int(pid)*g : (int(pid)+1)*g]
+		for j, v := range row {
+			sums[j] += v
 		}
 	}
 	for j := range sums {

@@ -143,11 +143,13 @@ func TestBitmapScanFetchesExactRows(t *testing.T) {
 		t.Fatalf("collected %d rids", len(rids))
 	}
 	count := 0
-	err = Drain(&BitmapScan{Ctx: context.Background(), Table: tbl, RIDs: rids}, func(r relation.Row) error {
-		if r[0].I != 7 && r[0].I != 13 {
-			t.Fatalf("unexpected key %d", r[0].I)
+	err = scanRIDsColumnar(context.Background(), tbl, rids, func(b *relation.ColumnBatch) error {
+		for _, k := range b.Ints[0] {
+			if k != 7 && k != 13 {
+				t.Fatalf("unexpected key %d", k)
+			}
 		}
-		count++
+		count += b.Len()
 		return nil
 	})
 	if err != nil {
@@ -160,19 +162,34 @@ func TestBitmapScanFetchesExactRows(t *testing.T) {
 
 // The planner must produce identical query answers whichever access path it
 // picks — verified by comparing the pivot built from a selective patient set
-// against the hash-join path on the same data.
+// (bitmap fetch from the heap) against the full sidecar scan on the same
+// data. The microarray heap's buffer pool shows which path ran: the bitmap
+// fetch reads heap pages, the sidecar scan never touches them.
 func TestIndexPlanMatchesSeqScanPlan(t *testing.T) {
 	e := loaded(t, ModeR)
 	ctx := context.Background()
-	// Selective set (uses the bitmap index) vs nil (all patients, seq scan).
+	micro, err := e.db.Table("microarray")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := micro.Heap.Pool()
+	heapReads := func() int64 { return pool.Hits.Load() + pool.Misses.Load() }
 	sel := []int64{1, 5, 9}
+	before := heapReads()
 	viaIndex, err := e.pivotJoin(ctx, nil, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if heapReads() == before {
+		t.Fatal("selective pivot did not fetch through the bitmap index")
+	}
+	before = heapReads()
 	full, err := e.pivotJoin(ctx, nil, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if heapReads() != before {
+		t.Fatal("full pivot read the heap instead of the sidecar")
 	}
 	for k, pid := range sel {
 		for j := 0; j < viaIndex.Cols; j++ {

@@ -1,7 +1,10 @@
 // Package rowstore is the conventional-RDBMS configuration (the paper's
 // Postgres): tables live in slotted-page heap files behind a buffer pool,
-// and queries execute through a Volcano-style tuple-at-a-time iterator
-// executor (sequential scan, filter, hash join, sort, hash aggregate).
+// each scan table with a compressed columnar sidecar built at load
+// (sidecar.go). Data management decodes heap pages and sidecar segments in
+// columnar batches; the Volcano-style tuple-at-a-time iterator executor
+// (sequential scan, hash join, sort, hash aggregate, expression evaluation)
+// runs the GO scan and the Madlib-simulated SQL plans.
 //
 // Two analytics modes mirror the paper's configurations 2 and 3:
 //

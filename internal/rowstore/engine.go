@@ -3,6 +3,8 @@ package rowstore
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 
 	"github.com/genbase/genbase/internal/analytics"
 	"github.com/genbase/genbase/internal/datagen"
@@ -33,7 +35,8 @@ type Engine struct {
 	db   *DB
 	glue analytics.Glue
 	// sidecars are the compressed columnar twins (sidecar.go) of the scan
-	// tables, built at Load so the compression knob can flip at query time.
+	// tables, built at Load; selections, full scans and the Q5 sample read
+	// them instead of the heap.
 	sidecars map[string]*tableSidecar
 
 	numPatients, numGenes, numTerms int
@@ -64,8 +67,23 @@ func (e *Engine) Supports(q engine.QueryID) bool {
 // concurrent queries begin.
 func (e *Engine) SetWorkers(n int) { e.Workers = n }
 
-// Load implements engine.Engine.
+// Load implements engine.Engine. It first releases anything an earlier Load
+// left (this engine's tables, or *.colseg sidecars orphaned in the directory
+// by a process that never reached Close), so a reload overwrites rather than
+// accumulates.
 func (e *Engine) Load(ds *datagen.Dataset) error {
+	if err := e.Close(); err != nil {
+		return err
+	}
+	orphans, err := filepath.Glob(filepath.Join(e.dir, "*.colseg"))
+	if err != nil {
+		return err
+	}
+	for _, f := range orphans {
+		if err := os.Remove(f); err != nil {
+			return err
+		}
+	}
 	db, err := OpenDB(e.dir)
 	if err != nil {
 		return err
@@ -78,9 +96,6 @@ func (e *Engine) Load(ds *datagen.Dataset) error {
 	e.numPatients = ds.Dims.Patients
 	e.numGenes = ds.Dims.Genes
 	e.numTerms = ds.Dims.GOTerms
-	// Build the compressed columnar sidecars unconditionally: the compression
-	// knob is consulted at query time, so both settings must be servable
-	// from one loaded engine.
 	e.sidecars = make(map[string]*tableSidecar)
 	for _, name := range []string{"microarray", "patients", "genes"} {
 		sc, err := buildTableSidecar(context.Background(), db, name)
@@ -93,16 +108,23 @@ func (e *Engine) Load(ds *datagen.Dataset) error {
 	return nil
 }
 
-// Close implements engine.Engine.
+// Close implements engine.Engine: it removes the sidecars and heap files and
+// returns the engine to its not-loaded state.
 func (e *Engine) Close() error {
+	var err error
 	for _, sc := range e.sidecars {
-		sc.remove()
+		if rerr := sc.remove(); rerr != nil && err == nil {
+			err = rerr
+		}
 	}
 	e.sidecars = nil
-	if e.db == nil {
-		return nil
+	if e.db != nil {
+		if cerr := e.db.Close(); cerr != nil && err == nil {
+			err = cerr
+		}
+		e.db = nil
 	}
-	return e.db.Close()
+	return err
 }
 
 // Run implements engine.Engine: compile the query into the shared operator

@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"math"
+	"os"
 	"path/filepath"
+	"reflect"
+	"runtime/debug"
 	"testing"
 
 	"github.com/genbase/genbase/internal/datagen"
@@ -208,5 +211,81 @@ func TestRunBeforeLoad(t *testing.T) {
 	e := New(filepath.Join(t.TempDir(), "db"), ModeR)
 	if _, err := e.Run(context.Background(), engine.Q1Regression, engine.DefaultParams()); err == nil {
 		t.Fatal("expected error before load")
+	}
+}
+
+// colsegs lists the sidecar segment files in dir with their sizes.
+func colsegs(t *testing.T, dir string) map[string]int64 {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "*.colseg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]int64, len(paths))
+	for _, p := range paths {
+		fi, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[filepath.Base(p)] = fi.Size()
+	}
+	return out
+}
+
+// openFiles counts this process's open file descriptors, or -1 where
+// /proc/self/fd is unavailable.
+func openFiles() int {
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return -1
+	}
+	return len(fds)
+}
+
+// Sidecar files live exactly as long as a load: Load sweeps *.colseg files
+// orphaned in the directory, a second Load rewrites the same files rather
+// than adding to them (and closes the first load's), and Close removes
+// them all.
+func TestSidecarFilesFollowLoadAndClose(t *testing.T) {
+	// With the collector off, no finalizer can close a leaked file for us.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	fdsBefore := openFiles()
+	dir := filepath.Join(t.TempDir(), "db")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	orphan := filepath.Join(dir, "microarray.stale.colseg")
+	if err := os.WriteFile(orphan, []byte("left by a killed process"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e := New(dir, ModeR)
+	if err := e.Load(testDataset()); err != nil {
+		t.Fatal(err)
+	}
+	first := colsegs(t, dir)
+	if _, ok := first[filepath.Base(orphan)]; ok {
+		t.Fatal("Load kept an orphaned sidecar file")
+	}
+	want := len(MicroarraySchema) + len(PatientsSchema) + len(GenesSchema)
+	if len(first) != want {
+		t.Fatalf("first load left %d sidecar files, want %d: %v", len(first), want, first)
+	}
+	if err := e.Load(testDataset()); err != nil {
+		t.Fatal(err)
+	}
+	if second := colsegs(t, dir); !reflect.DeepEqual(second, first) {
+		t.Fatalf("second load changed the sidecar files:\nfirst:  %v\nsecond: %v", first, second)
+	}
+	if _, err := e.Run(context.Background(), engine.Q1Regression, engine.DefaultParams()); err != nil {
+		t.Fatalf("run after reload: %v", err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if left := colsegs(t, dir); len(left) != 0 {
+		t.Fatalf("Close left sidecar files: %v", left)
+	}
+	if fdsAfter := openFiles(); fdsAfter != fdsBefore {
+		t.Fatalf("%d open files before Load, %d after Close", fdsBefore, fdsAfter)
 	}
 }

@@ -67,52 +67,6 @@ func (s *SeqScan) Close() error {
 // Schema implements Iterator.
 func (s *SeqScan) Schema() relation.Schema { return s.Table.Schema }
 
-// BitmapScan fetches a pre-collected, file-ordered set of record locators —
-// the access path a bitmap index scan produces. Locators must be sorted in
-// physical order (BTree.CollectRIDs does this) so page fetches are
-// near-sequential through the buffer pool.
-type BitmapScan struct {
-	Ctx   context.Context
-	Table *TableHandle
-	RIDs  []storage.RID
-
-	pos int
-	buf []byte
-	row relation.Row
-}
-
-// Open implements Iterator.
-func (s *BitmapScan) Open() error { s.pos = 0; return nil }
-
-// Next implements Iterator.
-func (s *BitmapScan) Next() (relation.Row, bool, error) {
-	if s.pos >= len(s.RIDs) {
-		return nil, false, nil
-	}
-	if s.pos%16384 == 0 && s.Ctx != nil {
-		if err := engine.CheckCtx(s.Ctx); err != nil {
-			return nil, false, err
-		}
-	}
-	var err error
-	s.buf, err = s.Table.Heap.FetchRecordInto(s.RIDs[s.pos], s.buf)
-	if err != nil {
-		return nil, false, err
-	}
-	s.pos++
-	s.row, err = relation.DecodeRow(s.Table.Schema, s.buf, s.row)
-	if err != nil {
-		return nil, false, err
-	}
-	return s.row, true, nil
-}
-
-// Close implements Iterator.
-func (s *BitmapScan) Close() error { return nil }
-
-// Schema implements Iterator.
-func (s *BitmapScan) Schema() relation.Schema { return s.Table.Schema }
-
 // MemScan iterates an in-memory table (temp tables for the Madlib-simulated
 // plans).
 type MemScan struct {
@@ -144,72 +98,6 @@ func (m *MemScan) Close() error { return nil }
 
 // Schema implements Iterator.
 func (m *MemScan) Schema() relation.Schema { return m.Table.Schema }
-
-// Filter passes rows satisfying Pred.
-type Filter struct {
-	Child Iterator
-	Pred  func(relation.Row) bool
-}
-
-// Open implements Iterator.
-func (f *Filter) Open() error { return f.Child.Open() }
-
-// Next implements Iterator.
-func (f *Filter) Next() (relation.Row, bool, error) {
-	for {
-		r, ok, err := f.Child.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		if f.Pred(r) {
-			return r, true, nil
-		}
-	}
-}
-
-// Close implements Iterator.
-func (f *Filter) Close() error { return f.Child.Close() }
-
-// Schema implements Iterator.
-func (f *Filter) Schema() relation.Schema { return f.Child.Schema() }
-
-// Project narrows rows to the given column indexes.
-type Project struct {
-	Child Iterator
-	Cols  []int
-
-	schema relation.Schema
-	out    relation.Row
-}
-
-// Open implements Iterator.
-func (p *Project) Open() error {
-	cs := p.Child.Schema()
-	p.schema = make(relation.Schema, len(p.Cols))
-	for i, c := range p.Cols {
-		p.schema[i] = cs[c]
-	}
-	p.out = make(relation.Row, len(p.Cols))
-	return p.Child.Open()
-}
-
-// Next implements Iterator.
-func (p *Project) Next() (relation.Row, bool, error) {
-	r, ok, err := p.Child.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	for i, c := range p.Cols {
-		p.out[i] = r[c]
-	}
-	return p.out, true, nil
-}
-
-// Close implements Iterator.
-func (p *Project) Close() error { return p.Child.Close() }
-
-// Schema implements Iterator.
-func (p *Project) Schema() relation.Schema { return p.schema }
 
 // HashJoin is an equi-join: the build side is fully materialized into a hash
 // table keyed on an int64 column, then the probe side streams. Output rows

@@ -32,29 +32,6 @@ func collectRows(t *testing.T, it Iterator) []relation.Row {
 	return tab.Rows
 }
 
-func TestFilterOperator(t *testing.T) {
-	tab := memTable("t", kvSchema, kvRow(1, 1), kvRow(2, 2), kvRow(3, 3))
-	rows := collectRows(t, &Filter{
-		Child: &MemScan{Table: tab},
-		Pred:  func(r relation.Row) bool { return r[0].I%2 == 1 },
-	})
-	if len(rows) != 2 || rows[0][0].I != 1 || rows[1][0].I != 3 {
-		t.Fatalf("rows=%v", rows)
-	}
-}
-
-func TestProjectOperator(t *testing.T) {
-	tab := memTable("t", kvSchema, kvRow(1, 10))
-	it := &Project{Child: &MemScan{Table: tab}, Cols: []int{1}}
-	rows := collectRows(t, it)
-	if len(rows) != 1 || rows[0][0].F != 10 {
-		t.Fatalf("rows=%v", rows)
-	}
-	if it.Schema()[0].Name != "v" {
-		t.Fatal("projected schema wrong")
-	}
-}
-
 func TestHashJoinMatchesAndDuplicates(t *testing.T) {
 	build := memTable("b", kvSchema, kvRow(1, 100), kvRow(1, 101), kvRow(2, 200))
 	probe := memTable("p", kvSchema, kvRow(1, 1), kvRow(2, 2), kvRow(3, 3))

@@ -9,15 +9,15 @@ import (
 	"github.com/genbase/genbase/internal/engine"
 	"github.com/genbase/genbase/internal/linalg"
 	planir "github.com/genbase/genbase/internal/plan"
-	"github.com/genbase/genbase/internal/relation"
 )
 
-// The row store's physical operators (plan.Physical): selections and scans
-// run as Volcano plans over the slotted heap pages, pivots as hash/bitmap
-// join plans (or the columnar zero-copy decode), and the kernels either ship
-// operands to external R over the text COPY boundary (ModeR) or run
-// in-database, Madlib-style — native where Madlib has C++ implementations,
-// simulated SQL plans elsewhere (ModeMadlib).
+// The row store's physical operators (plan.Physical): selections and full
+// scans read the compressed columnar sidecars of the heap tables, selective
+// pivots fetch heap tuples through the patientid bitmap index, both decoding
+// in columnar batches, and the kernels either ship operands to external R
+// over the text COPY boundary (ModeR) or run in-database, Madlib-style —
+// native where Madlib has C++ implementations, simulated SQL plans through
+// the Volcano executor elsewhere (ModeMadlib).
 
 // Capabilities implements plan.Physical. Madlib lacks a biclustering routine
 // ("Hadoop and Postgres + Madlib do not provide sufficient analytics
@@ -34,64 +34,18 @@ func (e *Engine) Capabilities() planir.OpSet {
 // Dims implements plan.Physical.
 func (e *Engine) Dims() (int, int) { return e.numPatients, e.numGenes }
 
-// tableMeta resolves an IR table name to the heap table, its schema, and
-// its id column.
-func (e *Engine) tableMeta(table string) (*TableHandle, relation.Schema, string, error) {
+// SelectIDs implements plan.Physical: σ(pred)(table), returning ascending
+// ids. The predicates push down to the columnar sidecar's encoded segments
+// (sidecar.go).
+func (e *Engine) SelectIDs(ctx context.Context, table string, preds []planir.Pred) ([]int64, error) {
 	switch table {
 	case planir.TableGenes:
-		t, err := e.db.Table("genes")
-		return t, GenesSchema, "geneid", err
+		return selectIDsCompressed(ctx, e.sidecars["genes"], "geneid", preds)
 	case planir.TablePatients:
-		t, err := e.db.Table("patients")
-		return t, PatientsSchema, "patientid", err
+		return selectIDsCompressed(ctx, e.sidecars["patients"], "patientid", preds)
 	default:
-		return nil, nil, "", fmt.Errorf("rowstore: no physical select over table %q", table)
+		return nil, fmt.Errorf("rowstore: no physical select over table %q", table)
 	}
-}
-
-// SelectIDs implements plan.Physical: σ(pred)(table), returning ascending
-// ids. With compression on the predicates push down to the columnar
-// sidecar's encoded segments (sidecar.go); the SetCompression(false) ablation and
-// the no-predicate case run the historical scan → filter → project → sort
-// Volcano plan.
-func (e *Engine) SelectIDs(ctx context.Context, table string, preds []planir.Pred) ([]int64, error) {
-	t, schema, idName, err := e.tableMeta(table)
-	if err != nil {
-		return nil, err
-	}
-	if sc := e.sidecars[t.Name]; sc != nil && engine.CompressionEnabled() && len(preds) > 0 {
-		return selectIDsCompressed(ctx, sc, idName, preds)
-	}
-	cols := make([]int, len(preds))
-	for i, p := range preds {
-		cols[i] = schema.MustColIndex(p.Col)
-	}
-	idCol := schema.MustColIndex(idName)
-	pln := &SortOp{
-		Child: &Project{
-			Child: &Filter{
-				Child: &SeqScan{Ctx: ctx, Table: t},
-				Pred: func(r relation.Row) bool {
-					for i, p := range preds {
-						if !p.Eval(r[cols[i]].I) {
-							return false
-						}
-					}
-					return true
-				},
-			},
-			Cols: []int{idCol},
-		},
-		Less: func(a, b relation.Row) bool { return a[0].I < b[0].I },
-	}
-	var ids []int64
-	if err := Drain(pln, func(r relation.Row) error {
-		ids = append(ids, r[0].I)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return ids, nil
 }
 
 // ScanFloats implements plan.Physical via the drug-response projection scan;
@@ -114,14 +68,14 @@ func (e *Engine) ScanFloats(ctx context.Context, table, col string, ids []int64)
 	return out, nil
 }
 
-// Pivot implements plan.Physical via the join + restructure plan (bitmap
-// index scan when the patient predicate is selective, hash join otherwise).
+// Pivot implements plan.Physical via the join + restructure (bitmap index
+// fetch when the patient predicate is selective, sidecar scan otherwise).
 func (e *Engine) Pivot(ctx context.Context, patientIDs, geneIDs []int64) (*linalg.Matrix, error) {
 	return e.pivotJoin(ctx, geneIDs, patientIDs)
 }
 
-// SampleMeans implements plan.Physical via the filter + hash-aggregate plan
-// (or its columnar zero-copy twin).
+// SampleMeans implements plan.Physical via the encoded-space sample and
+// aggregate over the microarray sidecar.
 func (e *Engine) SampleMeans(ctx context.Context, step int) ([]float64, int, error) {
 	return e.sampleMeans(ctx, step)
 }
@@ -234,10 +188,7 @@ func (e *Engine) PhysicalName(k planir.OpKind) string {
 	}
 	switch k {
 	case planir.OpSelectPred:
-		if engine.CompressionEnabled() {
-			return "sidecar-segment pushdown (dict-code EQ, run skip, packed-word LT)"
-		}
-		return "Volcano scan-filter-sort plan"
+		return "sidecar-segment pushdown (dict-code EQ, run skip, packed-word LT)"
 	case planir.OpScanTable:
 		return "heap projection scan"
 	case planir.OpSamplePatients:

@@ -90,30 +90,12 @@ func denseIndex(ids []int64, n int) []int32 {
 	return out
 }
 
-// The data-management halves of the five queries, expressed as Volcano plans
-// over the heap tables. Both analytics modes share these plans.
-
-// idsTable wraps an id list as a single-column in-memory relation for use as
-// a hash-join build side.
-func idsTable(name string, ids []int64) *relation.Table {
-	t := relation.NewTable(name, relation.Schema{{Name: name, Kind: relation.KindInt64}})
-	for _, id := range ids {
-		t.Rows = append(t.Rows, relation.Row{relation.IntVal(id)})
-	}
-	return t
-}
-
-func indexMap(ids []int64) map[int64]int {
-	m := make(map[int64]int, len(ids))
-	for i, id := range ids {
-		m[id] = i
-	}
-	return m
-}
-
 // pivotJoin joins the microarray table against the given gene and patient id
 // sets (nil set means "all") and restructures the matching triples into a
 // dense matrix — the paper's steps 2–3 (join, then restructure as a matrix).
+// The scan decodes columnar batches (no per-tuple Value boxing) and fills a
+// pooled matrix through dense membership tables; the fill is per cell, so
+// either access path produces the same matrix bit for bit.
 func (e *Engine) pivotJoin(ctx context.Context, geneIDs, patientIDs []int64) (*linalg.Matrix, error) {
 	micro, err := e.db.Table("microarray")
 	if err != nil {
@@ -135,147 +117,71 @@ func (e *Engine) pivotJoin(ctx context.Context, geneIDs, patientIDs []int64) (*l
 			patientIDs[i] = int64(i)
 		}
 	}
-	// Zero-copy path: decode the scan columnar (no Value boxing) and fill a
-	// pooled matrix with vectorized membership tests. The access-path choice
-	// (bitmap vs sequential) and the row visit order are identical to the
-	// Volcano plan below, so the resulting matrix is bitwise the same.
-	if engine.ZeroCopyEnabled() {
-		gIdx := denseIndex(geneIDs, e.numGenes)
-		pIdx := denseIndex(patientIDs, e.numPatients)
-		m := linalg.GetMatrixZeroed(len(patientIDs), len(geneIDs))
-		fill := func(b *relation.ColumnBatch) error {
-			gs, ps, vs := b.Ints[gCol], b.Ints[pCol], b.Floats[vCol]
-			for r, v := range vs {
-				gi := gIdx[gs[r]]
-				if gi < 0 {
-					continue
-				}
-				pi := pIdx[ps[r]]
-				if pi < 0 {
-					continue
-				}
-				m.Data[int(pi)*m.Stride+int(gi)] = v
+	gIdx := denseIndex(geneIDs, e.numGenes)
+	pIdx := denseIndex(patientIDs, e.numPatients)
+	m := linalg.GetMatrixZeroed(len(patientIDs), len(geneIDs))
+	fill := func(b *relation.ColumnBatch) error {
+		gs, ps, vs := b.Ints[gCol], b.Ints[pCol], b.Floats[vCol]
+		for r, v := range vs {
+			gi := gIdx[gs[r]]
+			if gi < 0 {
+				continue
 			}
-			return nil
+			pi := pIdx[ps[r]]
+			if pi < 0 {
+				continue
+			}
+			m.Data[int(pi)*m.Stride+int(gi)] = v
 		}
-		// Access-path choice: bitmap fetch when the patient set is selective
-		// (same rule as the Volcano plan); otherwise a full scan — off the
-		// compressed sidecar segments when the knob is on, else the dense
-		// heap decode. The fill is per-cell, so all paths produce the same
-		// matrix bit for bit.
-		if idx := micro.Index("patientid"); idx != nil && len(patientIDs)*10 < e.numPatients {
-			err = scanRIDsColumnar(ctx, micro, idx.CollectRIDs(patientIDs), fill)
-		} else if sc := e.sidecars["microarray"]; sc != nil && engine.CompressionEnabled() {
-			err = scanColumnarCompressed(ctx, sc, fill)
-		} else {
-			err = scanColumnar(ctx, micro, fill)
-		}
-		if err != nil {
-			linalg.PutMatrix(m)
-			return nil, err
-		}
-		return m, nil
-	}
-
-	gIdx := indexMap(geneIDs)
-	pIdx := indexMap(patientIDs)
-
-	// Planner choice: when the patient predicate is selective and the fact
-	// table has a patientid index, a bitmap index scan fetches only the
-	// matching tuples; otherwise a full sequential scan feeds a hash join on
-	// the gene set, with the patient set as a residual filter.
-	var probe Iterator
-	if idx := micro.Index("patientid"); idx != nil && len(patientIDs)*10 < e.numPatients {
-		probe = &BitmapScan{Ctx: ctx, Table: micro, RIDs: idx.CollectRIDs(patientIDs)}
-	} else {
-		probe = &SeqScan{Ctx: ctx, Table: micro}
-	}
-	var plan Iterator = &HashJoin{
-		Build:    &MemScan{Table: idsTable("geneid", geneIDs)},
-		Probe:    probe,
-		BuildKey: 0,
-		ProbeKey: gCol,
-	}
-	m := linalg.NewMatrix(len(patientIDs), len(geneIDs))
-	err = Drain(plan, func(r relation.Row) error {
-		pi, ok := pIdx[r[pCol].I]
-		if !ok {
-			return nil
-		}
-		gi := gIdx[r[gCol].I] // join guarantees membership
-		m.Set(pi, gi, r[vCol].F)
 		return nil
-	})
+	}
+	// Planner choice: when the patient predicate is selective, a bitmap
+	// index scan fetches only the matching tuples from the heap; otherwise a
+	// full scan reads the compressed sidecar segments.
+	if idx := micro.Index("patientid"); idx != nil && len(patientIDs)*10 < e.numPatients {
+		err = scanRIDsColumnar(ctx, micro, idx.CollectRIDs(patientIDs), fill)
+	} else {
+		err = scanColumnarCompressed(ctx, e.sidecars["microarray"], fill)
+	}
 	if err != nil {
+		linalg.PutMatrix(m)
 		return nil, err
 	}
 	return m, nil
 }
 
-// drugResponses scans the patients table projecting drug response in
+// drugResponses scans the patients sidecar projecting drug response in
 // patient-id order.
 func (e *Engine) drugResponses(ctx context.Context) ([]float64, error) {
-	pats, err := e.db.Table("patients")
-	if err != nil {
-		return nil, err
-	}
 	idCol := PatientsSchema.MustColIndex("patientid")
 	respCol := PatientsSchema.MustColIndex("drugresponse")
 	y := make([]float64, e.numPatients)
-	if engine.ZeroCopyEnabled() {
-		fill := func(b *relation.ColumnBatch) error {
-			ids, resp := b.Ints[idCol], b.Floats[respCol]
-			for r, id := range ids {
-				y[id] = resp[r]
-			}
-			return nil
+	err := scanColumnarCompressed(ctx, e.sidecars["patients"], func(b *relation.ColumnBatch) error {
+		ids, resp := b.Ints[idCol], b.Floats[respCol]
+		for r, id := range ids {
+			y[id] = resp[r]
 		}
-		if sc := e.sidecars["patients"]; sc != nil && engine.CompressionEnabled() {
-			err = scanColumnarCompressed(ctx, sc, fill)
-		} else {
-			err = scanColumnar(ctx, pats, fill)
-		}
-	} else {
-		err = Drain(&SeqScan{Ctx: ctx, Table: pats}, func(r relation.Row) error {
-			y[r[idCol].I] = r[respCol].F
-			return nil
-		})
-	}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
 	return y, nil
 }
 
-// geneFunctions scans gene metadata into a dense lookup (the Q2 step-4 join
-// side).
+// geneFunctions scans the genes sidecar into a dense lookup (the Q2 step-4
+// join side).
 func (e *Engine) geneFunctions(ctx context.Context) ([]int64, error) {
-	genes, err := e.db.Table("genes")
-	if err != nil {
-		return nil, err
-	}
 	idCol := GenesSchema.MustColIndex("geneid")
 	fnCol := GenesSchema.MustColIndex("function")
 	fns := make([]int64, e.numGenes)
-	if engine.ZeroCopyEnabled() {
-		fill := func(b *relation.ColumnBatch) error {
-			ids, fn := b.Ints[idCol], b.Ints[fnCol]
-			for r, id := range ids {
-				fns[id] = fn[r]
-			}
-			return nil
+	err := scanColumnarCompressed(ctx, e.sidecars["genes"], func(b *relation.ColumnBatch) error {
+		ids, fn := b.Ints[idCol], b.Ints[fnCol]
+		for r, id := range ids {
+			fns[id] = fn[r]
 		}
-		if sc := e.sidecars["genes"]; sc != nil && engine.CompressionEnabled() {
-			err = scanColumnarCompressed(ctx, sc, fill)
-		} else {
-			err = scanColumnar(ctx, genes, fill)
-		}
-	} else {
-		err = Drain(&SeqScan{Ctx: ctx, Table: genes}, func(r relation.Row) error {
-			fns[r[idCol].I] = r[fnCol].I
-			return nil
-		})
-	}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -283,73 +189,21 @@ func (e *Engine) geneFunctions(ctx context.Context) ([]int64, error) {
 }
 
 // sampleMeans computes per-gene mean expression over the deterministic Q5
-// patient sample with a filter + hash aggregate plan.
+// patient sample, filtering and summing in encoded space off the microarray
+// sidecar (sidecar.go). Contributions arrive in heap order.
 func (e *Engine) sampleMeans(ctx context.Context, step int) ([]float64, int, error) {
-	micro, err := e.db.Table("microarray")
-	if err != nil {
+	sums := make([]float64, e.numGenes)
+	counts := make([]int64, e.numGenes)
+	if err := e.sampleSumsCompressed(ctx, step, sums, counts); err != nil {
 		return nil, 0, err
 	}
-	gCol := MicroarraySchema.MustColIndex("geneid")
-	pCol := MicroarraySchema.MustColIndex("patientid")
-	vCol := MicroarraySchema.MustColIndex("expressionvalue")
-	means := make([]float64, e.numGenes)
-	if sc := e.sidecars["microarray"]; sc != nil && engine.CompressionEnabled() {
-		// Encoded-space sample: the modulus runs once per patientid run and
-		// filtered-out rows are never decoded (sidecar.go). Heap order is
-		// preserved, so sums match the decode paths below bit for bit.
-		sums := make([]float64, e.numGenes)
-		counts := make([]int64, e.numGenes)
-		if err := e.sampleSumsCompressed(ctx, step, sums, counts); err != nil {
-			return nil, 0, err
-		}
-		for j := range sums {
-			if counts[j] > 0 {
-				means[j] = sums[j] / float64(counts[j])
-			}
-		}
-	} else if engine.ZeroCopyEnabled() {
-		// Columnar filter + aggregate: per gene the contributions arrive in
-		// heap order, the same order the hash aggregate accumulated them, so
-		// sums and the final sum/count divisions are bitwise identical.
-		sums := make([]float64, e.numGenes)
-		counts := make([]int64, e.numGenes)
-		err := scanColumnar(ctx, micro, func(b *relation.ColumnBatch) error {
-			gs, ps, vs := b.Ints[gCol], b.Ints[pCol], b.Floats[vCol]
-			for r, v := range vs {
-				if ps[r]%int64(step) != 0 {
-					continue
-				}
-				sums[gs[r]] += v
-				counts[gs[r]]++
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, 0, err
-		}
-		for j := range sums {
-			if counts[j] > 0 {
-				means[j] = sums[j] / float64(counts[j])
-			}
-		}
-	} else {
-		plan := &HashAgg{
-			Child: &Filter{
-				Child: &SeqScan{Ctx: ctx, Table: micro},
-				Pred:  func(r relation.Row) bool { return r[pCol].I%int64(step) == 0 },
-			},
-			Key:  gCol,
-			Aggs: []AggSpec{{Col: vCol, Kind: AggAvg}},
-		}
-		if err := Drain(plan, func(r relation.Row) error {
-			means[r[0].I] = r[1].F
-			return nil
-		}); err != nil {
-			return nil, 0, err
+	for j := range sums {
+		if counts[j] > 0 {
+			sums[j] /= float64(counts[j])
 		}
 	}
 	sampled := (e.numPatients + step - 1) / step
-	return means, sampled, nil
+	return sums, sampled, nil
 }
 
 // goMembers groups the GO table by term (the Q5 step-2 join input).

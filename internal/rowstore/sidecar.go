@@ -16,13 +16,11 @@ import (
 // The columnar sidecar is the row store's compressed twin of a heap table:
 // one auxiliary heap file per column ("<table>.<col>.colseg") whose records
 // are colpage-encoded segments of sidecarSegmentRows rows each, written in
-// heap order at load time. Scans that today decode every record through
-// ColumnBatch.DecodeColumns can instead parse one page per 1000 rows and
-// push structured predicates down to the encoded form; because segments
-// preserve heap order exactly, every consumer sees rows in the same order as
-// the row-at-a-time plan and answers stay bitwise identical (DESIGN.md §15).
-// The SetCompression(false) ablation ignores the sidecar and runs the historical
-// decode-then-filter paths.
+// heap order at load time. Selections, full scans and the Q5 sample read it
+// instead of decoding every heap record: one page parse per 1000 rows, with
+// structured predicates pushed down to the encoded form. Segments preserve
+// heap order exactly, so every consumer sees rows in the order a
+// row-at-a-time heap scan would produce them (DESIGN.md §15).
 
 const (
 	// sidecarSegmentRows is the segment length. A raw 1000-row segment
@@ -217,8 +215,8 @@ func pushdownPred(p planir.Pred) colpage.Pred {
 // segment the first predicate selects directly on its column page
 // (dictionary-code equality, RLE run skipping, packed-word range tests),
 // later conjuncts refine the selection vector, and the survivors gather the
-// id page — filtered-out rows are never decoded. The final ascending sort
-// matches the Volcano plan's SortOp, so the ids are identical.
+// id page — filtered-out rows are never decoded. An empty conjunction keeps
+// every row. The ids are sorted ascending.
 func selectIDsCompressed(ctx context.Context, sc *tableSidecar, idName string, preds []planir.Pred) ([]int64, error) {
 	curs := make([]*intSegCursor, len(preds))
 	for i, p := range preds {
@@ -239,6 +237,10 @@ func selectIDsCompressed(ctx context.Context, sc *tableSidecar, idName string, p
 		}
 		if err := engine.CheckCtx(ctx); err != nil {
 			return nil, err
+		}
+		if len(preds) == 0 {
+			ids = idPg.AppendTo(ids)
+			continue
 		}
 		sel = sel[:0]
 		for i, p := range preds {
@@ -265,8 +267,7 @@ func selectIDsCompressed(ctx context.Context, sc *tableSidecar, idName string, p
 // patients straight off the microarray segments: the modulus runs once per
 // patientid run (the fact table is loaded patient-major, so runs span whole
 // patients) and only surviving positions gather geneid/value. Segments come
-// in heap order, so the sums accumulate bitwise identically to the dense
-// columnar scan and the hash aggregate.
+// in heap order, so each gene's sum accumulates in heap order.
 func (e *Engine) sampleSumsCompressed(ctx context.Context, step int, sums []float64, counts []int64) error {
 	sc := e.sidecars["microarray"]
 	pCur := sc.intSegs("patientid")
@@ -318,8 +319,7 @@ func (e *Engine) sampleSumsCompressed(ctx context.Context, step int, sums []floa
 // scanColumnarCompressed is the sidecar twin of scanColumnar: it decodes
 // whole segments into a ColumnBatch (one page parse per column per 1000
 // rows instead of one DecodeColumns per record) and hands batches to fn in
-// heap order, so consumers accumulate in exactly the order of the dense
-// scan.
+// heap order, so consumers accumulate in exactly the order of a heap scan.
 func scanColumnarCompressed(ctx context.Context, sc *tableSidecar, fn func(*relation.ColumnBatch) error) error {
 	intCurs := make([]*intSegCursor, len(sc.schema))
 	fltCurs := make([]*floatSegCursor, len(sc.schema))
