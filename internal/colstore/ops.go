@@ -219,7 +219,7 @@ func (e *Engine) PhysicalName(k plan.OpKind) string {
 	case plan.OpSamplePatients:
 		return "patient-id modulus"
 	case plan.OpPivotMicro:
-		return "zero-copy dense view / selection-vector pivot"
+		return "zero-copy view / pooled gather over the dense value column"
 	case plan.OpKernelRegression, plan.OpKernelCovariance, plan.OpKernelSVD, plan.OpKernelStats:
 		return "BLAS-lite kernel via " + glue
 	case plan.OpKernelBicluster:

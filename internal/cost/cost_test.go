@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"testing"
-	"time"
 
 	"github.com/genbase/genbase/internal/engine"
 	"github.com/genbase/genbase/internal/plan"
@@ -285,23 +284,11 @@ func TestOnlineRefinement(t *testing.T) {
 		t.Fatal("unobserved online estimate should equal the offline estimate")
 	}
 
-	// Feed observations at 3x the predicted cost, split by predicted class
-	// shares; the estimate must move toward 3x, monotonically.
-	var dmNs, kernNs float64
-	for i := range pl.Nodes {
-		if opClass(pl.Nodes[i].Kind) == classKernel {
-			kernNs += off.PerOpNs[i]
-		} else {
-			dmNs += off.PerOpNs[i]
-		}
-	}
-	timing := engine.Timing{
-		DataManagement: time.Duration(3 * dmNs),
-		Analytics:      time.Duration(3 * kernNs),
-	}
+	// Feed wall-clock observations at 3x the predicted cost; the estimate
+	// must move toward 3x, monotonically.
 	prev := base.TotalNs
 	for i := 0; i < 20; i++ {
-		o.Observe(cfg, pl, timing)
+		o.ObserveWall(cfg, pl, 3*off.TotalNs)
 		est, _ := o.Estimate(pl, cfg)
 		if est.TotalNs < prev-1 {
 			t.Fatalf("estimate moved away from the observations at step %d", i)
@@ -341,30 +328,15 @@ func TestOnlineDriftDecaysFaster(t *testing.T) {
 	pl := compileQ(t, engine.Q5Statistics)
 	off, _ := m.Estimate(pl, cfg, FitDims)
 
-	mkTiming := func(scale float64) engine.Timing {
-		var dmNs, kernNs float64
-		for i := range pl.Nodes {
-			if opClass(pl.Nodes[i].Kind) == classKernel {
-				kernNs += off.PerOpNs[i]
-			} else {
-				dmNs += off.PerOpNs[i]
-			}
-		}
-		return engine.Timing{
-			DataManagement: time.Duration(scale * dmNs),
-			Analytics:      time.Duration(scale * kernNs),
-		}
-	}
-
 	run := func(driftAlpha float64) float64 {
 		o := NewOnline(m, FitDims)
 		o.DriftAlpha = driftAlpha
 		// Converge near 1x, then shift the regime to 10x: past the drift
 		// threshold, so the faster alpha applies.
 		for i := 0; i < 5; i++ {
-			o.Observe(cfg, pl, mkTiming(1))
+			o.ObserveWall(cfg, pl, off.TotalNs)
 		}
-		o.Observe(cfg, pl, mkTiming(10))
+		o.ObserveWall(cfg, pl, 10*off.TotalNs)
 		est, _ := o.Estimate(pl, cfg)
 		return est.TotalNs
 	}
@@ -375,12 +347,19 @@ func TestOnlineDriftDecaysFaster(t *testing.T) {
 		t.Errorf("drift decay should converge faster: fast=%.0f slow=%.0f", fast, slow)
 	}
 
-	// Degenerate timings (all-zero observation with zero estimate classes)
-	// must not update or panic.
+	// A degenerate observation (no measured time, or a configuration the
+	// model cannot price) must not update a cell or panic.
 	o := NewOnline(m, FitDims)
-	o.Observe(Config{System: "scidb"}, pl, engine.Timing{})
-	if est, _ := o.Estimate(pl, cfg); est.TotalNs <= 0 {
-		t.Error("zero-timing observation broke the estimate")
+	o.ObserveWall(cfg, pl, 0)
+	o.ObserveWall(cfg, pl, -1)
+	o.ObserveWall(Config{System: "no-such-system"}, pl, off.TotalNs)
+	if est, _ := o.Estimate(pl, cfg); est.TotalNs != off.TotalNs {
+		t.Errorf("degenerate observations moved the estimate: %.0f, offline %.0f", est.TotalNs, off.TotalNs)
+	}
+	for i := range pl.Nodes {
+		if _, ok := o.Ratio(cfg, pl.Nodes[i].Kind, Units(&pl.Nodes[i], FitDims)); ok {
+			t.Fatalf("degenerate observation created a cell for %v", pl.Nodes[i].Kind)
+		}
 	}
 	if o.Base() != m || o.Dims() != FitDims {
 		t.Error("accessors lost the wrapped model")

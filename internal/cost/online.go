@@ -4,14 +4,12 @@ import (
 	"math"
 	"sync"
 
-	"github.com/genbase/genbase/internal/engine"
 	"github.com/genbase/genbase/internal/plan"
 )
 
-// Online wraps an offline-fitted Model with serve-path refinement. Every
-// completed request carries the phase timings the executor already records
-// (engine.Timing: data-management vs analytics nanoseconds), and the router
-// feeds them back here. The observation updates an EWMA correction ratio —
+// Online wraps an offline-fitted Model with serve-path refinement. The router
+// feeds every uncontended request's measured wall-clock time back here
+// (ObserveWall). The observation updates an EWMA correction ratio —
 // observed / offline-predicted — per (configuration, operator kind,
 // size-class), and Estimate multiplies each operator's offline prediction by
 // its learned ratio. The offline fit seeds the ranking; the online layer
@@ -77,55 +75,12 @@ func sizeClass(units float64) int {
 	return int(math.Log2(units))
 }
 
-// Observe feeds one completed request back into the model. The executor
-// times phases, not operators, so each operator in the plan receives its
-// class's observed/predicted ratio (transfer time rides with data
-// management, where the reformatting work lives) at its own size-class —
-// exactly the (impl, operator, size-class) cells Estimate reads back.
-func (o *Online) Observe(c Config, pl *plan.Plan, t engine.Timing) {
-	base, ok := o.base.Estimate(pl, c, o.dims)
-	if !ok {
-		return
-	}
-	var estDM, estKern float64
-	for i := range pl.Nodes {
-		if opClass(pl.Nodes[i].Kind) == classKernel {
-			estKern += base.PerOpNs[i]
-		} else {
-			estDM += base.PerOpNs[i]
-		}
-	}
-	obsDM := float64(t.DataManagement.Nanoseconds() + t.Transfer.Nanoseconds())
-	obsKern := float64(t.Analytics.Nanoseconds())
-
-	key := c.Key()
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	for i := range pl.Nodes {
-		n := &pl.Nodes[i]
-		var r float64
-		if opClass(n.Kind) == classKernel {
-			if estKern <= 0 {
-				continue
-			}
-			r = obsKern / estKern
-		} else {
-			if estDM <= 0 {
-				continue
-			}
-			r = obsDM / estDM
-		}
-		o.updateCell(cellKey{config: key, op: n.Kind, size: sizeClass(Units(n, o.dims))}, r)
-	}
-}
-
 // ObserveWall feeds one completed request's measured wall-clock time back
 // into the model. The virtual-platform engines (the simulated clusters, the
 // accelerator) report phase Timings in their simulation's accounting, not in
 // elapsed host time — but the router serves in host time, so its ranking
 // must learn from the wall. A request times as a whole, so the total
-// observed/predicted ratio is applied to every operator's cell uniformly;
-// the per-class split is Observe's job when phase timings are trustworthy.
+// observed/predicted ratio is applied to every operator's cell uniformly.
 func (o *Online) ObserveWall(c Config, pl *plan.Plan, wallNs float64) {
 	base, ok := o.base.Estimate(pl, c, o.dims)
 	if !ok || base.TotalNs <= 0 || wallNs <= 0 {

@@ -194,7 +194,7 @@ func (e *Engine) PhysicalName(k plan.OpKind) string {
 	case plan.OpSamplePatients:
 		return "patient-id modulus"
 	case plan.OpPivotMicro:
-		return "reshape/acast over triples (budget-charged)"
+		return "view / pooled gather over the dense value column (budget-charged)"
 	case plan.OpKernelRegression, plan.OpKernelCovariance, plan.OpKernelSVD, plan.OpKernelStats, plan.OpKernelBicluster:
 		return "in-process R kernel"
 	case plan.OpTopKByAbs:

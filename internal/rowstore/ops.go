@@ -190,11 +190,11 @@ func (e *Engine) PhysicalName(k planir.OpKind) string {
 	case planir.OpSelectPred:
 		return "sidecar-segment pushdown (dict-code EQ, run skip, packed-word LT)"
 	case planir.OpScanTable:
-		return "heap projection scan"
+		return "sidecar column scan (GO: heap seq scan)"
 	case planir.OpSamplePatients:
 		return "patient-id modulus"
 	case planir.OpPivotMicro:
-		return "bitmap/hash join + restructure"
+		return "bitmap heap fetch or sidecar-segment scan"
 	case planir.OpKernelRegression, planir.OpKernelCovariance, planir.OpKernelSVD, planir.OpKernelStats:
 		return kernel
 	case planir.OpKernelBicluster:

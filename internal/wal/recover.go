@@ -6,13 +6,12 @@ import (
 	"time"
 )
 
-// RecoveryTiming is the accounting of one recovery replay, kept deliberately
-// separate from the serve path's engine.Timing phases and buffer-pool stats:
-// replay work happens before serving starts (or beside it, on a fresh store)
-// and must never fold into a query's data-management time or the segment
-// pool's serve-path hit/miss counters — the double-count trap the StopWatch
-// rework in DESIGN.md §11 closed for queries, closed here for recovery. It is
-// a side-effect-free read: Store.Recovery returns a copy, reading it twice
+// RecoveryTiming is the accounting of one recovery replay, kept separate from
+// the serve path's engine.Timing phases: replay work happens before serving
+// starts (or beside it, on a fresh store) and must never fold into a query's
+// data-management time — the double-count trap the StopWatch rework in
+// DESIGN.md §11 closed for queries, closed here for recovery. It is a
+// side-effect-free read: Store.Recovery returns a copy, reading it twice
 // returns identical values.
 type RecoveryTiming struct {
 	// Replay is the wall-clock time spent scanning the log, rebuilding the
@@ -29,11 +28,6 @@ type RecoveryTiming struct {
 	// clean record (a partially written record, or sector-zeroed garbage),
 	// truncated from the file on open.
 	BytesDiscarded int64
-	// SegmentPoolMisses/SegmentPoolHits are the segment heap's buffer-pool
-	// traffic charged to recovery (rewriting the folded segments through the
-	// page frames). Store.ServePoolStats subtracts them, so serve-path page
-	// accounting starts at zero.
-	SegmentPoolMisses, SegmentPoolHits int64
 }
 
 // Scan parses records from the head of b until the bytes stop being a
@@ -69,9 +63,8 @@ func Scan(b []byte, fn func(Record) error) (int, error) {
 // recoverFile reads the log at path, replays its clean prefix through fn,
 // and repairs the file by truncating the torn tail, so the reopened log
 // appends after the last clean record instead of interleaving with garbage.
-// It returns the clean length and replay statistics (Replay time and the
-// pool counters are filled in by the caller, which owns the clocks and the
-// heap).
+// It returns the clean length and replay statistics (Replay time is filled in
+// by the caller, which owns the clock).
 func recoverFile(path string, fn func(Record) error) (int64, RecoveryTiming, error) {
 	var rt RecoveryTiming
 	raw, err := os.ReadFile(path)

@@ -11,16 +11,17 @@ import (
 	"github.com/genbase/genbase/internal/colpage"
 	"github.com/genbase/genbase/internal/datagen"
 	"github.com/genbase/genbase/internal/linalg"
-	"github.com/genbase/genbase/internal/storage"
 )
 
 // Store is the MVCC ingest store over a preloaded base dataset: appended rows
 // go to the WAL (group-committed) and an in-memory delta; Checkpoint folds
-// the delta into an immutable colpage-encoded segment — persisted through the
-// storage layer's page frames — and advances the snapshot epoch. SnapshotAt
-// materializes the dataset as of any retained epoch: epoch 0 is the base,
-// epoch k is the base plus the first k checkpointed segments, a pure function
-// of (base, WAL prefix) that recovery reproduces byte-identically.
+// the delta into an immutable colpage-encoded segment and advances the
+// snapshot epoch. Checkpointed bytes live in two places only: the WAL, which
+// is the durable source of truth, and the segment's resident Blob, which
+// recovery rebuilds from it. SnapshotAt materializes the dataset as of any
+// retained epoch: epoch 0 is the base, epoch k is the base plus the first k
+// checkpointed segments, a pure function of (base, WAL prefix) that recovery
+// reproduces byte-identically.
 //
 // Concurrency: Append is safe from any number of goroutines (WAL order and
 // delta order are assigned under one lock; durability waits run concurrently
@@ -29,19 +30,14 @@ import (
 // is invisible to snapshots, so an in-flight query pinned to epoch E never
 // observes ingest (DESIGN.md §18).
 type Store struct {
-	dir  string
 	base *datagen.Dataset
 	log  *Log
-	heap *storage.HeapFile // checkpointed segment bytes, chunked into page frames
 
 	mu    sync.RWMutex
 	delta []Row
 	segs  []*Segment
 
 	recovery RecoveryTiming
-	// Pool-stat baseline at the end of recovery: ServePoolStats subtracts it
-	// so recovery's page traffic never pollutes serve-path accounting.
-	baseHits, baseMisses int64
 }
 
 // Segment is one checkpointed, immutable fold of delta rows.
@@ -53,9 +49,6 @@ type Segment struct {
 	Blob []byte
 	// Digest is sha256(Blob) — the value the checkpoint record committed.
 	Digest [DigestSize]byte
-
-	// rids locate the blob's chunks in the segment heap.
-	rids []storage.RID
 }
 
 // Rows decodes the segment's row count from its blob header.
@@ -63,63 +56,31 @@ func (s *Segment) Rows() int {
 	return int(binary.LittleEndian.Uint64(s.Blob[12:]))
 }
 
-// segChunk is the heap-record size segment blobs are chunked into: small
-// enough that several chunks share an 8 KiB frame, large enough that a
-// segment is a handful of records.
-const segChunk = 4000
-
-const (
-	logFile  = "wal.log"
-	heapFile = "segments.heap"
-	// heapFrames sizes the segment heap's buffer pool: a few frames suffice
-	// because snapshot materialization scans segments in RID order.
-	heapFrames = 16
-)
+// logFile is the only file a store keeps in its directory.
+const logFile = "wal.log"
 
 // Open creates or recovers a store at dir over base. An existing WAL is
 // replayed: row records rebuild the delta, each checkpoint record re-folds
 // the delta into a segment and verifies the fold's digest against the one the
 // record committed — a mismatch means replay did not converge and is
 // reported, never ignored. The torn tail past the last clean record is
-// truncated. The segment heap is rebuilt from the replayed segments (it is a
-// cache of WAL state, so a crash between WAL commit and heap write costs
-// nothing).
+// truncated. The replayed segments stay resident; nothing else is written.
 //
-// Recovery accounting lands in Recovery(), not in any engine StopWatch or
-// serve-path pool counter.
+// Recovery accounting lands in Recovery(), not in any engine StopWatch.
 func Open(dir string, base *datagen.Dataset) (*Store, error) {
 	if base == nil {
 		return nil, fmt.Errorf("wal: nil base dataset")
 	}
-	s := &Store{dir: dir, base: base}
+	s := &Store{base: base}
 	start := time.Now()
 	logPath := filepath.Join(dir, logFile)
 	clean, rt, err := recoverFile(logPath, s.replay)
 	if err != nil {
 		return nil, err
 	}
-	heap, err := storage.CreateHeapFile(filepath.Join(dir, heapFile), heapFrames)
-	if err != nil {
-		return nil, err
-	}
-	s.heap = heap
-	for _, seg := range s.segs {
-		if err := s.writeSegment(seg); err != nil {
-			heap.Close()
-			return nil, err
-		}
-	}
-	if err := heap.Pool().FlushAll(); err != nil {
-		heap.Close()
-		return nil, err
-	}
 	rt.Replay = time.Since(start)
-	rt.SegmentPoolHits = heap.Pool().Hits.Load()
-	rt.SegmentPoolMisses = heap.Pool().Misses.Load()
 	s.recovery = rt
-	s.baseHits, s.baseMisses = rt.SegmentPoolHits, rt.SegmentPoolMisses
 	if s.log, err = openLog(logPath, clean); err != nil {
-		heap.Close()
 		return nil, err
 	}
 	return s, nil
@@ -153,14 +114,8 @@ func (s *Store) replay(rec Record) error {
 	return nil
 }
 
-// Close syncs and closes the WAL and the segment heap.
-func (s *Store) Close() error {
-	err := s.log.Close()
-	if herr := s.heap.Close(); err == nil {
-		err = herr
-	}
-	return err
-}
+// Close syncs and closes the WAL.
+func (s *Store) Close() error { return s.log.Close() }
 
 // Append ingests one row: durable in the WAL (group-committed with
 // concurrent appends) and visible to the next Checkpoint, invisible to every
@@ -185,6 +140,11 @@ func (s *Store) Append(row Row) error {
 // digest-carrying checkpoint record (an explicit fsync point), and returns
 // the new epoch. With an empty delta it is a no-op returning the current
 // epoch.
+//
+// Nothing that can fail runs between enqueueing the record and publishing
+// the segment, so the live store and the log never disagree about which
+// rows an epoch holds: a failed fsync poisons the log (no later record is
+// written) and reopening recovers whatever reached the file.
 func (s *Store) Checkpoint() (uint64, error) {
 	s.mu.Lock()
 	if len(s.delta) == 0 {
@@ -198,47 +158,13 @@ func (s *Store) Checkpoint() (uint64, error) {
 		Rows:   uint64(seg.Rows()),
 		Digest: seg.Digest,
 	}})
-	if err := s.writeSegment(seg); err != nil {
-		s.mu.Unlock()
-		return 0, err
-	}
 	s.segs = append(s.segs, seg)
 	s.delta = s.delta[:0:0]
 	s.mu.Unlock()
 	if err := s.log.waitDurable(seq); err != nil {
 		return 0, err
 	}
-	return seg.Epoch, s.heap.Pool().FlushAll()
-}
-
-// writeSegment chunks the blob into the segment heap. Caller holds mu (or is
-// single-threaded recovery).
-func (s *Store) writeSegment(seg *Segment) error {
-	seg.rids = seg.rids[:0]
-	for off := 0; off < len(seg.Blob); off += segChunk {
-		end := min(off+segChunk, len(seg.Blob))
-		rid, err := s.heap.AppendLocated(seg.Blob[off:end])
-		if err != nil {
-			return err
-		}
-		seg.rids = append(seg.rids, rid)
-	}
-	return nil
-}
-
-// readSegment reassembles a segment's blob from the heap through the buffer
-// pool (the serve-path read; its page traffic lands in ServePoolStats).
-func (s *Store) readSegment(seg *Segment) ([]byte, error) {
-	blob := make([]byte, 0, len(seg.Blob))
-	var buf []byte
-	for _, rid := range seg.rids {
-		var err error
-		if buf, err = s.heap.FetchRecordInto(rid, buf); err != nil {
-			return nil, err
-		}
-		blob = append(blob, buf...)
-	}
-	return blob, nil
+	return seg.Epoch, nil
 }
 
 // Epoch returns the current snapshot epoch (the number of checkpoints).
@@ -273,15 +199,10 @@ func (s *Store) Recovery() RecoveryTiming { return s.recovery }
 // PoolStats is buffer-pool traffic attributable to one accounting domain.
 type PoolStats struct{ Hits, Misses int64 }
 
-// ServePoolStats returns the segment heap's page traffic excluding recovery
-// replay: the serve path's snapshot reads start from zero, so recovery can
-// never double-count into serving metrics.
-func (s *Store) ServePoolStats() PoolStats {
-	return PoolStats{
-		Hits:   s.heap.Pool().Hits.Load() - s.baseHits,
-		Misses: s.heap.Pool().Misses.Load() - s.baseMisses,
-	}
-}
+// ServePoolStats always returns zero: snapshots parse resident segments and
+// touch no buffer pool. It is kept because the benchmark's ingest workload
+// reports it.
+func (s *Store) ServePoolStats() PoolStats { return PoolStats{} }
 
 // Snapshot is a materialized dataset pinned to an epoch. The Dataset is
 // freshly allocated where it differs from the base (expression matrix,
@@ -296,9 +217,9 @@ type Snapshot struct {
 func (s *Store) Snapshot() (*Snapshot, error) { return s.SnapshotAt(s.Epoch()) }
 
 // SnapshotAt materializes the dataset as of epoch: the base plus the rows of
-// the first `epoch` segments, decoded from the segment heap. It is a pure
-// function of (base, epoch): two materializations — live or recovered —
-// produce bit-identical datasets (Snapshot.Hash pins it).
+// the first `epoch` segments, parsed (and validated) from their resident
+// blobs. It is a pure function of (base, epoch): two materializations — live
+// or recovered — produce bit-identical datasets (Snapshot.Hash pins it).
 func (s *Store) SnapshotAt(epoch uint64) (*Snapshot, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -310,11 +231,7 @@ func (s *Store) SnapshotAt(epoch uint64) (*Snapshot, error) {
 	}
 	var rows []Row
 	for _, seg := range s.segs[:epoch] {
-		blob, err := s.readSegment(seg)
-		if err != nil {
-			return nil, err
-		}
-		segRows, err := parseSegment(blob, s.base.Dims.Genes)
+		segRows, err := parseSegment(seg.Blob, s.base.Dims.Genes)
 		if err != nil {
 			return nil, err
 		}

@@ -1,7 +1,11 @@
 package wal
 
 import (
+	"errors"
 	"math"
+	"os"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"github.com/genbase/genbase/internal/datagen"
@@ -172,6 +176,13 @@ func TestWALStoreRecoveryMatchesLive(t *testing.T) {
 			t.Fatalf("segment %d digest diverged after recovery", i+1)
 		}
 	}
+	rt := r.Recovery()
+	if rt.Records != 21 || rt.Checkpoints != 2 || rt.BytesDiscarded != 0 {
+		t.Fatalf("recovery accounting %+v, want 21 records / 2 checkpoints / 0 discarded", rt)
+	}
+	if rt.Replay <= 0 || rt.BytesReplayed <= 0 {
+		t.Fatalf("recovery timing not populated: %+v", rt)
+	}
 	rs, err := r.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -179,56 +190,121 @@ func TestWALStoreRecoveryMatchesLive(t *testing.T) {
 	if rs.Hash() != liveHash {
 		t.Fatal("recovered snapshot hash diverged from live store")
 	}
-	rt := r.Recovery()
-	if rt.Records != 21 || rt.Checkpoints != 2 || rt.BytesDiscarded != 0 {
-		t.Fatalf("recovery accounting %+v, want 21 records / 2 checkpoints / 0 discarded", rt)
+	// Recovery is a side-effect-free read: serving a snapshot leaves it as
+	// it was.
+	if again := r.Recovery(); again != rt {
+		t.Fatalf("Recovery() changed after serving: %+v -> %+v", rt, again)
 	}
 }
 
-// TestWALRecoveryAccountingSeparate is the regression test for the
-// double-count fix: recovery replay's time and page traffic live in
-// RecoveryTiming only, and the serve path's pool accounting starts at zero
-// no matter how much work replay did.
-func TestWALRecoveryAccountingSeparate(t *testing.T) {
+// A checkpoint whose fsync fails leaves a directory that reopens: the log is
+// poisoned, so nothing is written after the failure, and every row whose
+// Append was acknowledged comes back (in a segment or in the delta). Nothing
+// fallible may run between enqueueing a checkpoint record and publishing its
+// segment; a step that could fail there would leave the record pending while
+// the rows stayed in the delta, and a later checkpoint would log the same
+// epoch twice.
+func TestWALStoreFailedCheckpointReopens(t *testing.T) {
 	base := testBase(t)
 	dir := t.TempDir()
-	s := openTestStore(t, dir, base)
-	gen := NewRowGen(base, 13)
-	appendN(t, s, gen, 40) // enough rows that the segment spans several chunks
+	s, err := Open(dir, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := NewRowGen(base, 17)
+	appendN(t, s, gen, 7)
 	if _, err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, s, gen, 5)
+	acked := 12
+
+	boom := errors.New("disk gone")
+	s.log.syncFn = func(*os.File) error { return boom }
+	if _, err := s.Checkpoint(); !errors.Is(err, boom) {
+		t.Fatalf("checkpoint with a failing fsync: %v, want %v", err, boom)
+	}
+	// The poisoned store refuses everything after: an append and a second
+	// checkpoint both fail, and neither reaches the file.
+	if err := s.Append(gen.Next()); !errors.Is(err, boom) {
+		t.Fatalf("append after a failed checkpoint: %v, want sticky %v", err, boom)
+	}
+	if _, err := s.Checkpoint(); !errors.Is(err, boom) {
+		t.Fatalf("second checkpoint after poison: %v, want sticky %v", err, boom)
+	}
+	if err := s.Close(); !errors.Is(err, boom) {
+		t.Fatalf("close of a poisoned store: %v, want sticky %v", err, boom)
+	}
+
+	r, err := Open(dir, base)
+	if err != nil {
+		t.Fatalf("reopen after a failed checkpoint: %v", err)
+	}
+	defer r.Close()
+	sn, err := r.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if have := sn.Dataset.Dims.Patients - base.Dims.Patients + r.DeltaRows(); have < acked {
+		t.Fatalf("%d acknowledged rows, %d recovered (epoch %d, delta %d)", acked, have, r.Epoch(), r.DeltaRows())
+	}
+}
+
+// openFiles counts this process's open file descriptors, or -1 where
+// /proc/self/fd is unavailable.
+func openFiles() int {
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return -1
+	}
+	return len(fds)
+}
+
+// A store's directory holds its log and nothing else, and a store's life —
+// appends, a checkpoint, a snapshot, a reopen — ends with every file it
+// opened closed.
+func TestWALStoreFilesFollowOpenAndClose(t *testing.T) {
+	// With the collector off, no finalizer can close a leaked file for us.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	base := testBase(t)
+	dir := t.TempDir()
+	fdsBefore := openFiles()
+
+	s, err := Open(dir, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, s, NewRowGen(base, 23), 9)
+	if _, err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	r := openTestStore(t, dir, base)
-	rt := r.Recovery()
-	if rt.Records != 41 || rt.Checkpoints != 1 {
-		t.Fatalf("recovery replayed %d records / %d checkpoints, want 41/1", rt.Records, rt.Checkpoints)
-	}
-	if rt.Replay <= 0 || rt.BytesReplayed <= 0 {
-		t.Fatalf("recovery timing not populated: %+v", rt)
-	}
-	if rt.SegmentPoolHits+rt.SegmentPoolMisses == 0 {
-		t.Fatal("recovery rebuilt a multi-chunk segment heap without pool traffic")
-	}
-	// Serve-path accounting starts clean: replay's page traffic must not
-	// leak into it.
-	if ps := r.ServePoolStats(); ps.Hits != 0 || ps.Misses != 0 {
-		t.Fatalf("serve pool stats %+v non-zero before any serve-path read", ps)
-	}
-	// A snapshot read moves serve stats but leaves recovery untouched —
-	// Recovery is a side-effect-free read returning identical values.
-	if _, err := r.Snapshot(); err != nil {
+	r, err := Open(dir, base)
+	if err != nil {
 		t.Fatal(err)
 	}
-	ps := r.ServePoolStats()
-	if ps.Hits+ps.Misses == 0 {
-		t.Fatal("snapshot read produced no serve-path pool traffic")
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if again := r.Recovery(); again != rt {
-		t.Fatalf("Recovery() changed after serving: %+v -> %+v", rt, again)
+
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if !slices.Equal(names, []string{logFile}) {
+		t.Fatalf("store directory holds %v, want only %s", names, logFile)
+	}
+	if fdsAfter := openFiles(); fdsAfter != fdsBefore {
+		t.Fatalf("%d open files before Open, %d after the last Close", fdsBefore, fdsAfter)
 	}
 }
 
