@@ -631,8 +631,8 @@ func BenchmarkAblationColumnCompression(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationExportFormat: text COPY vs binary UDF hand-off for the
-// same matrix (the "+ R" glue cost).
+// BenchmarkAblationExportFormat: the text COPY stream vs the zero-copy UDF
+// hand-off colstore-udf runs, for the same matrix (the "+ R" glue cost).
 func BenchmarkAblationExportFormat(b *testing.B) {
 	m := randomMatrix(250, 250, 5)
 	ctx := context.Background()
@@ -645,9 +645,9 @@ func BenchmarkAblationExportFormat(b *testing.B) {
 			}
 		}
 	})
-	b.Run("udf-binary", func(b *testing.B) {
+	b.Run("zero-copy", func(b *testing.B) {
 		b.ReportAllocs()
-		g := analytics.BinaryGlue{}
+		g := analytics.ZeroCopyGlue{}
 		for i := 0; i < b.N; i++ {
 			if _, err := g.TransferMatrix(ctx, m); err != nil {
 				b.Fatal(err)
@@ -656,17 +656,24 @@ func BenchmarkAblationExportFormat(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationChunkSize: SciDB covariance kernel across chunk sizes.
+// BenchmarkAblationChunkSize: what SciDB's covariance query does across
+// chunk sizes — chunk the matrix, gather the selected patients' rows
+// chunk-aligned into one dense matrix, then run the shared covariance kernel.
 func BenchmarkAblationChunkSize(b *testing.B) {
 	m := randomMatrix(500, 400, 7)
+	var rows []int64
+	for i := 0; i < m.Rows; i += 2 {
+		rows = append(rows, int64(i))
+	}
 	for _, chunk := range []int{32, 128, 256, 512} {
 		chunk := chunk
 		b.Run(fmt.Sprintf("chunk=%d", chunk), func(b *testing.B) {
 			b.ReportAllocs()
-			a := arraydb.FromMatrix(m, chunk, chunk)
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				a.Covariance()
+				x := arraydb.FromMatrix(m, chunk, chunk).GatherRowsDense(rows)
+				cov := linalg.CovarianceP(x, 0)
+				linalg.PutMatrix(x)
+				linalg.PutMatrix(cov)
 			}
 		})
 	}
@@ -703,7 +710,6 @@ func BenchmarkAblationNetworkBandwidth(b *testing.B) {
 func BenchmarkXeonPhiOffload(b *testing.B) {
 	dev := xeonphi.NewDevice5110P()
 	m := randomMatrix(300, 300, 9)
-	a := arraydb.FromMatrix(m, 128, 128)
 	ctx := context.Background()
 	for _, kind := range []string{xeonphi.KindGEMM, xeonphi.KindBicluster} {
 		kind := kind
@@ -712,7 +718,7 @@ func BenchmarkXeonPhiOffload(b *testing.B) {
 			var modeled float64
 			for i := 0; i < b.N; i++ {
 				compute, transfer, err := dev.Offload(ctx, kind, 720000, 720000, func() error {
-					a.Covariance()
+					linalg.PutMatrix(linalg.CovarianceP(m, 0))
 					return nil
 				})
 				if err != nil {

@@ -2,12 +2,12 @@
 // external analytics runtime. The paper's configurations 3–5 differ mainly
 // in this layer: "Postgres + R" and "column store + R" export query results
 // through a text COPY stream that R re-parses (expensive, O(N) with a large
-// constant), while "column store + UDFs" passes data to in-process UDFs with
-// a binary copy (cheap). DESIGN.md §2.3 documents the one deliberate
-// exception: the biclustering UDF crosses the boundary through the text path
-// once per extracted bicluster, reproducing the interface problem the paper
-// observed ("there seem to be some issues with this interface ... such as
-// the biclustering query").
+// constant), while "column store + UDFs" hands its matrices to in-process
+// UDFs without a copy (ZeroCopyGlue). DESIGN.md §2.3 documents the one
+// deliberate exception: the biclustering UDF crosses the boundary through
+// the text path once per extracted bicluster, reproducing the interface
+// problem the paper observed ("there seem to be some issues with this
+// interface ... such as the biclustering query").
 package analytics
 
 import (
@@ -21,9 +21,10 @@ import (
 	"github.com/genbase/genbase/internal/parallel"
 )
 
-// Glue moves data between the DBMS process and the analytics runtime,
-// returning a copy the analytics side owns. Implementations differ in cost,
-// not semantics: values round-trip exactly.
+// Glue moves data between the DBMS process and the analytics runtime.
+// Implementations differ in cost, not semantics: values round-trip exactly,
+// whether the runtime receives a parsed copy (TextGlue) or the DBMS's own
+// matrix (ZeroCopyGlue).
 type Glue interface {
 	Name() string
 	TransferMatrix(ctx context.Context, m *linalg.Matrix) (*linalg.Matrix, error)
@@ -248,31 +249,6 @@ func (ZeroCopyGlue) TransferVector(ctx context.Context, v []float64) ([]float64,
 		return nil, err
 	}
 	return v, nil
-}
-
-// BinaryGlue is a copying in-process boundary: a flat binary copy. No
-// engine uses it; it is the binary side of the export-format ablation bench.
-type BinaryGlue struct{}
-
-// Name implements Glue.
-func (BinaryGlue) Name() string { return "udf-binary" }
-
-// TransferMatrix implements Glue.
-func (BinaryGlue) TransferMatrix(ctx context.Context, m *linalg.Matrix) (*linalg.Matrix, error) {
-	if err := engine.CheckCtx(ctx); err != nil {
-		return nil, err
-	}
-	return m.Clone(), nil
-}
-
-// TransferVector implements Glue.
-func (BinaryGlue) TransferVector(ctx context.Context, v []float64) ([]float64, error) {
-	if err := engine.CheckCtx(ctx); err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(v))
-	copy(out, v)
-	return out, nil
 }
 
 // TransferMatrixTimed ships x across the glue boundary under the transfer

@@ -91,56 +91,33 @@ func TestTextGlueCancellation(t *testing.T) {
 	}
 }
 
-func TestBinaryGlueCopies(t *testing.T) {
-	m := linalg.NewMatrix(3, 3)
-	m.Set(1, 1, 7)
-	out, err := BinaryGlue{}.TransferMatrix(context.Background(), m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.At(1, 1) != 7 {
-		t.Fatal("copy wrong")
-	}
-	out.Set(1, 1, 8)
-	if m.At(1, 1) != 7 {
-		t.Fatal("binary glue must copy")
-	}
-	v, err := BinaryGlue{}.TransferVector(context.Background(), []float64{1, 2})
-	if err != nil || v[1] != 2 {
-		t.Fatal("vector copy wrong")
-	}
-}
-
 func TestGlueNames(t *testing.T) {
-	if (TextGlue{}).Name() != "text-copy" || (BinaryGlue{}).Name() != "udf-binary" {
+	if (TextGlue{}).Name() != "text-copy" || (ZeroCopyGlue{}).Name() != "zero-copy" {
 		t.Fatal("names")
 	}
 }
 
-// The whole point of the two glues: text export costs more than binary.
-func TestTextSlowerThanBinary(t *testing.T) {
-	m := linalg.NewMatrix(400, 400)
-	for i := range m.Data {
-		m.Data[i] = float64(i) * 1.000000001
+// TestZeroCopyGlueHandsOff pins the UDF boundary colstore-udf runs: the
+// kernels receive the caller's matrix and vector themselves, not copies, and
+// a cancelled context still stops the hand-off.
+func TestZeroCopyGlueHandsOff(t *testing.T) {
+	m := linalg.NewMatrix(3, 2)
+	v := []float64{1, 2, 3}
+	out, err := ZeroCopyGlue{}.TransferMatrix(context.Background(), m)
+	if err != nil || out != m {
+		t.Fatalf("TransferMatrix returned %p (err %v), want the input %p", out, err, m)
 	}
-	ctx := context.Background()
-	timeIt := func(g Glue) float64 {
-		best := math.Inf(1)
-		for i := 0; i < 3; i++ {
-			start := nowSeconds()
-			if _, err := g.TransferMatrix(ctx, m); err != nil {
-				t.Fatal(err)
-			}
-			if d := nowSeconds() - start; d < best {
-				best = d
-			}
-		}
-		return best
+	ov, err := ZeroCopyGlue{}.TransferVector(context.Background(), v)
+	if err != nil || len(ov) != len(v) || &ov[0] != &v[0] {
+		t.Fatalf("TransferVector must return the input slice (err %v)", err)
 	}
-	text := timeIt(TextGlue{})
-	bin := timeIt(BinaryGlue{})
-	if text <= bin {
-		t.Fatalf("text (%v) should cost more than binary (%v)", text, bin)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := (ZeroCopyGlue{}).TransferMatrix(ctx, m); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled matrix hand-off: want context.Canceled, got %v", err)
+	}
+	if _, err := (ZeroCopyGlue{}).TransferVector(ctx, v); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled vector hand-off: want context.Canceled, got %v", err)
 	}
 }
 
@@ -160,13 +137,13 @@ func noLeak(t *testing.T) {
 	})
 }
 
-// TestGluesAgreeOnEmptyShapes holds the three glues to one contract on
+// TestGluesAgreeOnEmptyShapes holds both glues to one contract on
 // zero-row and zero-column inputs, where the text stream is empty or made of
 // empty lines.
 func TestGluesAgreeOnEmptyShapes(t *testing.T) {
 	noLeak(t)
 	ctx := context.Background()
-	glues := []Glue{TextGlue{}, BinaryGlue{}, ZeroCopyGlue{}}
+	glues := []Glue{TextGlue{}, ZeroCopyGlue{}}
 	for _, sh := range [][2]int{{0, 0}, {0, 4}, {4, 0}, {1, 1}, {1, 4}, {4, 1}} {
 		m := linalg.NewMatrix(sh[0], sh[1])
 		for i := range m.Data {
@@ -280,5 +257,3 @@ func TestTextGlueAllocsDoNotGrowWithRows(t *testing.T) {
 		t.Fatalf("1000×750 transfer makes %v allocations, more than twice the %v of 100×750 plus 8", large, small)
 	}
 }
-
-func nowSeconds() float64 { return float64(time.Now().UnixNano()) / 1e9 }

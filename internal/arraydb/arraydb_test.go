@@ -2,13 +2,16 @@ package arraydb
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"github.com/genbase/genbase/internal/datagen"
 	"github.com/genbase/genbase/internal/engine"
 	"github.com/genbase/genbase/internal/linalg"
+	"github.com/genbase/genbase/internal/plan"
 	"github.com/genbase/genbase/internal/rengine"
 )
 
@@ -36,16 +39,26 @@ func TestFromMatrixRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAtSetAcrossChunks(t *testing.T) {
-	a := NewArray2D(10, 10, 3, 4)
-	a.Set(9, 9, 5)
-	a.Set(0, 0, 1)
-	a.Set(3, 4, 2) // exactly on chunk boundaries
-	if a.At(9, 9) != 5 || a.At(0, 0) != 1 || a.At(3, 4) != 2 {
-		t.Fatal("cross-chunk addressing broken")
+// TestChunkGridAcrossBoundaries checks the chunk grid of a 10×10 array over
+// 3×4 chunks — ragged last chunk row and column — and that rows copied out
+// across chunk boundaries hold what was stored.
+func TestChunkGridAcrossBoundaries(t *testing.T) {
+	m := randMatrix(10, 10, 1)
+	a := FromMatrix(m, 3, 4)
+	if len(a.tiles) != 4*3 {
+		t.Fatalf("tiles=%d", len(a.tiles))
 	}
-	if a.NumTiles() != 4*3 {
-		t.Fatalf("tiles=%d", a.NumTiles())
+	if last := a.tiles[len(a.tiles)-1]; last.r != 1 || last.c != 2 {
+		t.Fatalf("last chunk is %d×%d, want 1×2", last.r, last.c)
+	}
+	row := make([]float64, a.Cols)
+	for _, i := range []int{0, 3, 9} {
+		a.CopyRow(i, row)
+		for j, v := range m.Row(i) {
+			if row[j] != v {
+				t.Fatalf("cross-chunk addressing broken at (%d,%d)", i, j)
+			}
+		}
 	}
 }
 
@@ -81,7 +94,7 @@ func TestGatherRowsCols(t *testing.T) {
 	m := randMatrix(20, 15, 3)
 	a := FromMatrix(m, 6, 6)
 	rows := []int64{3, 7, 19}
-	sub := gatherRows(a, rows)
+	sub := gatherRows(a, rows).Materialize()
 	for k, i := range rows {
 		for j := 0; j < 15; j++ {
 			if sub.At(k, j) != m.At(int(i), j) {
@@ -90,57 +103,12 @@ func TestGatherRowsCols(t *testing.T) {
 		}
 	}
 	cols := []int64{0, 14, 5}
-	subc := gatherCols(a, cols)
+	subc := gatherCols(a, cols).Materialize()
 	for i := 0; i < 20; i++ {
 		for k, j := range cols {
 			if subc.At(i, k) != m.At(i, int(j)) {
 				t.Fatalf("col gather wrong at (%d,%d)", i, k)
 			}
-		}
-	}
-}
-
-// The chunked covariance kernel must be bit-identical to the dense one.
-func TestChunkedCovarianceBitIdentical(t *testing.T) {
-	f := func(seed uint64) bool {
-		m := randMatrix(int(seed%40)+2, int((seed>>8)%20)+2, seed)
-		a := FromMatrix(m, 7, 5)
-		return linalg.MaxAbsDiff(a.Covariance(), linalg.Covariance(m)) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestChunkedColumnMeansBitIdentical(t *testing.T) {
-	m := randMatrix(33, 17, 9)
-	a := FromMatrix(m, 8, 8)
-	got := a.ColumnMeans()
-	want := linalg.ColumnMeans(m)
-	for j := range want {
-		if got[j] != want[j] {
-			t.Fatalf("mean[%d] differs", j)
-		}
-	}
-}
-
-// The chunked AᵀA operator must match the dense operator bit-for-bit so
-// Lanczos runs identically.
-func TestChunkedATAOperatorBitIdentical(t *testing.T) {
-	m := randMatrix(29, 13, 11)
-	a := FromMatrix(m, 6, 4)
-	op := NewATAOperator(a)
-	dense := linalg.ATAOperator{A: m}
-	x := make([]float64, 13)
-	rng := datagen.NewRNG(5)
-	for i := range x {
-		x[i] = rng.Float64()
-	}
-	got := op.Apply(x)
-	want := dense.Apply(x)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Apply[%d]: %v vs %v", i, got[i], want[i])
 		}
 	}
 }
@@ -228,17 +196,39 @@ func TestNoTransferWithoutAccelerator(t *testing.T) {
 	}
 }
 
-func TestCustomChunkSize(t *testing.T) {
+// TestMultiChunkEngineMatchesReference loads a dataset wider than one chunk
+// on both axes (1300 patients × 325 genes over DefaultChunk), so every pivot
+// goes through the chunk-aligned gathers, and holds every scenario's answer
+// to vanilla R bit for bit.
+func TestMultiChunkEngineMatchesReference(t *testing.T) {
+	ds := datagen.MustGenerate(datagen.Config{Size: datagen.Small, Scale: 1.3, PatientScale: 4, Seed: 2})
 	e := New()
-	e.ChunkSize = 16
-	if err := e.Load(testDataset()); err != nil {
+	if err := e.Load(ds); err != nil {
 		t.Fatal(err)
 	}
-	if e.expr.ChunkR != 16 {
-		t.Fatal("chunk size not applied")
+	if e.expr.Rows <= DefaultChunk || e.expr.Cols <= DefaultChunk {
+		t.Fatalf("%d×%d fits in one chunk row or column", e.expr.Rows, e.expr.Cols)
 	}
-	if _, err := e.Run(context.Background(), engine.Q4SVD, engine.DefaultParams()); err != nil {
+	if _, ok := e.expr.DenseView(); ok {
+		t.Fatal("a multi-chunk array must not offer a dense view")
+	}
+	r := rengine.New()
+	if err := r.Load(ds); err != nil {
 		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, q := range engine.AllScenarios() {
+		want, err := r.Run(ctx, q, engine.DefaultParams())
+		if err != nil {
+			t.Fatalf("vanilla-r %v: %v", q, err)
+		}
+		got, err := e.Run(ctx, q, engine.DefaultParams())
+		if err != nil {
+			t.Fatalf("scidb %v: %v", q, err)
+		}
+		if !reflect.DeepEqual(got.Answer, want.Answer) {
+			t.Fatalf("%v: multi-chunk answer differs from vanilla-r", q)
+		}
 	}
 }
 
@@ -273,8 +263,9 @@ func TestDenseViewSingleChunkOnly(t *testing.T) {
 	if linalg.MaxAbsDiff(v, m) != 0 {
 		t.Fatal("view content wrong")
 	}
-	// The view aliases the tile: writes through the array show in the view.
-	single.Set(3, 4, 123.5)
+	// The view aliases the tile: writes to the array's storage show in the
+	// view.
+	single.tiles[0].data[3*single.Cols+4] = 123.5
 	if v.At(3, 4) != 123.5 {
 		t.Fatal("view does not alias array storage")
 	}
@@ -282,4 +273,99 @@ func TestDenseViewSingleChunkOnly(t *testing.T) {
 	if _, ok := multi.DenseView(); ok {
 		t.Fatal("multi-chunk array must not pretend to be dense")
 	}
+}
+
+// TestChunkingsKeepCovarianceBits runs Q2's array path at several chunk
+// sides — chunk the matrix, gather the selected rows dense, run
+// linalg.CovarianceP — and holds each to the covariance of the same rows
+// copied out of the dense matrix, bit for bit: chunking moves where cells
+// live, never the values the kernel reads.
+func TestChunkingsKeepCovarianceBits(t *testing.T) {
+	m := randMatrix(70, 45, 11)
+	rows := []int64{0, 2, 5, 17, 33, 34, 64, 69}
+	sel := linalg.NewMatrix(len(rows), m.Cols)
+	for k, i := range rows {
+		copy(sel.Row(k), m.Row(int(i)))
+	}
+	want := linalg.CovarianceP(sel, 0)
+	for _, chunk := range []int{1, 7, 16, DefaultChunk} {
+		t.Run(fmt.Sprintf("chunk=%d", chunk), func(t *testing.T) {
+			x := FromMatrix(m, chunk, chunk).GatherRowsDense(rows)
+			got := linalg.CovarianceP(x, 0)
+			linalg.PutMatrix(x)
+			for i := 0; i < want.Rows; i++ {
+				for j := 0; j < want.Cols; j++ {
+					if math.Float64bits(got.At(i, j)) != math.Float64bits(want.At(i, j)) {
+						t.Fatalf("cov(%d,%d) = %v, want %v", i, j, got.At(i, j), want.At(i, j))
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestSelectIDsMatchesDatasetScan holds the predicate pushdown over the
+// attribute pages Load builds from the dataset to a plain scan of the
+// dataset's records, one selectable attribute (and Q3's conjunction) per
+// case. A column with no page is refused.
+func TestSelectIDsMatchesDatasetScan(t *testing.T) {
+	ds := datagen.MustGenerate(datagen.Config{Size: datagen.Small, Seed: 7})
+	e := New()
+	if err := e.Load(ds); err != nil {
+		t.Fatal(err)
+	}
+	pats, genes := ds.Patients, ds.Genes
+	disease := int64(pats[0].DiseaseID)
+	for _, tc := range []struct {
+		name  string
+		table string
+		preds []plan.Pred
+		keep  func(i int) bool
+	}{
+		{"age", plan.TablePatients, []plan.Pred{{Col: plan.ColAge, Op: plan.CmpLT, Val: 40}},
+			func(i int) bool { return pats[i].Age < 40 }},
+		{"gender", plan.TablePatients, []plan.Pred{{Col: plan.ColGender, Op: plan.CmpEQ, Val: 'M'}},
+			func(i int) bool { return pats[i].Gender == 'M' }},
+		{"diseaseid", plan.TablePatients, []plan.Pred{{Col: plan.ColDiseaseID, Op: plan.CmpEQ, Val: disease}},
+			func(i int) bool { return int64(pats[i].DiseaseID) == disease }},
+		{"gender-and-age", plan.TablePatients, []plan.Pred{
+			{Col: plan.ColGender, Op: plan.CmpEQ, Val: 'M'},
+			{Col: plan.ColAge, Op: plan.CmpLT, Val: 40},
+		}, func(i int) bool { return pats[i].Gender == 'M' && pats[i].Age < 40 }},
+		{"function", plan.TableGenes, []plan.Pred{{Col: plan.ColFunction, Op: plan.CmpLT, Val: 250}},
+			func(i int) bool { return genes[i].Function < 250 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := len(pats)
+			if tc.table == plan.TableGenes {
+				n = len(genes)
+			}
+			var want []int64
+			for i := 0; i < n; i++ {
+				if tc.keep(i) {
+					want = append(want, int64(i))
+				}
+			}
+			if len(want) == 0 || len(want) == n {
+				t.Fatalf("predicate keeps %d of %d rows; the case must split the table", len(want), n)
+			}
+			got, err := e.SelectIDs(context.Background(), tc.table, tc.preds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("SelectIDs = %v, want %v", got, want)
+			}
+		})
+	}
+	t.Run("no-page", func(t *testing.T) {
+		for _, p := range []struct{ table, col string }{
+			{plan.TablePatients, plan.ColDrugResponse},
+			{plan.TableGenes, plan.ColAge},
+		} {
+			if _, err := e.SelectIDs(context.Background(), p.table, []plan.Pred{{Col: p.col, Op: plan.CmpLT, Val: 1}}); err == nil {
+				t.Fatalf("select over %s.%s must fail: it has no attribute page", p.table, p.col)
+			}
+		}
+	})
 }

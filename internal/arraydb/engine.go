@@ -14,8 +14,6 @@ import (
 // Engine is the SciDB configuration. An optional Accelerator offloads the
 // analytics kernels (the paper's §5 Xeon Phi experiments plug in here).
 type Engine struct {
-	// ChunkSize overrides the default 256×256 chunking (ablation bench).
-	ChunkSize int
 	// Workers is the analytics-kernel worker count (0 = the GENBASE_PARALLEL
 	// / NumCPU default). Answers are bitwise identical at any value; with an
 	// accelerator attached it also sets the host-side kernel parallelism the
@@ -26,21 +24,22 @@ type Engine struct {
 	Accel Accelerator
 
 	expr *Array2D
-	// 1-D attribute arrays indexed by patient id.
-	age, gender, disease []int64
-	drugResponse         []float64
-	// 1-D attribute arrays indexed by gene id.
-	function []int64
-	// Compressed twins of the attribute arrays (internal/colpage), built at
-	// Load: SelectIDs pushes structured predicates down to these instead of
-	// scanning dense.
-	attrPages map[string]*colpage.IntPage
+	// 1-D attribute arrays the scans read: drug response indexed by patient
+	// id, gene function indexed by gene id.
+	drugResponse []float64
+	function     []int64
+	// The selectable attributes as encoded pages (internal/colpage), built
+	// at Load: SelectIDs pushes structured predicates down to these.
+	attrPages map[attrKey]*colpage.IntPage
 	// GO membership in array form: belongs[gene, term].
 	goArr   []uint8
 	numPats int
 	numGen  int
 	numTerm int
 }
+
+// attrKey names an attribute array by its IR table and column.
+type attrKey struct{ table, col string }
 
 // Accelerator abstracts the coprocessor offload used by the SciDB + Xeon Phi
 // configuration: it executes a kernel (for correctness) and returns the
@@ -55,7 +54,7 @@ type Accelerator interface {
 	Offload(ctx context.Context, kind string, inBytes, outBytes int64, kernel func() error) (compute, transfer float64, err error)
 }
 
-// New creates an arraydb engine with default chunking.
+// New creates an arraydb engine; Load chunks the microarray at DefaultChunk.
 func New() *Engine { return &Engine{} }
 
 // Name implements engine.Engine.
@@ -78,27 +77,22 @@ func (e *Engine) SetWorkers(n int) { e.Workers = n }
 // Close implements engine.Engine: the engine returns to its not-loaded
 // state.
 func (e *Engine) Close() error {
-	e.expr, e.attrPages, e.goArr = nil, nil, nil
-	e.age, e.gender, e.disease, e.function, e.drugResponse = nil, nil, nil, nil, nil
+	e.expr, e.attrPages, e.goArr, e.function, e.drugResponse = nil, nil, nil, nil, nil
 	return nil
 }
 
 // Load implements engine.Engine: everything is stored natively as arrays.
 func (e *Engine) Load(ds *datagen.Dataset) error {
-	cs := e.ChunkSize
-	if cs <= 0 {
-		cs = DefaultChunk
-	}
-	e.expr = FromMatrix(ds.Expression, cs, cs)
+	e.expr = FromMatrix(ds.Expression, DefaultChunk, DefaultChunk)
 	p := ds.Dims.Patients
-	e.age = make([]int64, p)
-	e.gender = make([]int64, p)
-	e.disease = make([]int64, p)
+	age := make([]int64, p)
+	gender := make([]int64, p)
+	disease := make([]int64, p)
 	e.drugResponse = make([]float64, p)
 	for i, pt := range ds.Patients {
-		e.age[i] = int64(pt.Age)
-		e.gender[i] = int64(pt.Gender)
-		e.disease[i] = int64(pt.DiseaseID)
+		age[i] = int64(pt.Age)
+		gender[i] = int64(pt.Gender)
+		disease[i] = int64(pt.DiseaseID)
 		e.drugResponse[i] = pt.DrugResponse
 	}
 	e.function = make([]int64, ds.Dims.Genes)
@@ -108,11 +102,11 @@ func (e *Engine) Load(ds *datagen.Dataset) error {
 	e.goArr = make([]uint8, len(ds.GO))
 	copy(e.goArr, ds.GO)
 	e.numPats, e.numGen, e.numTerm = p, ds.Dims.Genes, ds.Dims.GOTerms
-	e.attrPages = map[string]*colpage.IntPage{
-		plan.ColAge:       colpage.BuildInt(e.age),
-		plan.ColGender:    colpage.BuildInt(e.gender),
-		plan.ColDiseaseID: colpage.BuildInt(e.disease),
-		plan.ColFunction:  colpage.BuildInt(e.function),
+	e.attrPages = map[attrKey]*colpage.IntPage{
+		{plan.TablePatients, plan.ColAge}:       colpage.BuildInt(age),
+		{plan.TablePatients, plan.ColGender}:    colpage.BuildInt(gender),
+		{plan.TablePatients, plan.ColDiseaseID}: colpage.BuildInt(disease),
+		{plan.TableGenes, plan.ColFunction}:     colpage.BuildInt(e.function),
 	}
 	return nil
 }

@@ -25,22 +25,6 @@ func (e *Engine) Capabilities() plan.OpSet { return plan.AllOps() }
 // Dims implements plan.Physical.
 func (e *Engine) Dims() (int, int) { return e.numPats, e.numGen }
 
-// attrOf resolves an IR column to its 1-D attribute array.
-func (e *Engine) attrOf(table, col string) ([]int64, error) {
-	switch {
-	case table == plan.TableGenes && col == plan.ColFunction:
-		return e.function, nil
-	case table == plan.TablePatients && col == plan.ColAge:
-		return e.age, nil
-	case table == plan.TablePatients && col == plan.ColGender:
-		return e.gender, nil
-	case table == plan.TablePatients && col == plan.ColDiseaseID:
-		return e.disease, nil
-	default:
-		return nil, fmt.Errorf("arraydb: no attribute array for %s.%s", table, col)
-	}
-}
-
 // SelectIDs implements plan.Physical (ids are array coordinates).
 // Predicates push down to the encoded attribute pages (dictionary-code
 // equality, RLE run skipping, packed-word range tests — DESIGN.md §15) and
@@ -61,10 +45,10 @@ func (e *Engine) SelectIDs(_ context.Context, table string, preds []plan.Pred) (
 	}
 	var sel []int32
 	for i, p := range preds {
-		if _, err := e.attrOf(table, p.Col); err != nil {
-			return nil, err
+		pg, ok := e.attrPages[attrKey{table, p.Col}]
+		if !ok {
+			return nil, fmt.Errorf("arraydb: no attribute array for %s.%s", table, p.Col)
 		}
-		pg := e.attrPages[p.Col]
 		cp := colpage.Pred{Op: colpage.LT, Val: p.Val}
 		if p.Op == plan.CmpEQ {
 			cp.Op = colpage.EQ
@@ -99,9 +83,7 @@ func (e *Engine) ScanFloats(_ context.Context, table, col string, ids []int64) (
 
 // Pivot implements plan.Physical: chunk-aligned subarray gathers that land
 // the selection in one pooled dense matrix in a single pass (a single-chunk
-// array's full pivot is a view of its tile). The chunked operators
-// (Array2D.CovarianceP, NewATAOperatorP) accumulate in the same element
-// order as the dense kernels and remain exercised by the arraydb unit tests.
+// array's full pivot is a view of its tile).
 func (e *Engine) Pivot(ctx context.Context, patientIDs, geneIDs []int64) (*linalg.Matrix, error) {
 	var x *linalg.Matrix
 	switch {

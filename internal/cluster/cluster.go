@@ -548,11 +548,6 @@ func (c *Cluster) MakespanSeconds() float64 {
 	return max
 }
 
-// Makespan is MakespanSeconds as a duration.
-func (c *Cluster) Makespan() time.Duration {
-	return time.Duration(c.MakespanSeconds() * 1e9)
-}
-
 // Partition splits n items into per-node contiguous ranges: node i owns
 // [starts[i], starts[i+1]).
 func (c *Cluster) Partition(n int) []int {

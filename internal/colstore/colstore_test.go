@@ -61,9 +61,8 @@ func TestIntColumnRoundTrip(t *testing.T) {
 		if c.Len() != len(vals) {
 			return false
 		}
-		got := c.Materialize()
 		for i := range vals {
-			if got[i] != vals[i] || c.At(i) != vals[i] {
+			if c.At(i) != vals[i] {
 				return false
 			}
 		}
@@ -119,7 +118,7 @@ func TestSelectRefineConjunction(t *testing.T) {
 	}
 }
 
-func TestGatherAndCompressedBytes(t *testing.T) {
+func TestGather(t *testing.T) {
 	vals := make([]int64, 100)
 	for i := range vals {
 		vals[i] = int64(i / 25)
@@ -127,17 +126,6 @@ func TestGatherAndCompressedBytes(t *testing.T) {
 	c := BuildIntColumn(vals)
 	got := c.Gather([]int32{0, 30, 99}, nil)
 	if got[0] != 0 || got[1] != 1 || got[2] != 3 {
-		t.Fatalf("gather=%v", got)
-	}
-	if c.CompressedBytes() >= 800 {
-		t.Fatalf("RLE should compress: %d bytes", c.CompressedBytes())
-	}
-}
-
-func TestGatherFloat(t *testing.T) {
-	col := []float64{0, 10, 20, 30}
-	got := GatherFloat(col, []int32{3, 1}, nil)
-	if got[0] != 30 || got[1] != 10 {
 		t.Fatalf("gather=%v", got)
 	}
 }
@@ -159,6 +147,39 @@ func loadedPair(t *testing.T, mode Mode) (*Engine, *rengine.Engine) {
 		t.Fatal(err)
 	}
 	return c, r
+}
+
+// TestLoadStoresValuesPatientMajor pins what Load keeps of the microarray:
+// its value column alone, written patient-major, so it is the expression
+// matrix in row-major order. Close drops it, and with it the not-loaded
+// check fails Run.
+func TestLoadStoresValuesPatientMajor(t *testing.T) {
+	ds := testDataset()
+	e := New(ModeUDF)
+	if err := e.Load(ds); err != nil {
+		t.Fatal(err)
+	}
+	p, g := ds.Dims.Patients, ds.Dims.Genes
+	if len(e.vals) != p*g {
+		t.Fatalf("value column holds %d cells, want %d×%d", len(e.vals), p, g)
+	}
+	for pi := 0; pi < p; pi++ {
+		for gi, v := range ds.Expression.Row(pi) {
+			if math.Float64bits(e.vals[pi*g+gi]) != math.Float64bits(v) {
+				t.Fatalf("vals[%d] = %v, want expression (%d,%d) = %v", pi*g+gi, e.vals[pi*g+gi], pi, gi, v)
+			}
+		}
+	}
+	if _, err := e.Run(context.Background(), engine.Q4SVD, engine.DefaultParams()); err != nil {
+		t.Fatalf("loaded engine: %v", err)
+	}
+	e.Close()
+	if e.vals != nil {
+		t.Fatal("Close must drop the value column")
+	}
+	if _, err := e.Run(context.Background(), engine.Q4SVD, engine.DefaultParams()); err == nil {
+		t.Fatal("Run after Close must fail")
+	}
 }
 
 func TestNames(t *testing.T) {
@@ -282,19 +303,6 @@ func TestUDFRegressionCheaperTransferThanR(t *testing.T) {
 	}
 	if ru.Timing.Transfer >= rr.Timing.Transfer {
 		t.Fatalf("UDF transfer %v should be cheaper than text export %v", ru.Timing.Transfer, rr.Timing.Transfer)
-	}
-}
-
-func TestFloatViewAliasesColumn(t *testing.T) {
-	vals := []float64{1.5, 2.5, 3.5}
-	tb := NewTable("t", 3).AddFloat("v", vals)
-	v := tb.FloatView("v")
-	if v.Rows != 3 || v.Cols != 1 || v.At(2, 0) != 3.5 {
-		t.Fatalf("view wrong: %dx%d", v.Rows, v.Cols)
-	}
-	vals[1] = -9 // zero-copy: the view sees source mutations
-	if v.At(1, 0) != -9 {
-		t.Fatal("FloatView copied instead of aliasing")
 	}
 }
 

@@ -5,16 +5,15 @@
 // Structured predicates are pushed down to the encoded form (DESIGN.md
 // §15). Like the paper's configurations 4–5 it runs in two analytics modes:
 // exporting to an external R (text COPY) or calling R through an
-// in-process UDF interface. Float columns are stored as plain aligned
-// []float64 and can be handed to the kernels as zero-copy column views
-// (FloatView); Materialize decodes a whole compressed integer column.
+// in-process UDF interface. Float columns are stored as plain []float64;
+// the microarray is its patient-major value column alone, which the pivot
+// hands to the kernels as a zero-copy view or a pooled gather.
 package colstore
 
 import (
 	"fmt"
 
 	"github.com/genbase/genbase/internal/colpage"
-	"github.com/genbase/genbase/internal/linalg"
 )
 
 // Encoding names an integer column's physical layout (the colpage
@@ -82,14 +81,6 @@ func (c *IntColumn) Gather(sel []int32, out []int64) []int64 {
 	return c.page.Gather(sel, out[:0])
 }
 
-// Materialize decodes the whole column.
-func (c *IntColumn) Materialize() []int64 {
-	return c.page.AppendTo(make([]int64, 0, c.page.Len()))
-}
-
-// CompressedBytes is the column's encoded storage footprint.
-func (c *IntColumn) CompressedBytes() int { return c.page.EncodedBytes() }
-
 // Table is a named collection of equal-length columns.
 type Table struct {
 	Name string
@@ -141,21 +132,4 @@ func (t *Table) Float(name string) []float64 {
 		panic(fmt.Sprintf("colstore: no float column %q in %s", name, t.Name))
 	}
 	return c
-}
-
-// FloatView exposes a float column as an n×1 zero-copy matrix view over the
-// column's backing storage — the kernels read it in place, no decode, no
-// copy. The view aliases the column: see the ownership rules in
-// internal/linalg/view.go.
-func (t *Table) FloatView(name string) *linalg.Matrix {
-	return linalg.DenseView(t.Float(name), t.n, 1)
-}
-
-// GatherFloat gathers a float column through a selection vector.
-func GatherFloat(col []float64, sel []int32, out []float64) []float64 {
-	out = out[:0]
-	for _, i := range sel {
-		out = append(out, col[i])
-	}
-	return out
 }

@@ -19,7 +19,7 @@ type Mode int
 const (
 	// ModeR exports to an external R process through a text COPY stream.
 	ModeR Mode = iota
-	// ModeUDF calls R as in-database user-defined functions: a cheap binary
+	// ModeUDF calls R as in-database user-defined functions: a zero-copy
 	// in-process hand-off — except the biclustering UDF, whose interface
 	// re-serializes the matrix through the text path for every extracted
 	// bicluster (the paper: "there seem to be some issues with this
@@ -36,16 +36,16 @@ type Engine struct {
 
 	mode Mode
 
-	micro *Table // geneid, patientid, value — narrow, patient-major
 	pats  *Table
 	genes *Table
 	goTab *Table
 
 	numPatients, numGenes, numTerms int
 
-	// Load stores the microarray value column patient-major dense, so vals
-	// IS the expression matrix in row-major layout (DESIGN.md §10); meta
-	// caches the decoded gene-function column the Q2 summary joins against.
+	// vals is the microarray's value column, stored patient-major dense, so
+	// it IS the expression matrix in row-major layout (DESIGN.md §10); it is
+	// the only microarray column a plan reads. meta caches the decoded
+	// gene-function column the Q2 summary joins against.
 	vals []float64
 	meta engine.GeneMeta // funcLookup over the decoded function column, boxed once at Load
 
@@ -78,32 +78,20 @@ func (e *Engine) SetWorkers(n int) { e.Workers = n }
 // Close implements engine.Engine: the engine returns to its not-loaded
 // state.
 func (e *Engine) Close() error {
-	e.micro, e.pats, e.genes, e.goTab, e.vals, e.meta = nil, nil, nil, nil, nil, nil
+	e.pats, e.genes, e.goTab, e.vals, e.meta = nil, nil, nil, nil, nil
 	return nil
 }
 
-// Load implements engine.Engine: columns are built once, compressed.
+// Load implements engine.Engine: metadata columns are built once,
+// compressed, and the microarray is stored as its value column alone.
 func (e *Engine) Load(ds *datagen.Dataset) error {
 	p, g := ds.Dims.Patients, ds.Dims.Genes
-	n := p * g
-	geneCol := make([]int64, n)
-	patCol := make([]int64, n)
-	valCol := make([]float64, n)
-	k := 0
+	// Row pi of the expression matrix is vals[pi*g : (pi+1)*g], which the
+	// pivot and the Q5 sample read directly.
+	e.vals = make([]float64, p*g)
 	for pi := 0; pi < p; pi++ {
-		row := ds.Expression.Row(pi)
-		for gi, v := range row {
-			geneCol[k] = int64(gi)
-			patCol[k] = int64(pi) // sorted → RLE compresses to p runs
-			valCol[k] = v
-			k++
-		}
+		copy(e.vals[pi*g:(pi+1)*g], ds.Expression.Row(pi))
 	}
-	e.micro = NewTable("microarray", n).AddInt("geneid", geneCol).AddInt("patientid", patCol).AddFloat("value", valCol)
-	// The loop above wrote valCol patient-major dense: row pi of the
-	// expression matrix is valCol[pi*g : (pi+1)*g], which the pivot and the
-	// Q5 sample read directly.
-	e.vals = valCol
 
 	ids := make([]int64, p)
 	ages := make([]int64, p)
@@ -147,7 +135,7 @@ func (e *Engine) Load(ds *datagen.Dataset) error {
 // Run implements engine.Engine: compile the query into the shared operator
 // IR and execute it against this engine's physical operators (ops.go).
 func (e *Engine) Run(ctx context.Context, q engine.QueryID, p engine.Params) (*engine.Result, error) {
-	if e.micro == nil {
+	if e.vals == nil {
 		return nil, fmt.Errorf("colstore: not loaded")
 	}
 	pl, err := plan.Compile(q, p)

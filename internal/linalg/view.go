@@ -51,9 +51,3 @@ func (m *Matrix) ColView(j int) *Matrix {
 func VecView(v []float64) *Matrix {
 	return &Matrix{Rows: 1, Cols: len(v), Stride: len(v), Data: v}
 }
-
-// IsCompact reports whether m's rows are contiguous in memory (stride ==
-// cols), i.e. Data[:Rows*Cols] is the whole matrix in row-major order. The
-// packing GEMM stage uses this to decide whether operand tiles need to be
-// packed into contiguous scratch.
-func (m *Matrix) IsCompact() bool { return m.Stride == m.Cols }

@@ -40,7 +40,7 @@ import (
 // arena when pooled); the executor releases the covariance matrix after the
 // generic TopKByAbs summary.
 type Physical[M any] interface {
-	// Name is the configuration name used in errors (and by Explain).
+	// Name is the configuration name used in errors (and by ExplainAnnotated).
 	Name() string
 	// Capabilities lists the operators this engine implements. Supports is
 	// derived from it — there is no per-query switch anywhere.
@@ -85,9 +85,9 @@ type Physical[M any] interface {
 	PhysicalName(k OpKind) string
 }
 
-// Describer is the matrix-currency-agnostic subset of Physical that Explain
-// and the capability checks need: every Physical[M] satisfies it, so tools
-// can describe an engine without naming its M.
+// Describer is the matrix-currency-agnostic subset of Physical that
+// ExplainAnnotated and the capability checks need: every Physical[M]
+// satisfies it, so tools can describe an engine without naming its M.
 type Describer interface {
 	Name() string
 	Capabilities() OpSet
@@ -349,20 +349,15 @@ func emit[M any](ex Physical[M], n *Node, in func(int) any, ids func(int) []int6
 	}
 }
 
-// Explain renders the compiled plan with each operator's phase tag and the
-// engine's physical implementation — the genbase-bench -explain output. It
-// takes the currency-agnostic Describer so single-node and distributed
-// engines explain through the same call.
-func Explain(pl *Plan, ex Describer) string {
-	return ExplainAnnotated(pl, ex, nil)
-}
-
-// ExplainAnnotated is Explain with a caller-supplied per-operator suffix —
-// the hook genbase-bench uses to print each operator's estimated cost
-// (internal/cost cannot be imported here: cost estimates plans, so the
-// dependency points the other way). annot receives the node index and
-// returns a suffix appended after the physical implementation; nil or
-// empty-string results annotate nothing.
+// ExplainAnnotated renders the compiled plan with each operator's phase tag
+// and the engine's physical implementation — the `genbase-bench explain`
+// output. It takes the currency-agnostic Describer so single-node and
+// distributed engines explain through the same call. annot is a
+// caller-supplied per-operator suffix — the hook genbase-bench uses to print
+// each operator's estimated cost (internal/cost cannot be imported here:
+// cost estimates plans, so the dependency points the other way). It receives
+// the node index and returns a suffix appended after the physical
+// implementation; nil or empty-string results annotate nothing.
 func ExplainAnnotated(pl *Plan, ex Describer, annot func(i int) string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s plan for %s (fingerprint %s)\n", ex.Name(), pl.Query, pl.Fingerprint())

@@ -230,7 +230,7 @@ type Node struct {
 	Inputs []int
 }
 
-// describe renders the node's operator and arguments for Explain and
+// describe renders the node's operator and arguments for ExplainAnnotated and
 // fingerprints.
 func (n *Node) describe() string {
 	var b strings.Builder

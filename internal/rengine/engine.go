@@ -25,13 +25,12 @@ type Engine struct {
 	Workers int
 
 	ds    *datagen.Dataset
-	micro *Frame // gene, patient, value triples (relational form, §3.1.1)
 	pats  *Frame
 	genes *Frame
 	goTri *Frame // gene, term sparse membership triples
 
-	// Load writes the value triple column patient-major dense, so vals
-	// doubles as the expression matrix in row-major layout
+	// vals is the microarray's value column, written patient-major dense at
+	// Load, so it is the expression matrix in row-major layout
 	// (vals[pi*numGenes+gi]).
 	vals []float64
 }
@@ -54,7 +53,7 @@ func (e *Engine) SetWorkers(n int) { e.Workers = n }
 // Close implements engine.Engine: the engine returns to its not-loaded
 // state.
 func (e *Engine) Close() error {
-	e.ds, e.micro, e.pats, e.genes, e.goTri, e.vals = nil, nil, nil, nil, nil, nil
+	e.ds, e.pats, e.genes, e.goTri, e.vals = nil, nil, nil, nil, nil
 	return nil
 }
 
@@ -68,10 +67,11 @@ func (e *Engine) maxCells() int64 {
 	return e.MaxCells
 }
 
-// Load ingests the dataset as dataframes in the paper's relational form. The
-// microarray becomes (gene, patient, value) triples, exactly what R's merge
-// and reshape operate on; exceeding the cell budget fails the load, as R
-// does on the large dataset.
+// Load ingests the dataset as dataframes. The cell budget charges the
+// microarray in the paper's relational form, (gene, patient, value) triples,
+// so exceeding it fails the load as R does on the large dataset; of those
+// triples only the value column is materialized, because no operator reads
+// the id columns.
 func (e *Engine) Load(ds *datagen.Dataset) error {
 	p, g := ds.Dims.Patients, ds.Dims.Genes
 	triples := int64(p) * int64(g)
@@ -82,23 +82,10 @@ func (e *Engine) Load(ds *datagen.Dataset) error {
 	}
 	e.ds = ds
 
-	geneCol := make([]int64, triples)
-	patCol := make([]int64, triples)
-	valCol := make([]float64, triples)
-	k := 0
+	e.vals = make([]float64, triples)
 	for pi := 0; pi < p; pi++ {
-		row := ds.Expression.Row(pi)
-		for gi, v := range row {
-			geneCol[k] = int64(gi)
-			patCol[k] = int64(pi)
-			valCol[k] = v
-			k++
-		}
+		copy(e.vals[pi*g:(pi+1)*g], ds.Expression.Row(pi))
 	}
-	e.micro = NewFrame(int(triples)).AddInt("geneid", geneCol).AddInt("patientid", patCol).AddFloat("value", valCol)
-	// The loop above wrote valCol patient-major dense; the pivot reads it as
-	// the expression matrix without touching the triples.
-	e.vals = valCol
 
 	ids := make([]int64, p)
 	ages := make([]int64, p)
@@ -117,13 +104,11 @@ func (e *Engine) Load(ds *datagen.Dataset) error {
 
 	gids := make([]int64, g)
 	fns := make([]int64, g)
-	targets := make([]int64, g)
 	for i, gn := range ds.Genes {
 		gids[i] = int64(gn.ID)
 		fns[i] = int64(gn.Function)
-		targets[i] = int64(gn.Target)
 	}
-	e.genes = NewFrame(g).AddInt("geneid", gids).AddInt("function", fns).AddInt("target", targets)
+	e.genes = NewFrame(g).AddInt("geneid", gids).AddInt("function", fns)
 
 	var goGene, goTerm []int64
 	for gi := 0; gi < g; gi++ {

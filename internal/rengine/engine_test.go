@@ -3,6 +3,8 @@ package rengine
 import (
 	"context"
 	"errors"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -32,12 +34,68 @@ func TestRunBeforeLoadFails(t *testing.T) {
 	}
 }
 
+// TestLoadRespectsCellLimit pins R's memory wall: the budget is charged for
+// the microarray as triples plus the dense pivot (4 cells per value), so the
+// default budget admits the medium preset and refuses the large one.
 func TestLoadRespectsCellLimit(t *testing.T) {
-	ds := datagen.MustGenerate(datagen.Config{Size: datagen.Small, Scale: 0.4, Seed: 7})
-	e := New()
-	e.MaxCells = 1000
-	if err := e.Load(ds); !errors.Is(err, engine.ErrOutOfMemory) {
-		t.Fatalf("want ErrOutOfMemory, got %v", err)
+	for _, tc := range []struct {
+		name     string
+		size     datagen.Size
+		maxCells int64
+		wantErr  string // "" = loads
+	}{
+		{"small-1000-cells", datagen.Small, 1000, "250000 cells needed, limit 1000"},
+		{"medium-default", datagen.Medium, 0, ""},
+		{"large-default", datagen.Large, 0, "12000000 cells needed, limit 8000000"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New()
+			e.MaxCells = tc.maxCells
+			err := e.Load(datagen.MustGenerate(datagen.Config{Size: tc.size, Seed: 7}))
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("want a load, got %v", err)
+				}
+				return
+			}
+			if !errors.Is(err, engine.ErrOutOfMemory) || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("want ErrOutOfMemory with %q, got %v", tc.wantErr, err)
+			}
+		})
+	}
+}
+
+// TestLoadStoresValuesPatientMajor pins what Load keeps of the microarray:
+// its value column alone, written patient-major, so it is the expression
+// matrix in row-major order; the genes frame holds only the columns a plan
+// names. Close drops it all and Run then reports the engine not loaded.
+func TestLoadStoresValuesPatientMajor(t *testing.T) {
+	e, ds := loadedEngine(t)
+	p, g := ds.Dims.Patients, ds.Dims.Genes
+	if len(e.vals) != p*g {
+		t.Fatalf("value column holds %d cells, want %d×%d", len(e.vals), p, g)
+	}
+	for pi := 0; pi < p; pi++ {
+		for gi, v := range ds.Expression.Row(pi) {
+			if math.Float64bits(e.vals[pi*g+gi]) != math.Float64bits(v) {
+				t.Fatalf("vals[%d] = %v, want expression (%d,%d) = %v", pi*g+gi, e.vals[pi*g+gi], pi, gi, v)
+			}
+		}
+	}
+	if len(e.genes.ints) != 2 || len(e.genes.flts) != 0 {
+		t.Fatalf("genes frame holds %d int and %d float columns, want geneid and function", len(e.genes.ints), len(e.genes.flts))
+	}
+	for gi, gn := range ds.Genes {
+		if e.genes.Int("function")[gi] != int64(gn.Function) {
+			t.Fatalf("gene %d function %d, want %d", gi, e.genes.Int("function")[gi], gn.Function)
+		}
+	}
+	e.Close()
+	if e.vals != nil || e.genes != nil {
+		t.Fatal("Close must drop the loaded state")
+	}
+	if _, err := e.Run(context.Background(), engine.Q4SVD, engine.DefaultParams()); err == nil {
+		t.Fatal("Run after Close must fail")
 	}
 }
 
@@ -195,9 +253,8 @@ func TestStatistics(t *testing.T) {
 
 func TestContextCancellation(t *testing.T) {
 	e, _ := loadedEngine(t)
-	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	time.Sleep(time.Millisecond)
 	if _, err := e.Run(ctx, engine.Q2Covariance, engine.DefaultParams()); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded, got %v", err)
 	}

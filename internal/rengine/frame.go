@@ -1,20 +1,19 @@
 // Package rengine is the "Vanilla R" configuration: an in-memory dataframe
-// engine whose data management is merge (hash join) and vector filtering, and
-// whose analytics call the linalg kernels in-process. Like R, it is single
-// threaded, keeps everything memory resident, and has a hard cell limit —
-// the stand-in for R's 2³¹−1 array limit and single-node memory wall that
-// make the paper's large dataset fail ("R by itself cannot load the data
-// into memory").
+// engine whose data management is row scans over the metadata dataframes and
+// a reshape of the microarray's value column, and whose analytics call the
+// linalg kernels in-process. Like R, it is single threaded, keeps everything
+// memory resident, and has a hard cell limit — the stand-in for R's 2³¹−1
+// array limit and single-node memory wall that make the paper's large
+// dataset fail ("R by itself cannot load the data into memory").
 package rengine
 
 import "fmt"
 
 // Frame is a minimal column-oriented dataframe: parallel typed vectors.
 type Frame struct {
-	names []string
-	ints  map[string][]int64
-	flts  map[string][]float64
-	n     int
+	ints map[string][]int64
+	flts map[string][]float64
+	n    int
 }
 
 // NewFrame creates an empty frame with n rows.
@@ -30,7 +29,6 @@ func (f *Frame) AddInt(name string, col []int64) *Frame {
 	if len(col) != f.n {
 		panic(fmt.Sprintf("rengine: column %s has %d rows, frame has %d", name, len(col), f.n))
 	}
-	f.names = append(f.names, name)
 	f.ints[name] = col
 	return f
 }
@@ -40,7 +38,6 @@ func (f *Frame) AddFloat(name string, col []float64) *Frame {
 	if len(col) != f.n {
 		panic(fmt.Sprintf("rengine: column %s has %d rows, frame has %d", name, len(col), f.n))
 	}
-	f.names = append(f.names, name)
 	f.flts[name] = col
 	return f
 }
@@ -61,50 +58,4 @@ func (f *Frame) Float(name string) []float64 {
 		panic(fmt.Sprintf("rengine: no float column %q", name))
 	}
 	return c
-}
-
-// Which returns the row indices where pred holds (R's which()).
-func (f *Frame) Which(pred func(row int) bool) []int {
-	var idx []int
-	for i := 0; i < f.n; i++ {
-		if pred(i) {
-			idx = append(idx, i)
-		}
-	}
-	return idx
-}
-
-// Subset materializes the rows at idx into a new frame (R's df[idx, ]).
-func (f *Frame) Subset(idx []int) *Frame {
-	out := NewFrame(len(idx))
-	for _, name := range f.names {
-		if c, ok := f.ints[name]; ok {
-			nc := make([]int64, len(idx))
-			for k, i := range idx {
-				nc[k] = c[i]
-			}
-			out.AddInt(name, nc)
-			continue
-		}
-		c := f.flts[name]
-		nc := make([]float64, len(idx))
-		for k, i := range idx {
-			nc[k] = c[i]
-		}
-		out.AddFloat(name, nc)
-	}
-	return out
-}
-
-// SemiJoinInt returns the indices of rows whose int column value appears in
-// keys — the probe side of R's merge() when only membership matters.
-func (f *Frame) SemiJoinInt(col string, keys map[int64]bool) []int {
-	c := f.Int(col)
-	var idx []int
-	for i, v := range c {
-		if keys[v] {
-			idx = append(idx, i)
-		}
-	}
-	return idx
 }

@@ -35,28 +35,3 @@ func TestFrameLengthMismatchPanics(t *testing.T) {
 	}()
 	NewFrame(3).AddInt("x", []int64{1})
 }
-
-func TestFrameWhichAndSubset(t *testing.T) {
-	f := demoFrame()
-	idx := f.Which(func(i int) bool { return f.Int("id")[i]%2 == 0 })
-	if len(idx) != 2 || idx[0] != 0 || idx[1] != 2 {
-		t.Fatalf("which=%v", idx)
-	}
-	sub := f.Subset(idx)
-	if sub.Len() != 2 || sub.Float("v")[1] != 2.5 {
-		t.Fatalf("subset wrong: %v", sub.Float("v"))
-	}
-	// Subset must copy: mutating it leaves the original intact.
-	sub.Int("id")[0] = 99
-	if f.Int("id")[0] != 0 {
-		t.Fatal("subset aliases parent")
-	}
-}
-
-func TestFrameSemiJoin(t *testing.T) {
-	f := demoFrame()
-	idx := f.SemiJoinInt("id", map[int64]bool{1: true, 3: true})
-	if len(idx) != 2 || idx[0] != 1 || idx[1] != 3 {
-		t.Fatalf("semijoin=%v", idx)
-	}
-}

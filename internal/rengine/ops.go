@@ -12,7 +12,7 @@ import (
 
 // Vanilla R's physical operators (plan.Physical): selections and scans walk
 // the dataframes directly, the pivot is R's reshape/acast served as a view
-// over (or pooled copy of) the triple frame's dense value column, and
+// over (or pooled copy of) the dense value column, and
 // kernels run in-process — subject to R's memory wall: the cell budget is
 // charged before any dataframe or matrix materializes, reproducing "Vanilla
 // R cannot scale to the large dataset".
@@ -73,7 +73,7 @@ func (e *Engine) ScanFloats(_ context.Context, table, col string, ids []int64) (
 	return out, nil
 }
 
-// Pivot implements plan.Physical: R's reshape of the triples into a dense
+// Pivot implements plan.Physical: R's reshape of the microarray into a dense
 // matrix holding the given patients (rows, in order; nil = all, ascending
 // id) and genes (columns, in order; nil = all), after charging the result
 // against the cell budget. The full pivot is a view over the patient-major

@@ -141,28 +141,6 @@ func (sc *tableSidecar) remove() error {
 // colIdx resolves a column name against the sidecar's schema.
 func (sc *tableSidecar) colIdx(name string) int { return sc.schema.MustColIndex(name) }
 
-// encodedBytes sums the serialized segment payloads of every column (the
-// scan microbench reports it as the compressed footprint).
-func (sc *tableSidecar) encodedBytes() (int64, error) {
-	var total int64
-	for _, h := range sc.heaps {
-		cur := h.NewCursor()
-		for {
-			rec, ok, err := cur.Next()
-			if err != nil {
-				cur.Close()
-				return 0, err
-			}
-			if !ok {
-				break
-			}
-			total += int64(len(rec))
-		}
-		cur.Close()
-	}
-	return total, nil
-}
-
 // intSegs opens a segment cursor over an int column.
 func (sc *tableSidecar) intSegs(col string) *intSegCursor {
 	return &intSegCursor{cur: sc.heaps[sc.colIdx(col)].NewCursor()}

@@ -9,7 +9,7 @@ import (
 // HeapFile is an append-oriented record file backed by slotted pages through
 // a buffer pool. Each relational table in the row store is one heap file.
 //
-// Concurrency: the read paths (FetchRecord, FetchRecordInto, Scan, cursors)
+// Concurrency: the read paths (FetchRecordInto, Scan, cursors)
 // are safe to use from any number of goroutines once loading is done — they
 // share the goroutine-safe buffer pool and touch no heap-file state. Append
 // is single-writer: the load phase runs it from one goroutine (DESIGN.md
@@ -87,25 +87,8 @@ func (h *HeapFile) AppendLocated(record []byte) (RID, error) {
 	return RID{Page: h.lastPage, Slot: h.lastSlot}, nil
 }
 
-// FetchRecord reads one record by locator through the buffer pool. The
-// returned bytes are copied (safe to retain).
-func (h *HeapFile) FetchRecord(rid RID) ([]byte, error) {
-	p, err := h.pool.FetchPage(rid.Page)
-	if err != nil {
-		return nil, err
-	}
-	rec, ok := p.Record(rid.Slot)
-	if !ok {
-		h.pool.Unpin(rid.Page, false)
-		return nil, fmt.Errorf("storage: no record at page %d slot %d", rid.Page, rid.Slot)
-	}
-	out := make([]byte, len(rec))
-	copy(out, rec)
-	return out, h.pool.Unpin(rid.Page, false)
-}
-
-// FetchRecordInto is FetchRecord reusing a caller buffer; the result aliases
-// buf's storage when capacity suffices.
+// FetchRecordInto reads one record by locator through the buffer pool into
+// a caller buffer; the result aliases buf's storage when capacity suffices.
 func (h *HeapFile) FetchRecordInto(rid RID, buf []byte) ([]byte, error) {
 	p, err := h.pool.FetchPage(rid.Page)
 	if err != nil {
