@@ -21,11 +21,9 @@ import (
 	"github.com/genbase/genbase/internal/analytics"
 	"github.com/genbase/genbase/internal/arraydb"
 	"github.com/genbase/genbase/internal/bicluster"
-	"github.com/genbase/genbase/internal/cluster"
 	"github.com/genbase/genbase/internal/colstore"
 	"github.com/genbase/genbase/internal/core"
 	"github.com/genbase/genbase/internal/datagen"
-	"github.com/genbase/genbase/internal/distlinalg"
 	"github.com/genbase/genbase/internal/engine"
 	"github.com/genbase/genbase/internal/linalg"
 	"github.com/genbase/genbase/internal/multinode"
@@ -319,7 +317,6 @@ const (
 func BenchmarkKernelGEMM(b *testing.B) {
 	a := randomMatrix(kernelRows, kernelCols, 21)
 	w := randomMatrix(kernelCols, 256, 22)
-	linalg.ResolveKernelTiles() // one-time tile autotune outside the timed region
 	b.Run("naive", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -347,7 +344,6 @@ func BenchmarkKernelGEMM(b *testing.B) {
 func BenchmarkKernelGEMM512(b *testing.B) {
 	a := randomMatrix(512, 512, 26)
 	w := randomMatrix(512, 512, 27)
-	linalg.ResolveKernelTiles()
 	b.Run("naive", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -574,7 +570,7 @@ func BenchmarkAblationMatmulBlocking(b *testing.B) {
 		b.Run(fmt.Sprintf("blocked/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				linalg.MulBlocked(a, c)
+				linalg.Mul(a, c)
 			}
 		})
 	}
@@ -676,33 +672,6 @@ func BenchmarkAblationChunkSize(b *testing.B) {
 				linalg.PutMatrix(cov)
 			}
 		})
-	}
-}
-
-// BenchmarkAblationNetworkBandwidth: virtual makespan of a distributed Gram
-// as the interconnect degrades — where does adding nodes stop helping?
-func BenchmarkAblationNetworkBandwidth(b *testing.B) {
-	m := randomMatrix(1000, 200, 8)
-	for _, mbps := range []float64{12.5e6, 125e6, 1.25e9} {
-		for _, nodes := range []int{1, 4} {
-			mbps, nodes := mbps, nodes
-			b.Run(fmt.Sprintf("bw=%.0fMBps/nodes=%d", mbps/1e6, nodes), func(b *testing.B) {
-				b.ReportAllocs()
-				cfg := cluster.DefaultConfig(nodes)
-				cfg.BandwidthBytesPerSec = mbps
-				var virtual float64
-				for i := 0; i < b.N; i++ {
-					c := cluster.New(cfg)
-					d := distlinalg.Distribute(c, m)
-					c.Reset()
-					if _, err := d.Gram(); err != nil {
-						b.Fatal(err)
-					}
-					virtual += c.MakespanSeconds()
-				}
-				b.ReportMetric(virtual/float64(b.N), "virtual-sec/op")
-			})
-		}
 	}
 }
 

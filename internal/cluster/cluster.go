@@ -45,8 +45,17 @@ type Injector interface {
 	SlowFactor(node int) float64
 }
 
-// Fault-tolerance defaults (virtual seconds). All recovery costs are charged
-// to the virtual clocks so fault drills show up in the reported makespans.
+// The interconnect calibration: gigabit Ethernet's 125 MB/s per link and a
+// 100 µs per-message latency, the class of network the paper's 2013-era
+// 4-node cluster used (DESIGN.md §3.3). Send charges every message at these
+// rates; no configuration varies them.
+const (
+	linkLatencySec = 100e-6
+	linkBandwidth  = 125e6 // bytes per second
+)
+
+// Fault-recovery costs (virtual seconds). All recovery costs are charged to
+// the virtual clocks so fault drills show up in the reported makespans.
 const (
 	// DefaultMaxRetries bounds in-place retries of a transient exec fault.
 	DefaultMaxRetries = 2
@@ -69,14 +78,6 @@ const (
 type Config struct {
 	// Nodes is the cluster size (the paper uses 1, 2, 4).
 	Nodes int
-	// LatencySec is the per-message latency (default 100 µs).
-	LatencySec float64
-	// BandwidthBytesPerSec is the per-link bandwidth (default 1 GiB/s).
-	BandwidthBytesPerSec float64
-	// ComputeRate scales measured compute into virtual seconds: virtual =
-	// measured / ComputeRate. 1.0 models the host Xeon; the Xeon Phi
-	// configuration uses per-kernel rates instead (see internal/xeonphi).
-	ComputeRate float64
 
 	// Injector injects deterministic faults into Exec (nil = fault-free).
 	Injector Injector
@@ -85,25 +86,10 @@ type Config struct {
 	// scheduler in internal/distlinalg reads it to place replicas and to
 	// fail shard work over when an owner dies.
 	ReplicationFactor int
-	// MaxRetries bounds in-place retries of transient exec faults (default
-	// DefaultMaxRetries; negative disables retry).
-	MaxRetries int
-	// RetryBackoffSec is the base virtual backoff charged per retry,
-	// doubling each attempt (default DefaultRetryBackoffSec).
-	RetryBackoffSec float64
 	// ExecTimeoutSec, when positive, fail-stops a node whose single exec's
 	// virtual duration exceeds it — the per-node timeout that turns an
 	// extreme straggler into a crash the scheduler can fail over.
 	ExecTimeoutSec float64
-	// FailoverDetectSec is the virtual detection delay charged on replica
-	// failover (default DefaultFailoverDetectSec).
-	FailoverDetectSec float64
-	// HedgeFactor is the slow-factor threshold for hedging (default
-	// DefaultHedgeFactor; <0 disables hedging).
-	HedgeFactor float64
-	// HedgeOverheadSec is the virtual cost of a cancelled speculative
-	// attempt (default DefaultHedgeOverheadSec).
-	HedgeOverheadSec float64
 
 	// Now is the clock that times each exec's compute (nil = time.Now).
 	// Tests install a stepping clock so an exec costs a fixed tick and a
@@ -113,17 +99,9 @@ type Config struct {
 	Now func() time.Time
 }
 
-// DefaultConfig returns the calibration used by the benchmark harness:
-// gigabit Ethernet (125 MB/s, 0.5 ms latency), the class of interconnect the
-// paper's 2013-era 4-node cluster used.
-func DefaultConfig(nodes int) Config {
-	return Config{
-		Nodes:                nodes,
-		LatencySec:           100e-6,
-		BandwidthBytesPerSec: 125e6,
-		ComputeRate:          1,
-	}
-}
+// DefaultConfig returns a fault-free, unreplicated cluster of the given
+// size timed by the wall clock.
+func DefaultConfig(nodes int) Config { return Config{Nodes: nodes} }
 
 // Cluster tracks one virtual clock per node.
 type Cluster struct {
@@ -132,7 +110,7 @@ type Cluster struct {
 	steps  []int     // per-node exec counters (fault-schedule positions)
 	dead   []bool    // fail-stopped nodes
 
-	// Stats for tests and the network ablation bench.
+	// Network traffic since Reset.
 	MessagesSent int64
 	BytesSent    int64
 
@@ -150,35 +128,11 @@ func New(cfg Config) *Cluster {
 	if cfg.Nodes < 1 {
 		cfg.Nodes = 1
 	}
-	if cfg.LatencySec <= 0 {
-		cfg.LatencySec = 100e-6
-	}
-	if cfg.BandwidthBytesPerSec <= 0 {
-		cfg.BandwidthBytesPerSec = 1 << 30
-	}
-	if cfg.ComputeRate <= 0 {
-		cfg.ComputeRate = 1
-	}
 	if cfg.ReplicationFactor < 1 {
 		cfg.ReplicationFactor = 1
 	}
 	if cfg.ReplicationFactor > cfg.Nodes {
 		cfg.ReplicationFactor = cfg.Nodes
-	}
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = DefaultMaxRetries
-	}
-	if cfg.RetryBackoffSec <= 0 {
-		cfg.RetryBackoffSec = DefaultRetryBackoffSec
-	}
-	if cfg.FailoverDetectSec <= 0 {
-		cfg.FailoverDetectSec = DefaultFailoverDetectSec
-	}
-	if cfg.HedgeFactor == 0 {
-		cfg.HedgeFactor = DefaultHedgeFactor
-	}
-	if cfg.HedgeOverheadSec <= 0 {
-		cfg.HedgeOverheadSec = DefaultHedgeOverheadSec
 	}
 	return &Cluster{
 		cfg:    cfg,
@@ -259,13 +213,13 @@ func (c *Cluster) NodeSlowFactor(node int) float64 {
 }
 
 // HedgeFactor returns the slow-factor threshold at which the shard scheduler
-// hedges a node's shards onto replicas (<0 means hedging is disabled).
-func (c *Cluster) HedgeFactor() float64 { return c.cfg.HedgeFactor }
+// hedges a node's shards onto replicas.
+func (c *Cluster) HedgeFactor() float64 { return DefaultHedgeFactor }
 
 // ChargeFailoverDetect charges the virtual failover detection delay to a
 // node and counts the failover.
 func (c *Cluster) ChargeFailoverDetect(node int) {
-	c.Charge(node, c.cfg.FailoverDetectSec)
+	c.Charge(node, DefaultFailoverDetectSec)
 	c.Failovers.Add(1)
 }
 
@@ -274,7 +228,7 @@ func (c *Cluster) ChargeFailoverDetect(node int) {
 // the straggler may be mid-exec on another goroutine, and the winner's clock
 // is the one the recovery cost must not undercut.
 func (c *Cluster) ChargeHedge(node int) {
-	c.Charge(node, c.cfg.HedgeOverheadSec)
+	c.Charge(node, DefaultHedgeOverheadSec)
 	c.Hedges.Add(1)
 }
 
@@ -284,11 +238,10 @@ func (c *Cluster) Degraded() bool {
 }
 
 // Exec runs fn immediately, measures its real duration, and charges it to
-// node's virtual clock (scaled by the compute rate and the node's injected
-// slow factor). Injected faults are consulted first: a crashed node executes
-// nothing and returns engine.ErrNodeFailed; a transient fault is retried in
-// place up to MaxRetries times with doubling virtual backoff before it
-// escapes.
+// node's virtual clock (scaled by the node's injected slow factor). Injected
+// faults are consulted first: a crashed node executes nothing and returns
+// engine.ErrNodeFailed; a transient fault is retried in place up to
+// DefaultMaxRetries times with doubling virtual backoff before it escapes.
 func (c *Cluster) Exec(node int, fn func() error) error {
 	return c.ExecCtx(context.Background(), node, fn)
 }
@@ -313,10 +266,10 @@ func (c *Cluster) ExecCtx(ctx context.Context, node int, fn func() error) error 
 					c.dead[node] = true
 					return fmt.Errorf("node %d step %d: %w", node, step, err)
 				}
-				if errors.Is(err, engine.ErrTransient) && attempt < c.cfg.MaxRetries {
+				if errors.Is(err, engine.ErrTransient) && attempt < DefaultMaxRetries {
 					// Retry in place: charge the doubling virtual backoff so
 					// the recovery shows up in the makespan.
-					c.clocks[node] += c.cfg.RetryBackoffSec * float64(int64(1)<<attempt)
+					c.clocks[node] += DefaultRetryBackoffSec * float64(int64(1)<<attempt)
 					c.Retries.Add(1)
 					continue
 				}
@@ -325,8 +278,7 @@ func (c *Cluster) ExecCtx(ctx context.Context, node int, fn func() error) error 
 		}
 		start := c.now()
 		err := fn()
-		d := c.now().Sub(start).Seconds() / c.cfg.ComputeRate
-		d *= c.NodeSlowFactor(node)
+		d := c.now().Sub(start).Seconds() * c.NodeSlowFactor(node)
 		c.clocks[node] += d
 		if err == nil && c.cfg.ExecTimeoutSec > 0 && d > c.cfg.ExecTimeoutSec {
 			// The per-node exec timeout: an extreme straggler is declared
@@ -478,7 +430,7 @@ func (c *Cluster) Send(src, dst int, bytes int64) {
 	if src == dst {
 		return
 	}
-	arrival := c.clocks[src] + c.cfg.LatencySec + float64(bytes)/c.cfg.BandwidthBytesPerSec
+	arrival := c.clocks[src] + linkLatencySec + float64(bytes)/linkBandwidth
 	if arrival > c.clocks[dst] {
 		c.clocks[dst] = arrival
 	}

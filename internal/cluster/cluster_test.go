@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -22,13 +23,11 @@ func steppedConfig(nodes int, tick time.Duration) Config {
 	return cfg
 }
 
-// With an injected clock every exec costs one tick, scaled by the compute
-// rate, and ExecAll runs its nodes serially so the readings do not interleave.
+// With an injected clock every exec costs one tick, and ExecAll runs its
+// nodes serially so the readings do not interleave.
 func TestInjectedClockChargesExactTicks(t *testing.T) {
 	const tick = 10 * time.Millisecond
-	cfg := steppedConfig(4, tick)
-	cfg.ComputeRate = 2
-	c := New(cfg)
+	c := New(steppedConfig(4, tick))
 	for i := 0; i < 3; i++ {
 		if err := c.Exec(1, func() error { return nil }); err != nil {
 			t.Fatal(err)
@@ -37,21 +36,20 @@ func TestInjectedClockChargesExactTicks(t *testing.T) {
 	if err := c.ExecAll(func(int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	per := tick.Seconds() / 2
-	want := []float64{per, 3*per + per, per, per}
-	for i, v := range c.clocks {
-		if diff := v - want[i]; diff > 1e-12 || diff < -1e-12 {
-			t.Fatalf("clocks=%v want %v", c.clocks, want)
-		}
+	per := tick.Seconds()
+	want := []float64{per, per + per + per + per, per, per}
+	if !slices.Equal(c.clocks, want) {
+		t.Fatalf("clocks=%v want %v", c.clocks, want)
 	}
 }
 
 func TestExecChargesOwningNode(t *testing.T) {
-	c := New(DefaultConfig(2))
-	if err := c.Exec(0, func() error { time.Sleep(2 * time.Millisecond); return nil }); err != nil {
+	const tick = 2 * time.Millisecond
+	c := New(steppedConfig(2, tick))
+	if err := c.Exec(0, func() error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if c.clocks[0] <= 0 || c.clocks[1] != 0 {
+	if c.clocks[0] != tick.Seconds() || c.clocks[1] != 0 {
 		t.Fatalf("clocks=%v", c.clocks)
 	}
 }
@@ -73,15 +71,14 @@ func TestParallelWaveMakespanIsMax(t *testing.T) {
 	}
 }
 
+// Send charges the gigabit-Ethernet calibration: 100 µs of latency plus the
+// bytes at 125 MB/s.
 func TestSendAdvancesReceiver(t *testing.T) {
-	cfg := DefaultConfig(2)
-	cfg.LatencySec = 0.001
-	cfg.BandwidthBytesPerSec = 1000
-	c := New(cfg)
-	c.Charge(0, 1.0)
-	c.Send(0, 1, 500) // 0.001 + 0.5 = 0.501 transfer
-	want := 1.0 + 0.001 + 0.5
-	if diff := c.clocks[1] - want; diff > 1e-12 || diff < -1e-12 {
+	c := New(DefaultConfig(2))
+	sent := 1.0
+	c.Charge(0, sent)
+	c.Send(0, 1, 500)
+	if want := sent + 100e-6 + 500/125e6; c.clocks[1] != want {
 		t.Fatalf("receiver clock %v want %v", c.clocks[1], want)
 	}
 	// Sender unaffected (async send).
@@ -185,21 +182,6 @@ func TestResetClearsState(t *testing.T) {
 	c.Reset()
 	if c.MakespanSeconds() != 0 || c.MessagesSent != 0 || c.BytesSent != 0 {
 		t.Fatal("reset incomplete")
-	}
-}
-
-func TestComputeRateScalesCharge(t *testing.T) {
-	const tick = 4 * time.Millisecond
-	cfg := steppedConfig(1, tick)
-	cfg.ComputeRate = 2
-	c := New(cfg)
-	c.Exec(0, func() error { return nil })
-	fast := c.MakespanSeconds()
-	c2 := New(steppedConfig(1, tick))
-	c2.Exec(0, func() error { return nil })
-	slow := c2.MakespanSeconds()
-	if slow != tick.Seconds() || fast != slow/2 {
-		t.Fatalf("rate 2 charged %v and rate 1 %v for a %v exec", fast, slow, tick)
 	}
 }
 

@@ -75,7 +75,7 @@ func TestFaultTransientRetriedInPlace(t *testing.T) {
 }
 
 func TestFaultTransientExhaustsRetries(t *testing.T) {
-	// Every step flaky: MaxRetries in-place attempts, then the typed error
+	// Every step flaky: DefaultMaxRetries in-place attempts, then the typed error
 	// escapes to the caller (the shard scheduler fails over to a replica).
 	p := faults.New()
 	for step := 0; step < 8; step++ {
@@ -91,16 +91,28 @@ func TestFaultTransientExhaustsRetries(t *testing.T) {
 	}
 }
 
+// Every exec costs one 2-ms tick: an exec exactly at the timeout survives,
+// the next one past a tighter timeout fail-stops the node, and either way the
+// tick is charged.
 func TestFaultExecTimeoutFailStops(t *testing.T) {
-	cfg := cluster.DefaultConfig(1)
-	cfg.ExecTimeoutSec = 1e-6 // any real sleep exceeds a microsecond of virtual time
+	const tick = 2 * time.Millisecond
+	cfg := cluster.SteppedConfig(1, tick)
+	cfg.ExecTimeoutSec = tick.Seconds()
+	if err := cluster.New(cfg).Exec(0, func() error { return nil }); err != nil {
+		t.Fatalf("exec at exactly the timeout: %v", err)
+	}
+	cfg = cluster.SteppedConfig(1, tick)
+	cfg.ExecTimeoutSec = tick.Seconds() / 2
 	c := cluster.New(cfg)
-	err := c.Exec(0, func() error { time.Sleep(2 * time.Millisecond); return nil })
+	err := c.Exec(0, func() error { return nil })
 	if !errors.Is(err, engine.ErrNodeFailed) {
 		t.Fatalf("got %v, want ErrNodeFailed from the exec timeout", err)
 	}
 	if !c.IsDead(0) {
 		t.Fatal("timed-out node not fail-stopped")
+	}
+	if got := c.MakespanSeconds(); got != tick.Seconds() {
+		t.Fatalf("makespan %v, want the one %v tick", got, tick)
 	}
 }
 

@@ -19,34 +19,30 @@ func TestMRSchedulerSpreadsWaves(t *testing.T) {
 	}
 }
 
+// Two one-tick tasks per wave over two nodes: each wave adds one tick to the
+// makespan, attributed to DM or analytics by the job-name prefix.
 func TestMRSchedulerPhaseAttribution(t *testing.T) {
-	c := New(DefaultConfig(2))
+	const tick = 2 * time.Millisecond
+	c := New(steppedConfig(2, tick))
 	s := &MRScheduler{C: c}
 	s.ResetAccounting()
 	ctx := context.Background()
-	if err := s.RunWave(ctx, "hive-join:map", 2, func(int) error {
-		time.Sleep(2 * time.Millisecond)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+	for _, phase := range []string{"hive-join:map", "mahout-gram:map"} {
+		if err := s.RunWave(ctx, phase, 2, func(int) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := s.RunWave(ctx, "mahout-gram:map", 2, func(int) error {
-		time.Sleep(2 * time.Millisecond)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+	if s.DMSeconds != tick.Seconds() || s.AnalyticsSeconds != tick.Seconds() {
+		t.Fatalf("attribution: dm=%v analytics=%v, want %v each", s.DMSeconds, s.AnalyticsSeconds, tick)
 	}
-	if s.DMSeconds <= 0 || s.AnalyticsSeconds <= 0 {
-		t.Fatalf("attribution missing: dm=%v analytics=%v", s.DMSeconds, s.AnalyticsSeconds)
-	}
-	total := c.MakespanSeconds()
-	if diff := s.DMSeconds + s.AnalyticsSeconds - total; diff > 1e-9 || diff < -1e-9 {
+	if total := c.MakespanSeconds(); s.DMSeconds+s.AnalyticsSeconds != total {
 		t.Fatalf("phases (%v) don't sum to makespan (%v)", s.DMSeconds+s.AnalyticsSeconds, total)
 	}
 }
 
 func TestMRSchedulerShuffleChargesNetwork(t *testing.T) {
-	c := New(DefaultConfig(2))
+	const tick = time.Millisecond
+	c := New(steppedConfig(2, tick))
 	s := &MRScheduler{C: c}
 	// Pretend a map wave ran so placement is known.
 	if err := s.RunWave(context.Background(), "hive-x:map", 2, func(int) error { return nil }); err != nil {
@@ -59,8 +55,11 @@ func TestMRSchedulerShuffleChargesNetwork(t *testing.T) {
 	if c.BytesSent != 2<<20 {
 		t.Fatalf("bytes sent %d", c.BytesSent)
 	}
-	if c.MakespanSeconds() <= 0 {
-		t.Fatal("shuffle should advance virtual time")
+	// Mapper 0's MiB reaches node 1 after the one-tick map wave; mapper 1's
+	// leaves node 1 after that arrival.
+	hop := tick.Seconds() + 100e-6 + (1<<20)/125e6
+	if want := hop + 100e-6 + (1<<20)/125e6; c.MakespanSeconds() != want {
+		t.Fatalf("makespan %v, want %v", c.MakespanSeconds(), want)
 	}
 }
 
@@ -75,12 +74,13 @@ func TestMRSchedulerContextCancel(t *testing.T) {
 }
 
 func TestMRSchedulerResetAccounting(t *testing.T) {
-	c := New(DefaultConfig(1))
+	const tick = time.Millisecond
+	c := New(steppedConfig(1, tick))
 	s := &MRScheduler{C: c}
-	s.RunWave(context.Background(), "mahout-x:map", 1, func(int) error {
-		time.Sleep(time.Millisecond)
-		return nil
-	})
+	s.RunWave(context.Background(), "mahout-x:map", 1, func(int) error { return nil })
+	if s.AnalyticsSeconds != tick.Seconds() {
+		t.Fatalf("analytics %v, want one %v tick", s.AnalyticsSeconds, tick)
+	}
 	s.ResetAccounting()
 	if s.DMSeconds != 0 || s.AnalyticsSeconds != 0 {
 		t.Fatal("reset incomplete")

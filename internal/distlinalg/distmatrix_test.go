@@ -217,7 +217,7 @@ func TestGramVirtualTimeScales(t *testing.T) {
 		}
 		gather := 0.0
 		if nodes > 1 {
-			gather = cfg.LatencySec + float64(m.Cols*m.Cols*8)/cfg.BandwidthBytesPerSec
+			gather = 100e-6 + float64(m.Cols*m.Cols*8)/125e6 // the gigabit link
 		}
 		want := float64(slices.Max(perNode))*tick.Seconds() + gather + tick.Seconds()
 		times[nodes] = c.MakespanSeconds()

@@ -137,7 +137,6 @@ func RunShards(ctx context.Context, c *cluster.Cluster, replicas [][]int, fn fun
 // remains.
 func routeShard(c *cluster.Cluster, candidates []int, tried map[int]bool) (node int, hedged, failedOver bool) {
 	first := -1 // first untried live candidate, the default target
-	hf := c.HedgeFactor()
 	for _, n := range candidates {
 		if tried[n] || c.IsDead(n) {
 			continue
@@ -145,7 +144,7 @@ func routeShard(c *cluster.Cluster, candidates []int, tried map[int]bool) (node 
 		if first < 0 {
 			first = n
 		}
-		if hf <= 0 || c.NodeSlowFactor(n) < hf {
+		if c.NodeSlowFactor(n) < c.HedgeFactor() {
 			primaryLost := tried[candidates[0]] || c.IsDead(candidates[0])
 			return n, n != first, primaryLost
 		}

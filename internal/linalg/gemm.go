@@ -10,16 +10,16 @@ package linalg
 //	ir over 4-wide packed A panels     — ...across all row panels
 //	microKernel4x4 / microKernelEdge   — 16 register accumulators over k
 //
-// Parallel callers partition C rows (GEMM, ABT) or Gram rows (AᵀA) and hand
+// Parallel callers partition C rows (GEMM) or Gram rows (AᵀA) and hand
 // each worker its own range plus its own pooled pack buffers; every output
 // element is owned by exactly one worker and accumulates k ascending, so the
 // result is bitwise identical at any worker count and to MulNaive.
 
 // mulPackedRange accumulates C[rlo:rhi] += A[rlo:rhi]·B with the packed
-// hierarchy. C rows in range must be zero (or hold a partial sum whose k
-// prefix precedes kk=0, i.e. nothing) on entry.
-func mulPackedRange(c, a, b *Matrix, rlo, rhi int, ts TileShape) {
-	kdim, n := a.Cols, b.Cols
+// hierarchy at the kernelTiles shape. C rows in range must be zero (or hold a
+// partial sum whose k prefix precedes kk=0, i.e. nothing) on entry.
+func mulPackedRange(c, a, b *Matrix, rlo, rhi int) {
+	ts, kdim, n := kernelTiles, a.Cols, b.Cols
 	if rhi <= rlo || kdim == 0 || n == 0 {
 		return
 	}
@@ -68,8 +68,8 @@ func mulBlock(c *Matrix, apack, bpack []float64, ic, ice, jc, jce, kc int) {
 // below the diagonal; a diagonal-straddling tile may compute a few
 // lower-triangle elements, which is harmless — the mirror pass overwrites
 // them with bitwise-identical values (the products commute).
-func gramPackedRange(c, a *Matrix, jlo, jhi int, ts TileShape) {
-	kdim, n := a.Rows, a.Cols
+func gramPackedRange(c, a *Matrix, jlo, jhi int) {
+	ts, kdim, n := kernelTiles, a.Rows, a.Cols
 	if jhi <= jlo || kdim == 0 {
 		return
 	}
@@ -112,29 +112,4 @@ func gramBlock(c *Matrix, apack, bpack []float64, ic, ice, jc, jce, kc int) {
 			}
 		}
 	}
-}
-
-// abtPackedRange accumulates C[rlo:rhi] += A[rlo:rhi]·Bᵀ: both operands are
-// row panels over the shared column dimension.
-func abtPackedRange(c, a, b *Matrix, rlo, rhi int, ts TileShape) {
-	kdim, n := a.Cols, b.Rows
-	if rhi <= rlo || kdim == 0 || n == 0 {
-		return
-	}
-	apack := GetSlice(packPanelLen(min(ts.MC, rhi-rlo), min(ts.KC, kdim)))
-	bpack := GetSlice(packPanelLen(min(ts.NC, n), min(ts.KC, kdim)))
-	for jc := 0; jc < n; jc += ts.NC {
-		jce := min(jc+ts.NC, n)
-		for kk := 0; kk < kdim; kk += ts.KC {
-			kce := min(kk+ts.KC, kdim)
-			packRowPanels4(bpack, b, jc, jce, kk, kce)
-			for ic := rlo; ic < rhi; ic += ts.MC {
-				ice := min(ic+ts.MC, rhi)
-				packRowPanels4(apack, a, ic, ice, kk, kce)
-				mulBlock(c, apack, bpack, ic, ice, jc, jce, kce-kk)
-			}
-		}
-	}
-	PutSlice(apack)
-	PutSlice(bpack)
 }

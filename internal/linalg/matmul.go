@@ -6,13 +6,12 @@ import (
 	"github.com/genbase/genbase/internal/parallel"
 )
 
-// matmul implements the GEMM-family kernels. Mul/MulBlocked — the engines'
-// "native BLAS" path — and the AᵀA/ABᵀ variants all route through the packed,
-// register-tiled hierarchy in gemm.go, blocked at the runtime-resolved
-// mc/kc/nc tile shape (tiles.go; override with GENBASE_KERNEL_TILES or
-// SetKernelTiles, ablate the autotune with SetKernelAutotune). MulNaive
-// exists as the ablation baseline (DESIGN.md §8) and as the reference oracle
-// the bitwise property tests pin the packed kernels against.
+// matmul implements the GEMM-family kernels. Mul — the engines' "native
+// BLAS" path — and the AᵀA Gram kernel route through the packed,
+// register-tiled hierarchy in gemm.go, blocked at the one compiled mc/kc/nc
+// tile shape (tiles.go). MulNaive exists as the ablation baseline (DESIGN.md
+// §8) and as the reference oracle the bitwise property tests pin the packed
+// kernels against.
 //
 // The multicore kernels partition their OUTPUT (C row blocks for GEMM, Gram
 // rows for AᵀA) across the shared worker pool: every output element is owned
@@ -91,11 +90,7 @@ func MulNaive(a, b *Matrix) *Matrix {
 	return c
 }
 
-// MulBlocked computes C = A·B through the packed register-tiled kernel with
-// the default worker count. This is the default GEMM.
-func MulBlocked(a, b *Matrix) *Matrix { return MulBlockedP(a, b, 0) }
-
-// MulBlockedP is MulBlocked with an explicit worker count (0 = the
+// MulBlockedP is Mul with an explicit worker count (0 = the
 // GENBASE_PARALLEL / NumCPU default). C's row blocks are partitioned across
 // workers, each running the packed hierarchy over its own rows with its own
 // pooled pack scratch; within a row the accumulation order is exactly the
@@ -111,9 +106,8 @@ func MulBlockedP(a, b *Matrix, workers int) *Matrix {
 		mulSimple(c, a, b)
 		return c
 	}
-	ts := resolveTiles(work)
 	w := gemmWorkers(workers, 2*work)
-	parallel.ForSplit(w, n, func(lo, hi int) { mulPackedRange(c, a, b, lo, hi, ts) })
+	parallel.ForSplit(w, n, func(lo, hi int) { mulPackedRange(c, a, b, lo, hi) })
 	return c
 }
 
@@ -132,7 +126,8 @@ func mulSimple(c, a, b *Matrix) {
 	}
 }
 
-// Mul is the default matrix multiply (packed register-tiled, multicore).
+// Mul computes C = A·B — the default matrix multiply (packed register-tiled,
+// multicore, default worker count).
 func Mul(a, b *Matrix) *Matrix { return MulBlockedP(a, b, 0) }
 
 // MulATA computes AᵀA (a.Cols × a.Cols), exploiting symmetry: only the upper
@@ -156,13 +151,12 @@ func MulATAP(a *Matrix, workers int) *Matrix {
 	if work < packMinWork {
 		gramSimple(c, a, 0, n)
 	} else {
-		ts := resolveTiles(work)
 		w := gemmWorkers(workers, work)
 		if w <= 1 {
-			gramPackedRange(c, a, 0, n, ts)
+			gramPackedRange(c, a, 0, n)
 		} else {
 			parallel.ForSplitWeighted(w, n, func(j int) float64 { return float64(n - j) },
-				func(lo, hi int) { gramPackedRange(c, a, lo, hi, ts) })
+				func(lo, hi int) { gramPackedRange(c, a, lo, hi) })
 		}
 	}
 	for j := 0; j < n; j++ {
@@ -185,40 +179,6 @@ func gramSimple(c, a *Matrix, lo, hi int) {
 			for k := j; k < n; k++ {
 				cj[k] += v * ri[k]
 			}
-		}
-	}
-}
-
-// MulABT computes A·Bᵀ. Both inner dimensions must match (a.Cols == b.Cols).
-func MulABT(a, b *Matrix) *Matrix { return MulABTP(a, b, 0) }
-
-// MulABTP is MulABT with an explicit worker count; C's rows are partitioned
-// across workers and computed through the packed hierarchy (both operands
-// are row panels over the shared column dimension).
-func MulABTP(a, b *Matrix, workers int) *Matrix {
-	if a.Cols != b.Cols {
-		panic("linalg: mulABT dimension mismatch")
-	}
-	c := NewMatrix(a.Rows, b.Rows)
-	work := int64(a.Rows) * int64(a.Cols) * int64(b.Rows)
-	if work < packMinWork {
-		abtSimple(c, a, b, 0, a.Rows)
-		return c
-	}
-	ts := resolveTiles(work)
-	w := gemmWorkers(workers, 2*work)
-	parallel.ForSplit(w, a.Rows, func(lo, hi int) { abtPackedRange(c, a, b, lo, hi, ts) })
-	return c
-}
-
-// abtSimple is the small-size A·Bᵀ path: row-dot loops (each dot accumulates
-// the shared dimension ascending, the same series as the packed path).
-func abtSimple(c, a, b *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		ai := a.Row(i)
-		ci := c.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			ci[j] = Dot(ai, b.Row(j))
 		}
 	}
 }

@@ -33,7 +33,7 @@ func TestBlockedMatchesNaive(t *testing.T) {
 		c := int((seed>>16)%90) + 1
 		a := randMatrix(r, k, seed)
 		b := randMatrix(k, c, seed^0xabcdef)
-		return MaxAbsDiff(MulBlocked(a, b), MulNaive(a, b)) < 1e-9
+		return MaxAbsDiff(Mul(a, b), MulNaive(a, b)) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -44,10 +44,10 @@ func TestBlockedMatchesNaive(t *testing.T) {
 // packed hierarchy: more rows than MC, more reduction steps than KC, and odd
 // remainders against the 4-wide register tile.
 func TestMulBlockedLargerThanBlock(t *testing.T) {
-	ts := KernelTiles()
+	ts := kernelTiles
 	a := randMatrix(ts.MC+7, ts.KC+3, 11)
 	b := randMatrix(ts.KC+3, 73, 12)
-	if MaxAbsDiff(MulBlocked(a, b), MulNaive(a, b)) > 1e-9 {
+	if MaxAbsDiff(Mul(a, b), MulNaive(a, b)) > 1e-9 {
 		t.Fatal("packed result diverges beyond one block")
 	}
 }
@@ -66,14 +66,6 @@ func TestMulATASymmetric(t *testing.T) {
 	a := randMatrix(13, 9, 21)
 	if !MulATA(a).IsSymmetric(1e-12) {
 		t.Fatal("AᵀA must be symmetric")
-	}
-}
-
-func TestMulABTMatchesExplicit(t *testing.T) {
-	a := randMatrix(7, 5, 31)
-	b := randMatrix(9, 5, 32)
-	if MaxAbsDiff(MulABT(a, b), Mul(a, b.Transpose())) > 1e-10 {
-		t.Fatal("ABᵀ mismatch")
 	}
 }
 

@@ -46,7 +46,6 @@ func TestParallelKernelsBitwiseDeterministic(t *testing.T) {
 
 	mul1 := MulBlockedP(a, b, 1)
 	ata1 := MulATAP(a, 1)
-	abt1 := MulABTP(a, a, 1)
 	cov1 := CovarianceP(a, 1)
 	means1 := ColumnMeansP(a, 1)
 	cent1 := CenterColumnsP(a, 1)
@@ -58,9 +57,8 @@ func TestParallelKernelsBitwiseDeterministic(t *testing.T) {
 	}
 
 	for _, w := range []int{2, 8} {
-		bitsEqualMat(t, "MulBlocked", w, MulBlockedP(a, b, w), mul1)
+		bitsEqualMat(t, "MulBlockedP", w, MulBlockedP(a, b, w), mul1)
 		bitsEqualMat(t, "MulATA", w, MulATAP(a, w), ata1)
-		bitsEqualMat(t, "MulABT", w, MulABTP(a, a, w), abt1)
 		bitsEqualMat(t, "Covariance", w, CovarianceP(a, w), cov1)
 		bitsEqualVec(t, "ColumnMeans", w, ColumnMeansP(a, w), means1)
 		bitsEqualMat(t, "CenterColumns", w, CenterColumnsP(a, w), cent1)
@@ -137,8 +135,8 @@ func TestZeroSkipPropagatesNonFinite(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
 		b := FromRows([][]float64{{1, 2, 3}, {bad, bad, bad}})
 		for name, mul := range map[string]func(a, b *Matrix) *Matrix{
-			"MulNaive":   MulNaive,
-			"MulBlocked": MulBlocked,
+			"MulNaive": MulNaive,
+			"Mul":      Mul,
 		} {
 			c := mul(a, b)
 			for j := 0; j < 3; j++ {
@@ -164,7 +162,7 @@ func TestZeroSkipPropagatesNonFinite(t *testing.T) {
 	// Fully finite inputs still use the skip and agree with the oracle.
 	f := randMatrix(40, 30, 11)
 	g := randMatrix(30, 20, 12)
-	if MaxAbsDiff(MulBlocked(f, g), MulNaive(f, g)) > 1e-9 {
+	if MaxAbsDiff(Mul(f, g), MulNaive(f, g)) > 1e-9 {
 		t.Fatal("finite fast path diverged")
 	}
 }

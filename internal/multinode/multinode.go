@@ -102,7 +102,7 @@ type Engine struct {
 	now func() time.Time
 
 	// lastC is the virtual cluster of the most recently completed Run, kept
-	// for the network-ablation benches and tests that inspect traffic stats.
+	// for tests that inspect its traffic and fault-recovery stats.
 	lastC atomic.Pointer[cluster.Cluster]
 }
 
@@ -135,8 +135,8 @@ func (e *Engine) SetFaults(inj cluster.Injector) { e.injector = inj }
 func (e *Engine) SetReplication(factor int) { e.replication = factor }
 
 // Cluster exposes the virtual cluster of the most recent completed Run (for
-// the network ablation bench and traffic assertions). Before any Run it
-// returns an idle cluster of the configured size.
+// traffic and fault-recovery assertions). Before any Run it returns an idle
+// cluster of the configured size.
 func (e *Engine) Cluster() *cluster.Cluster {
 	if c := e.lastC.Load(); c != nil {
 		return c

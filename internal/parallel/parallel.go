@@ -74,15 +74,15 @@ func Split(n, k int) []Range {
 	if n <= 0 {
 		return nil
 	}
-	out := make([]Range, 0, k)
+	out := make([]Range, k)
 	per, rem := n/k, n%k
 	pos := 0
-	for i := 0; i < k; i++ {
+	for i := range out {
 		next := pos + per
 		if i < rem {
 			next++
 		}
-		out = append(out, Range{pos, next})
+		out[i] = Range{pos, next}
 		pos = next
 	}
 	return out

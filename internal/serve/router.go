@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -56,9 +55,8 @@ type Router struct {
 	degraded atomic.Int64
 
 	// plans memoizes (query, params) → compiled plan + fingerprint; the
-	// router needs the plan itself (not just the fingerprint) to estimate
-	// per-operator cost, so it keeps its own memo rather than sharing the
-	// Server's string-only one.
+	// router ranks by the plan's operators and keys its cache by the
+	// fingerprint.
 	plans planMemo
 }
 
@@ -172,34 +170,6 @@ func (r *Router) Name() string { return "fleet/" + r.policy.String() }
 // Model returns the online cost model the router ranks with.
 func (r *Router) Model() *cost.Online { return r.model }
 
-// planMemo memoizes compiled plans per exact parameterization (the router
-// re-ranks every request, so compilation must not be on the hot path).
-type planMemo struct {
-	mu sync.Mutex
-	m  map[fpKey]*plan.Plan
-}
-
-func (pm *planMemo) get(q engine.QueryID, p engine.Params) (*plan.Plan, error) {
-	k := fpKey{q, p}
-	pm.mu.Lock()
-	pl, ok := pm.m[k]
-	pm.mu.Unlock()
-	if ok {
-		return pl, nil
-	}
-	pl, err := plan.Compile(q, p)
-	if err != nil {
-		return nil, err
-	}
-	pm.mu.Lock()
-	if pm.m == nil || len(pm.m) >= maxMemoizedFingerprints {
-		pm.m = make(map[fpKey]*plan.Plan)
-	}
-	pm.m[k] = pl
-	pm.mu.Unlock()
-	return pl, nil
-}
-
 // Run routes one request. The bool reports a cache hit (including a
 // coalesced twin's execution). Error typing matches Server.Run:
 // engine.ErrUnsupported when no fleet member supports the query (or the
@@ -226,15 +196,15 @@ func (r *Router) Run(ctx context.Context, q engine.QueryID, p engine.Params) (*e
 func (r *Router) run(ctx context.Context, q engine.QueryID, p engine.Params) (*engine.Result, bool, error) {
 	// Admission: compile (and so validate) the plan once; unknown queries
 	// and bad parameters are rejected here, before any routing.
-	pl, err := r.plans.get(q, p)
+	cp, err := r.plans.get(q, p)
 	if err != nil {
 		return nil, false, err
 	}
+	pl, fp := cp.plan, cp.fp
 	ranked, err := r.rank(pl, q)
 	if err != nil {
 		return nil, false, err
 	}
-	fp := pl.Fingerprint()
 	if r.cache == nil {
 		res, _, _, err := r.tryCandidates(ctx, ranked, pl, q, p, fp)
 		return res, false, err

@@ -132,13 +132,10 @@ type Server struct {
 	// flights coalesces cold-cache twins (single-flight, see flight.go).
 	flights flights
 
-	// fps memoizes (query, params) → plan fingerprint. engine.Params is a
-	// flat comparable struct, so the exact-repeat hot path (the traffic
-	// shape the cache serves) skips plan compilation entirely; distinct
-	// Params that compile to the same fingerprint still coalesce in the
-	// result cache. A memoized entry was validated when first compiled.
-	fpMu sync.Mutex
-	fps  map[fpKey]string
+	// plans memoizes (query, params) → plan fingerprint; distinct Params
+	// that compile to the same fingerprint still coalesce in the result
+	// cache.
+	plans planMemo
 
 	inflight atomic.Int64
 	peak     atomic.Int64
@@ -234,7 +231,6 @@ func New(eng engine.Engine, opts Options) *Server {
 		slots:      make(chan struct{}, maxc),
 		perWorkers: per,
 		cache:      cache,
-		fps:        make(map[fpKey]string),
 		timeout:    opts.RequestTimeout,
 		maxQueue:   opts.MaxQueue,
 	}
@@ -249,39 +245,56 @@ func New(eng engine.Engine, opts Options) *Server {
 	return s
 }
 
-// fpKey memoizes fingerprints per exact parameterization.
-type fpKey struct {
+// compiledPlan is a compiled plan together with its fingerprint, which is
+// built once at compile time rather than per request.
+type compiledPlan struct {
+	plan *plan.Plan
+	fp   string
+}
+
+// planKey is one exact parameterization. engine.Params is a flat comparable
+// struct, so the exact-repeat hot path (the traffic shape the cache serves)
+// skips plan compilation entirely.
+type planKey struct {
 	q engine.QueryID
 	p engine.Params
 }
 
-// maxMemoizedFingerprints bounds the memo; at the bound the map resets (the
+// maxMemoizedPlans bounds a planMemo; at the bound the map resets (the
 // workload is a small set of hot parameterizations, so eviction finesse
 // buys nothing).
-const maxMemoizedFingerprints = 4096
+const maxMemoizedPlans = 4096
 
-// fingerprint returns the plan fingerprint for (q, p), compiling (and
-// therefore validating) on first sight and answering repeats from the memo.
-func (s *Server) fingerprint(q engine.QueryID, p engine.Params) (string, error) {
-	k := fpKey{q, p}
-	s.fpMu.Lock()
-	fp, ok := s.fps[k]
-	s.fpMu.Unlock()
+// planMemo memoizes compiled plans per exact parameterization, for the
+// Server (which needs the fingerprint) and the Router (which also ranks by
+// the plan's operators). The zero value is ready to use.
+type planMemo struct {
+	mu sync.Mutex
+	m  map[planKey]compiledPlan
+}
+
+// get returns the compiled plan for (q, p), compiling (and therefore
+// validating) on first sight and answering repeats from the memo.
+func (pm *planMemo) get(q engine.QueryID, p engine.Params) (compiledPlan, error) {
+	k := planKey{q, p}
+	pm.mu.Lock()
+	c, ok := pm.m[k]
+	pm.mu.Unlock()
 	if ok {
-		return fp, nil
+		return c, nil
 	}
 	pl, err := plan.Compile(q, p)
 	if err != nil {
-		return "", err
+		return compiledPlan{}, err
 	}
-	fp = pl.Fingerprint()
-	s.fpMu.Lock()
-	if len(s.fps) >= maxMemoizedFingerprints {
-		s.fps = make(map[fpKey]string)
+	c = compiledPlan{pl, pl.Fingerprint()}
+	pm.mu.Lock()
+	if pm.m == nil || len(pm.m) >= maxMemoizedPlans {
+		pm.m = make(map[planKey]compiledPlan)
 	}
-	s.fps[k] = fp
-	s.fpMu.Unlock()
-	return fp, nil
+	pm.m[k] = c
+	pm.mu.Unlock()
+	return c, nil
 }
 
 // Engine returns the currently served engine generation.
@@ -347,10 +360,11 @@ func (s *Server) run(ctx context.Context, q engine.QueryID, p engine.Params) (*e
 	// validating the parameters, on first sight of this parameterization).
 	// Semantically identical requests share a key regardless of irrelevant
 	// Params fields.
-	fp, err := s.fingerprint(q, p)
+	cp, err := s.plans.get(q, p)
 	if err != nil {
 		return nil, false, err
 	}
+	fp := cp.fp
 	// Pin the (engine, epoch) pair once: the execution below runs on exactly
 	// this generation, so the epoch-keyed cache entry it may publish is
 	// correct even if Swap lands mid-flight.

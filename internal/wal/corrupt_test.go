@@ -126,7 +126,7 @@ func TestWALParseSegmentCorruption(t *testing.T) {
 			binary.LittleEndian.PutUint32(b[28:], 1<<30)
 			return b
 		}),
-		"trailing bytes":  append(append([]byte(nil), blob...), 0),
+		"trailing bytes": append(append([]byte(nil), blob...), 0),
 		"garbage page": mut(func(b []byte) []byte {
 			b[32] ^= 0xff // inside the first page's colpage header
 			return b

@@ -21,11 +21,11 @@ import (
 // in-flight and subsequent Append, because a WAL that cannot promise
 // durability must stop acknowledging.
 type Log struct {
-	mu      sync.Mutex
-	f       *os.File
-	pending []byte // encoded records not yet written
-	seq     uint64 // last sequence number assigned to an enqueued record
-	durable uint64 // highest sequence made durable
+	mu       sync.Mutex
+	f        *os.File
+	pending  []byte // encoded records not yet written
+	seq      uint64 // last sequence number assigned to an enqueued record
+	durable  uint64 // highest sequence made durable
 	flushing bool
 	flushed  *sync.Cond
 	size     int64 // durable file length in bytes

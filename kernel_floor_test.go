@@ -22,17 +22,15 @@ import (
 )
 
 // TestKernelPerfFloor512 asserts packed-serial ns/op ≤ naive ns/op at
-// 512×512×512 (best of three, interleaved), after forcing the one-time tile
-// autotune outside the timed region. It also re-checks the bitwise contract
-// on the same operands so a floor failure is never confused with a
-// correctness failure.
+// 512×512×512 (best of three, interleaved) at the compiled tile shape. It
+// also re-checks the bitwise contract on the same operands so a floor
+// failure is never confused with a correctness failure.
 func TestKernelPerfFloor512(t *testing.T) {
 	if os.Getenv("GENBASE_PERF_FLOOR") == "" {
 		t.Skip("set GENBASE_PERF_FLOOR=1 to run the wall-clock kernel floor")
 	}
 	a := randomMatrix(512, 512, 26)
 	b := randomMatrix(512, 512, 27)
-	linalg.ResolveKernelTiles()
 	t.Logf("tiles: %s", linalg.KernelTileInfo())
 
 	want := linalg.MulNaive(a, b) // warmup naive
