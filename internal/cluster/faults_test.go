@@ -91,6 +91,38 @@ func TestFaultTransientExhaustsRetries(t *testing.T) {
 	}
 }
 
+// Recovery is charged at the compiled costs: each in-place retry adds the
+// doubling DefaultRetryBackoffSec before the successful attempt's tick.
+func TestFaultRetryChargesDoublingBackoff(t *testing.T) {
+	const tick = 2 * time.Millisecond
+	cfg := cluster.SteppedConfig(1, tick)
+	cfg.Injector = faults.New().Flaky(0, 0).Flaky(0, 1)
+	c := cluster.New(cfg)
+	if err := c.Exec(0, func() error { return nil }); err != nil {
+		t.Fatalf("two flaky steps within DefaultMaxRetries: %v", err)
+	}
+	want := 0.0
+	want += cluster.DefaultRetryBackoffSec
+	want += 2 * cluster.DefaultRetryBackoffSec
+	want += tick.Seconds()
+	if got := c.MakespanSeconds(); got != want {
+		t.Fatalf("makespan %v, want %v (1x + 2x backoff, then one tick)", got, want)
+	}
+}
+
+// A shard failover charges DefaultFailoverDetectSec to the re-homing node
+// only, and counts once.
+func TestFaultFailoverDetectChargesDefault(t *testing.T) {
+	c := cluster.New(cluster.DefaultConfig(2))
+	c.ChargeFailoverDetect(1)
+	if got := c.MakespanSeconds(); got != cluster.DefaultFailoverDetectSec {
+		t.Fatalf("makespan %v, want %v", got, cluster.DefaultFailoverDetectSec)
+	}
+	if got := c.Failovers.Load(); got != 1 {
+		t.Fatalf("Failovers = %d, want 1", got)
+	}
+}
+
 // Every exec costs one 2-ms tick: an exec exactly at the timeout survives,
 // the next one past a tighter timeout fail-stops the node, and either way the
 // tick is charged.

@@ -139,3 +139,11 @@ func TestPackedLargeCompiledTiles(t *testing.T) {
 		checkBits(t, "packed-large", w, MulBlockedP(a, b, w), want)
 	}
 }
+
+// The benchmark records KernelTileInfo in every result header; the string
+// names the compiled shape the packed kernels block at.
+func TestKernelTileInfoNamesCompiledShape(t *testing.T) {
+	if got, want := KernelTileInfo(), "mr4 nr4 mc128 kc256 nc512 (default)"; got != want {
+		t.Fatalf("KernelTileInfo() = %q, want %q", got, want)
+	}
+}

@@ -31,7 +31,7 @@ const (
 	nrTile = 4
 )
 
-// kernelTiles is the one shape the packed kernels block at: a 16 KiB L1
+// kernelTiles is the one shape the packed kernels block at: an 8 KiB L1
 // B-panel slab (kc·nr doubles) and a 256 KiB L2 A block. A variable (not
 // const) only so the bitwise property tests can pin a tiny shape that
 // crosses every block boundary on small matrices.
