@@ -224,7 +224,7 @@ func (e *Engine) joinPivotJob(ctx context.Context, geneIDs, patientIDs []int64) 
 		if pIdx[p] < 0 {
 			return fmt.Errorf("patient %d was not selected", p)
 		}
-		return parseFloatFields(value, m.Row(int(pIdx[p])))
+		return parseFloatFields(value, m.Row(int(pIdx[p])), false)
 	})
 	if err != nil {
 		return nil, err

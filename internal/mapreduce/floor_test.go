@@ -2,18 +2,23 @@ package mapreduce
 
 // Host-independent floors for the MapReduce runtime, on the shape that
 // dominates Hadoop's covariance query: every mapper emits the same ascending
-// key set with float partials and the reducers sum them.
+// key set with float partials and the reducers sum them. Then the covariance
+// jobs themselves: their record count, their shuffle bytes and their speed
+// against the element-keyed layout (mahout_ref_test.go).
 
 import (
 	"context"
+	"math/rand"
 	"os"
 	"slices"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/genbase/genbase/internal/datagen"
 	"github.com/genbase/genbase/internal/engine"
+	"github.com/genbase/genbase/internal/linalg"
 )
 
 const (
@@ -41,7 +46,9 @@ func shuffleJobs() (*Job, *refJob) {
 			for j := range partials {
 				partials[j] = scale * (float64(j) + 0.5)
 			}
-			emitVector(out, "", partials)
+			// One record per element, so the floor times the runtime's
+			// per-record path rather than the jobs' row layout.
+			refEmitVector(out, "", partials)
 			return nil
 		},
 		Reduce: sumReduce,
@@ -133,6 +140,108 @@ func TestShufflePerfFloor(t *testing.T) {
 	t.Logf("reference %v, run %v (%.2fx)", refBest, newBest, ratio)
 	if ratio < 2.5 {
 		t.Fatalf("shuffle perf floor broken: %.2fx over the reference, want >= 2.5x", ratio)
+	}
+}
+
+// covarianceInput is an n×k normal matrix as Mahout row files over splits.
+func covarianceInput(n, k, splits int) [][]string {
+	rng := rand.New(rand.NewSource(int64(n*k + splits)))
+	x := linalg.NewMatrix(n, k)
+	for i := range x.Data {
+		x.Data[i] = rng.NormFloat64()
+	}
+	return matrixLines(x, splits)
+}
+
+func totalBytes(traffic [][]int64) (sum int64) {
+	for _, row := range traffic {
+		for _, b := range row {
+			sum += b
+		}
+	}
+	return sum
+}
+
+// TestCovarianceShufflesGramRows counts what the covariance query's gram job
+// shuffles: one record per gram row per mapper, s·k on an n×k input over s
+// splits (the element-keyed layout shuffled s·k(k+1)/2), in at most 0.55×
+// the element-keyed layout's ShuffleCost bytes.
+func TestCovarianceShufflesGramRows(t *testing.T) {
+	const n, k, splits = 60, 40, 8
+	ctx := context.Background()
+	sched := &recordingSched{LocalScheduler: LocalScheduler{Workers: 2}}
+	e := &Engine{Splits: splits, Sched: sched}
+	matrix := covarianceInput(n, k, splits)
+	means, err := e.colMeansJob(ctx, matrix, k, n)
+	noErr(t, err)
+	job := e.centeredGram(ctx, matrix, k, means)
+	var shuffled atomic.Int64
+	reduce := job.Reduce
+	job.Reduce = func(key []byte, values [][]byte, out *Emitter) error {
+		shuffled.Add(int64(len(values)))
+		return reduce(key, values, out)
+	}
+	_, err = Run(ctx, job, sched)
+	noErr(t, err)
+	rowBytes := totalBytes(sched.traffic)
+	_, err = e.refCenteredGramJob(ctx, matrix, k, means)
+	noErr(t, err)
+	refBytes := totalBytes(sched.traffic)
+	t.Logf("%d records in %d bytes; the element-keyed layout shuffles %d records in %d bytes",
+		shuffled.Load(), rowBytes, splits*k*(k+1)/2, refBytes)
+	if got := shuffled.Load(); got != splits*k {
+		t.Fatalf("shuffled %d gram records, want splits·k = %d", got, splits*k)
+	}
+	if float64(rowBytes) > 0.55*float64(refBytes) {
+		t.Fatalf("shuffled %d bytes, more than 0.55× the element-keyed layout's %d", rowBytes, refBytes)
+	}
+}
+
+// TestHadoopCovariancePerfFloor asserts the covariance query's two jobs —
+// column means, then the centered gram — run 1.25× faster in the row layout
+// than in the element-keyed layout they replaced, at the medium preset's 750
+// genes, after checking both give the same bits. Gated like the other
+// wall-clock floors.
+func TestHadoopCovariancePerfFloor(t *testing.T) {
+	if os.Getenv("GENBASE_PERF_FLOOR") == "" {
+		t.Skip("set GENBASE_PERF_FLOOR=1 to run the wall-clock covariance floor")
+	}
+	const n, k = 64, 750
+	ctx := context.Background()
+	e := &Engine{Sched: LocalScheduler{}}
+	matrix := covarianceInput(n, k, e.splits())
+	runNew := func() (*linalg.Matrix, error) {
+		means, err := e.colMeansJob(ctx, matrix, k, n)
+		if err != nil {
+			return nil, err
+		}
+		return e.centeredGramJob(ctx, matrix, k, means)
+	}
+	runRef := func() (*linalg.Matrix, error) {
+		means, err := e.refColMeansJob(ctx, matrix, k, n)
+		if err != nil {
+			return nil, err
+		}
+		return e.refCenteredGramJob(ctx, matrix, k, means)
+	}
+	got, err := runNew()
+	want, refErr := runRef()
+	noErr(t, err, refErr)
+	sameBits(t, "centered gram", got.Data, want.Data)
+	refBest, newBest := time.Duration(1<<62), time.Duration(1<<62)
+	for r := 0; r < 3; r++ {
+		t0 := time.Now()
+		_, refErr = runRef()
+		t1 := time.Now()
+		_, err = runNew()
+		t2 := time.Now()
+		noErr(t, err, refErr)
+		refBest, newBest = min(refBest, t1.Sub(t0)), min(newBest, t2.Sub(t1))
+	}
+	ratio := float64(refBest) / float64(newBest)
+	t.Logf("element-keyed %v, row layout %v (%.2fx)", refBest, newBest, ratio)
+	if ratio < 1.25 {
+		t.Fatalf("covariance perf floor broken: %.2fx over the element-keyed layout, want >= 1.25x", ratio)
 	}
 }
 

@@ -19,7 +19,9 @@
 // stable-sort" gave, so a reducer that sums partials adds them in the same
 // order and every float is bit-identical (framework_ref_test.go keeps that
 // runtime as the reference) — and streams each key group to Reduce through
-// one reused values buffer.
+// one reused values buffer. The Mahout-style jobs shuffle one record per
+// gram row or partial vector (mahout.go), so a record may carry hundreds of
+// floats: tasks poll their context by records and by bytes of record text.
 //
 // Still paid on purpose: floats cross every hop as shortest-round-trip
 // decimal text, a job's whole map output is materialised before any reducer
@@ -211,22 +213,26 @@ func (r *run) lines() []string {
 	return lines
 }
 
-// ctxStride is how many records a task emits, merges or compares between
-// polls of its context.
-const ctxStride = 1024
+// A task polls its context after every ctxStride records it emits or merges,
+// or ctxBytes of their text, whichever comes first — a row-vector record can
+// carry hundreds of floats — and after every ctxStride comparisons of a sort.
+const ctxStride, ctxBytes = 1024, 64 << 10
 
 // Emitter collects the records one map, combine or reduce task emits: one run
 // per reducer for a mapper, a single run otherwise.
 type Emitter struct {
 	ctx  context.Context
 	runs []run
-	n    int
+	n    int   // records since the last poll
+	text int   // bytes of record text since the last poll
 	err  error // ctx's error once a poll saw it; later records are dropped
 }
 
 // Emit appends one record, copying key and value.
 func (e *Emitter) Emit(key, value []byte) {
-	if e.n++; e.n%ctxStride == 0 && e.err == nil {
+	e.n, e.text = e.n+1, e.text+len(key)+len(value)+2
+	if (e.n == ctxStride || e.text >= ctxBytes) && e.err == nil {
+		e.n, e.text = 0, 0
 		e.err = engine.CheckCtx(e.ctx)
 	}
 	if e.err != nil {
@@ -322,6 +328,9 @@ func (job *Job) mapTask(ctx context.Context, split []string, r int) ([]run, erro
 			if err := job.Map(line, out); err != nil {
 				return nil, fmt.Errorf("mapreduce: %s map: %w", job.Name, err)
 			}
+			if out.err != nil {
+				break // an emit saw the cancellation
+			}
 		}
 	default:
 		return nil, fmt.Errorf("mapreduce: %s has no map function", job.Name)
@@ -351,7 +360,7 @@ func (job *Job) mapTask(ctx context.Context, split []string, r int) ([]run, erro
 
 // merge walks the sorted runs' key groups in key order and hands each to fn
 // with its values in run order, then index order within a run, polling out's
-// context every ctxStride values. The smallest
+// context every ctxStride values or ctxBytes of value text. The smallest
 // head key is found by scanning the runs — linear in their number per group,
 // which suits jobs whose mappers are few (two per node) and whose keys recur
 // in every run.
@@ -361,7 +370,7 @@ func merge(runs []*run, fn func(key []byte, values [][]byte, out *Emitter) error
 		heads[m].segs = r.segs
 	}
 	var values [][]byte
-	for merged := 0; ; {
+	for merged, text := 0, 0; ; {
 		first := -1
 		for m := range heads {
 			if len(heads[m].segs) > 0 && (first < 0 || bytes.Compare(heads[m].key(), heads[first].key()) < 0) {
@@ -376,10 +385,11 @@ func merge(runs []*run, fn func(key []byte, values [][]byte, out *Emitter) error
 		for m := first; m < len(heads); m++ {
 			for h := &heads[m]; len(h.segs) > 0 && bytes.Equal(h.key(), key); h.next() {
 				values = append(values, h.value())
+				text += len(values[len(values)-1])
 			}
 		}
-		if merged += len(values); merged >= ctxStride {
-			merged = 0
+		if merged += len(values); merged >= ctxStride || text >= ctxBytes {
+			merged, text = 0, 0
 			if err := engine.CheckCtx(out.ctx); err != nil {
 				return err
 			}

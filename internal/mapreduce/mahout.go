@@ -3,8 +3,10 @@ package mapreduce
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -16,6 +18,15 @@ import (
 // matrix rows, with in-mapper combining for partial aggregates and no BLAS
 // anywhere — "matrix operations are not done through a high performance
 // linear algebra package".
+//
+// What a job shuffles is what Mahout's VectorWritable jobs shuffle: one
+// record per vector. A mapper emits its partial gram as one
+// "tag:i \t g_ii,…,g_ik" record per row and a partial vector (column sums,
+// a Lanczos mat-vec's z, Xᵀy, the residual sum of squares) as one
+// comma-joined record; sumReduce adds the mappers' vectors element-wise in
+// merge order, so every float has the bits that summing one element-keyed
+// record at a time gave (mahout_ref_test.go keeps that layout as the
+// reference). The drivers read every expected row or vector exactly once.
 
 // matrixLines renders a dense matrix as Mahout-style row files
 // "rowid \t v1,v2,..." split for MR input. This materialization-to-text
@@ -24,13 +35,7 @@ func matrixLines(m *linalg.Matrix, splits int) [][]string {
 	lines := make([]string, m.Rows)
 	var buf []byte
 	for i := range lines {
-		buf = append(appendPadInt(buf[:0], i), '\t')
-		for j, v := range m.Row(i) {
-			if j > 0 {
-				buf = append(buf, ',')
-			}
-			buf = strconv.AppendFloat(buf, v, 'g', -1, 64)
-		}
+		buf = appendFloats(append(appendPadInt(buf[:0], i), '\t'), m.Row(i))
 		lines[i] = string(buf)
 	}
 	return SplitLines(lines, splits)
@@ -125,7 +130,7 @@ func parseRowLine(line string, dst []float64, rows int) (int, error) {
 		id, err = parseIndex(f[0], rows)
 	}
 	if err == nil {
-		err = parseFloatFields(f[1], dst)
+		err = parseFloatFields(f[1], dst, false)
 	}
 	if err != nil {
 		return 0, malformed(line, err)
@@ -133,23 +138,27 @@ func parseRowLine(line string, dst []float64, rows int) (int, error) {
 	return id, nil
 }
 
-// parseFloatFields decodes a comma-separated float row into dst in place —
-// the text engine's columnar batch decode. Unlike strings.Split it
-// allocates nothing: every Mahout-style job parses each matrix row through
-// here, so the old per-row []string garbage is gone from the whole MR
-// analytics path.
-func parseFloatFields(s string, dst []float64) error {
+// parseFloatFields decodes a comma-separated float vector into dst in place
+// — the text engine's columnar batch decode — or, with add set, adds each
+// field to its slot. s must hold exactly len(dst) fields. Unlike
+// strings.Split it allocates nothing: every Mahout-style job parses each
+// matrix row and each shuffled partial vector through here.
+func parseFloatFields[S string | []byte](s S, dst []float64, add bool) error {
 	j, start := 0, 0
 	for k := 0; k <= len(s); k++ {
 		if k == len(s) || s[k] == ',' {
 			if j >= len(dst) {
 				return fmt.Errorf("mapreduce: row has more than %d fields", len(dst))
 			}
-			v, err := strconv.ParseFloat(s[start:k], 64)
+			v, err := strconv.ParseFloat(string(s[start:k]), 64)
 			if err != nil {
 				return err
 			}
-			dst[j] = v
+			if add {
+				dst[j] += v
+			} else {
+				dst[j] = v
+			}
 			j++
 			start = k + 1
 		}
@@ -158,6 +167,17 @@ func parseFloatFields(s string, dst []float64) error {
 		return fmt.Errorf("mapreduce: row has %d fields, want %d", j, len(dst))
 	}
 	return nil
+}
+
+// appendFloats appends v as comma-separated shortest round-trip decimals.
+func appendFloats(dst []byte, v []float64) []byte {
+	for j, x := range v {
+		if j > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendFloat(dst, x, 'g', -1, 64)
+	}
+	return dst
 }
 
 // addOuter adds the upper triangle of row·rowᵀ into the len(row)² gram.
@@ -173,68 +193,100 @@ func addOuter(gram, row []float64) {
 	}
 }
 
-// emitGram emits the upper triangle of the k×k partial gram as
-// "tag:i:j \t value" records, in key order.
+// emitGram emits the upper triangle of the k×k partial gram as one
+// "tag:i \t g_ii,…,g_ik" record per row, in key order: the row vectors a
+// Mahout matrix job shuffles, not one record per element.
 func emitGram(out *Emitter, tag byte, gram []float64, k int) {
-	var kbuf, vbuf [32]byte
+	var kbuf [16]byte
+	var row []byte
 	for i := 0; i < k && out.err == nil; i++ {
-		row := append(appendPadInt(append(kbuf[:0], tag, ':'), i), ':')
-		for j := i; j < k; j++ {
-			out.Emit(appendPadInt(row, j), strconv.AppendFloat(vbuf[:0], gram[i*k+j], 'g', -1, 64))
-		}
+		row = appendFloats(row[:0], gram[i*k+i:(i+1)*k])
+		out.Emit(appendPadInt(append(kbuf[:0], tag, ':'), i), row)
 	}
 }
 
-// emitVector emits v as "<prefix>j \t value" records, in key order.
-func emitVector(out *Emitter, prefix string, v []float64) {
-	var kbuf, vbuf [32]byte
-	for j, x := range v {
-		out.Emit(appendPadInt(append(kbuf[:0], prefix...), j), strconv.AppendFloat(vbuf[:0], x, 'g', -1, 64))
-	}
+// emitVector emits a mapper's whole partial vector as the one record
+// "key \t v_0,…,v_n".
+func emitVector(out *Emitter, key string, v []float64) {
+	out.Emit([]byte(key), appendFloats(nil, v))
 }
 
-// readGram is the driver's read of a gram job's output: "tag:i:j" records
-// fill gram symmetrically and "y:i" records fill aty.
-func readGram(parts [][]string, gram *linalg.Matrix, aty []float64) error {
-	return records(parts, func(key, value string) error {
-		v, err := strconv.ParseFloat(value, 64)
-		if err != nil {
-			return err
-		}
-		if rest, ok := strings.CutPrefix(key, "y:"); ok {
-			i, err := parseIndex(rest, len(aty))
-			if err == nil {
-				aty[i] = v
+// errMissing and errDuplicate are a driver's complaints about a record that
+// must arrive exactly once.
+var (
+	errMissing   = errors.New("record missing")
+	errDuplicate = errors.New("record arrived twice")
+)
+
+// readGram is the driver's read of a gram job's output. Each "tag:i" record
+// is row i of the upper triangle, g_ii…g_ik, and fills gram symmetrically;
+// the "y" record fills aty. Every row, and y when aty is set, must arrive
+// exactly once.
+func readGram(parts [][]string, tag byte, gram *linalg.Matrix, aty []float64) error {
+	k := gram.Rows
+	seen := make([]bool, k+1) // the rows, then y
+	row := make([]float64, k)
+	prefix := string([]byte{tag, ':'})
+	err := records(parts, func(key, value string) error {
+		i, dst := k, aty
+		if key != "y" || aty == nil {
+			rest, ok := strings.CutPrefix(key, prefix)
+			if !ok {
+				return fmt.Errorf("want a %q key", prefix)
 			}
+			var err error
+			if i, err = parseIndex(rest, k); err != nil {
+				return err
+			}
+			dst = row[:k-i]
+		}
+		if seen[i] {
+			return errDuplicate
+		}
+		seen[i] = true
+		if err := parseFloatFields(value, dst, false); err != nil {
 			return err
 		}
-		var f [3]string
-		if err := fields(key, ':', f[:]); err != nil {
-			return err
+		if i < k {
+			for d, v := range dst {
+				gram.Set(i, i+d, v)
+				gram.Set(i+d, i, v)
+			}
 		}
-		i, err := parseIndex(f[1], gram.Rows)
-		if err != nil {
-			return err
-		}
-		j, err := parseIndex(f[2], gram.Cols)
-		if err != nil {
-			return err
-		}
-		gram.Set(i, j, v)
-		gram.Set(j, i, v)
 		return nil
 	})
+	if err != nil {
+		return err
+	}
+	for i, ok := range seen {
+		switch {
+		case ok:
+		case i < k:
+			return malformed(string(appendPadInt([]byte{tag, ':'}, i)), errMissing)
+		case aty != nil:
+			return malformed("y", errMissing)
+		}
+	}
+	return nil
 }
 
-// readVector is the driver's read of "j \t value" records into dst.
-func readVector(parts [][]string, dst []float64) error {
-	return records(parts, func(key, value string) error {
-		j, err := parseIndex(key, len(dst))
-		if err == nil {
-			dst[j], err = strconv.ParseFloat(value, 64)
+// readVector is the driver's read of a vector job's output: exactly one
+// "key \t v_0,…,v_n" record, holding len(dst) fields.
+func readVector(parts [][]string, key string, dst []float64) error {
+	n := 0
+	err := records(parts, func(k, value string) error {
+		switch n++; {
+		case k != key:
+			return fmt.Errorf("want key %q", key)
+		case n > 1:
+			return errDuplicate
 		}
-		return err
+		return parseFloatFields(value, dst, false)
 	})
+	if err == nil && n == 0 {
+		err = malformed(key, errMissing)
+	}
+	return err
 }
 
 // gramJob computes XᵀX and Xᵀy partials per mapper and reduces them — the
@@ -265,7 +317,7 @@ func (e *Engine) gramJob(ctx context.Context, matrix [][]string, k int, y []floa
 				}
 			}
 			emitGram(out, 'g', gram, k)
-			emitVector(out, "y:", aty)
+			emitVector(out, "y", aty)
 			return nil
 		},
 		Reduce: sumReduce,
@@ -276,25 +328,30 @@ func (e *Engine) gramJob(ctx context.Context, matrix [][]string, k int, y []floa
 	}
 	gram := linalg.NewMatrix(k, k)
 	aty := make([]float64, k)
-	if err := readGram(out, gram, aty); err != nil {
+	if err := readGram(out, 'g', gram, aty); err != nil {
 		return nil, nil, err
 	}
 	return gram, aty, nil
 }
 
-// sumReduce adds text-encoded float values (with text round-trips, as a
-// streaming reducer would).
+// sumReduce adds the mappers' partial vectors element-wise, with text
+// round-trips as a streaming reducer would. Every value is a comma-separated
+// vector of one length (a scalar is a 1-vector), and element j sums to
+// 0 + v_0[j] + v_1[j] + … in merge order, mapper by mapper: the order, and
+// so the bits, of summing one element-keyed record at a time.
 func sumReduce(key []byte, values [][]byte, out *Emitter) error {
-	s := 0.0
+	// A vector that fits in small, such as a scalar, allocates nothing.
+	var small [4]float64
+	n := bytes.Count(values[0], []byte{','}) + 1
+	sums := slices.Grow(small[:0], n)[:n]
 	for _, v := range values {
-		f, err := strconv.ParseFloat(string(v), 64)
-		if err != nil {
+		if err := parseFloatFields(v, sums, true); err != nil {
 			return malformed(string(v), err)
 		}
-		s += f
 	}
-	var vbuf [32]byte
-	out.Emit(key, strconv.AppendFloat(vbuf[:0], s, 'g', -1, 64))
+	// The sums' text is about as long as a partial's: grow once, up front.
+	var text [64]byte
+	out.Emit(key, appendFloats(slices.Grow(text[:0], 2*len(values[0])), sums))
 	return nil
 }
 
@@ -315,7 +372,7 @@ func (e *Engine) colMeansJob(ctx context.Context, matrix [][]string, k int, nRow
 					sums[j] += v
 				}
 			}
-			emitVector(out, "", sums)
+			emitVector(out, "colsums", sums)
 			return nil
 		},
 		Reduce: sumReduce,
@@ -325,7 +382,7 @@ func (e *Engine) colMeansJob(ctx context.Context, matrix [][]string, k int, nRow
 		return nil, err
 	}
 	means := make([]float64, k)
-	if err := readVector(out, means); err != nil {
+	if err := readVector(out, "colsums", means); err != nil {
 		return nil, err
 	}
 	for j := range means {
@@ -337,7 +394,21 @@ func (e *Engine) colMeansJob(ctx context.Context, matrix [][]string, k int, nRow
 // centeredGramJob computes Σ (x−mean)(x−mean)ᵀ partials — covariance before
 // the 1/(n−1) scale.
 func (e *Engine) centeredGramJob(ctx context.Context, matrix [][]string, k int, means []float64) (*linalg.Matrix, error) {
-	job := &Job{
+	out, err := Run(ctx, e.centeredGram(ctx, matrix, k, means), e.Sched)
+	if err != nil {
+		return nil, err
+	}
+	gram := linalg.NewMatrix(k, k)
+	if err := readGram(out, 'c', gram, nil); err != nil {
+		return nil, err
+	}
+	return gram, nil
+}
+
+// centeredGram is centeredGramJob's job: each mapper folds its centered rows
+// into a partial gram and emits the gram's rows.
+func (e *Engine) centeredGram(ctx context.Context, matrix [][]string, k int, means []float64) *Job {
+	return &Job{
 		Name:        "mahout-centered-gram",
 		Input:       matrix,
 		NumReducers: e.splits(),
@@ -363,20 +434,11 @@ func (e *Engine) centeredGramJob(ctx context.Context, matrix [][]string, k int, 
 		},
 		Reduce: sumReduce,
 	}
-	out, err := Run(ctx, job, e.Sched)
-	if err != nil {
-		return nil, err
-	}
-	gram := linalg.NewMatrix(k, k)
-	if err := readGram(out, gram, nil); err != nil {
-		return nil, err
-	}
-	return gram, nil
 }
 
 // mrATAOperator runs one MR job per Lanczos iteration: each mapper parses
 // its rows, computes y_i = row·x and accumulates z += y_i·row locally, then
-// reducers sum the partial z vectors. Exactly Mahout's DistributedLanczos
+// a reducer sums the partial z vectors. Exactly Mahout's DistributedLanczos
 // shape.
 type mrATAOperator struct {
 	ctx    context.Context
@@ -419,14 +481,14 @@ func (o *mrATAOperator) Apply(x []float64) []float64 {
 					z[j] += yi * v
 				}
 			}
-			emitVector(out, "", z)
+			emitVector(out, "z", z)
 			return nil
 		},
 		Reduce: sumReduce,
 	}
 	res, err := Run(o.ctx, job, o.e.Sched)
 	if err == nil {
-		err = readVector(res, out)
+		err = readVector(res, "z", out)
 	}
 	o.err = err
 	return out
@@ -453,8 +515,7 @@ func (e *Engine) ssResJob(ctx context.Context, matrix [][]string, beta, y []floa
 				d := y[id] - pred
 				ss += d * d
 			}
-			var vbuf [32]byte
-			out.Emit([]byte("ssres"), strconv.AppendFloat(vbuf[:0], ss, 'g', -1, 64))
+			emitVector(out, "ssres", []float64{ss})
 			return nil
 		},
 		Reduce: sumReduce,
@@ -463,16 +524,9 @@ func (e *Engine) ssResJob(ctx context.Context, matrix [][]string, beta, y []floa
 	if err != nil {
 		return 0, err
 	}
-	ss, n := 0.0, 0
-	err = records(out, func(_, value string) (err error) {
-		n++
-		ss, err = strconv.ParseFloat(value, 64)
-		return err
-	})
-	if err == nil && n != 1 {
-		err = fmt.Errorf("mapreduce: ssres job produced %d records, want 1", n)
-	}
-	return ss, err
+	var ss [1]float64
+	err = readVector(out, "ssres", ss[:])
+	return ss[0], err
 }
 
 // solveSymmetric solves Gx = b for a symmetric positive-definite G by QR.

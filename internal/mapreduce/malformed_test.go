@@ -12,7 +12,9 @@ import (
 // Every reader of text — table lines in the mappers, shuffle values in the
 // reducers, reducer output in the drivers — must turn a malformed record into
 // a "mapreduce: malformed record" error: never an index panic, never a
-// silently zero field. Each reader gets the same five kinds of bad line.
+// silently zero field. Each reader gets the same five kinds of bad line, and
+// the drivers' row and vector reads also a row that is missing, arrives
+// twice or has the wrong length.
 
 // textEngine is a loaded 2-patient × 2-gene × 2-term engine whose tables are
 // the given lines.
@@ -32,6 +34,15 @@ var (
 	goodGO       = []string{"0,0,1", "1,1,1", "1,0,0"}
 )
 
+// recordLines splits a "\n"-separated set of reducer output lines; the empty
+// string is no line at all.
+func recordLines(s string) []string {
+	if s == "" {
+		return nil
+	}
+	return strings.Split(s, "\n")
+}
+
 // withFirst returns lines with the first replaced.
 func withFirst(lines []string, first string) []string {
 	return append([]string{first}, lines[1:]...)
@@ -40,9 +51,14 @@ func withFirst(lines []string, first string) []string {
 func TestMalformedRecordsAreErrors(t *testing.T) {
 	ctx := context.Background()
 	agePred := []plan.Pred{{Col: plan.ColAge, Op: plan.CmpLT, Val: 100}}
+	// A group reader's line is its values, one per mapper, "\n"-separated.
 	groupReader := func(fn func([]byte, [][]byte, *Emitter) error) func(string) error {
-		return func(value string) error {
-			return fn([]byte("k"), [][]byte{[]byte(value)}, &Emitter{ctx: ctx, runs: make([]run, 1)})
+		return func(line string) error {
+			var values [][]byte
+			for _, v := range strings.Split(line, "\n") {
+				values = append(values, []byte(v))
+			}
+			return fn([]byte("k"), values, &Emitter{ctx: ctx, runs: make([]run, 1)})
 		}
 	}
 	readers := []struct {
@@ -60,18 +76,38 @@ func TestMalformedRecordsAreErrors(t *testing.T) {
 		},
 		{
 			name: "readVector",
-			read: func(l string) error { return readVector([][]string{{l}}, make([]float64, 2)) },
-			good: "0000000001\t2.5",
-			bad: map[string]string{"no tab": "0000000001", "extra field": "0000000001\t1\t2", "non-numeric id": "x\t1",
-				"empty id": "\t1", "empty value": "0000000001\t", "id out of range": "0000000002\t1"},
+			read: func(l string) error { return readVector([][]string{recordLines(l)}, "v", make([]float64, 2)) },
+			good: "v\t1.5,2.5",
+			bad: map[string]string{"no tab": "v", "extra field": "v\t1,2\t2", "wrong key": "w\t1,2", "empty key": "\t1,2",
+				"empty value": "v\t", "short row": "v\t1", "long row": "v\t1,2,3", "non-numeric value": "v\t1,x",
+				"missing row": "", "duplicate row": "v\t1,2\nv\t1,2"},
 		},
 		{
 			name: "readGram",
-			read: func(l string) error { return readGram([][]string{{l}}, linalg.NewMatrix(2, 2), make([]float64, 2)) },
-			good: "g:0000000000:0000000001\t2.5",
-			bad: map[string]string{"no tab": "g:0000000000:0000000001", "short key": "g:0000000000\t1", "extra field": "g:0:1:1\t1",
-				"non-numeric id": "g:x:0000000001\t1", "empty value": "g:0000000000:0000000001\t",
-				"id out of range": "y:0000000002\t1"},
+			read: func(l string) error {
+				return readGram([][]string{recordLines(l)}, 'g', linalg.NewMatrix(2, 2), make([]float64, 2))
+			},
+			good: "g:0000000000\t1.5,2.5\ng:0000000001\t3.5\ny\t1,2",
+			bad: map[string]string{"no tab": "g:0000000000\ng:0000000001\t3.5\ny\t1,2",
+				"short key":      "g\t1.5,2.5\ng:0000000001\t3.5\ny\t1,2",
+				"extra field":    "g:0000000000:0000000001\t2.5\ng:0000000001\t3.5\ny\t1,2",
+				"wrong tag":      "c:0000000000\t1.5,2.5\ng:0000000001\t3.5\ny\t1,2",
+				"non-numeric id": "g:x\t1.5,2.5\ng:0000000001\t3.5\ny\t1,2", "empty value": "g:0000000000\t\ng:0000000001\t3.5\ny\t1,2",
+				"id out of range": "g:0000000002\t1\ng:0000000000\t1.5,2.5\ng:0000000001\t3.5\ny\t1,2",
+				"short row":       "g:0000000000\t1.5\ng:0000000001\t3.5\ny\t1,2",
+				"long row":        "g:0000000000\t1.5,2.5\ng:0000000001\t3.5,4.5\ny\t1,2",
+				"short y":         "g:0000000000\t1.5,2.5\ng:0000000001\t3.5\ny\t1",
+				"missing row":     "g:0000000000\t1.5,2.5\ny\t1,2",
+				"missing y":       "g:0000000000\t1.5,2.5\ng:0000000001\t3.5",
+				"duplicate row":   "g:0000000000\t1.5,2.5\ng:0000000001\t3.5\ng:0000000001\t3.5\ny\t1,2",
+				"duplicate y":     "g:0000000000\t1.5,2.5\ng:0000000001\t3.5\ny\t1,2\ny\t1,2"},
+		},
+		{
+			name: "readGram without y",
+			read: func(l string) error { return readGram([][]string{recordLines(l)}, 'c', linalg.NewMatrix(2, 2), nil) },
+			good: "c:0000000000\t1.5,2.5\nc:0000000001\t3.5",
+			bad: map[string]string{"unexpected y": "c:0000000000\t1.5,2.5\nc:0000000001\t3.5\ny\t1,2",
+				"missing row": "c:0000000001\t3.5"},
 		},
 		{
 			name: "collectIDs",
@@ -82,8 +118,9 @@ func TestMalformedRecordsAreErrors(t *testing.T) {
 		{
 			name: "sumReduce",
 			read: groupReader(sumReduce),
-			good: "2.5",
-			bad:  map[string]string{"non-numeric value": "abc", "empty value": ""},
+			good: "2.5,-0\n1,3e-320",
+			bad: map[string]string{"non-numeric value": "abc", "empty value": "", "empty field": "1,,2",
+				"length mismatch across mappers": "1.5,2.5\n3.5", "longer later mapper": "1\n2,3"},
 		},
 		{
 			name: "sumCountReduce",

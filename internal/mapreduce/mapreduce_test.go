@@ -139,20 +139,31 @@ func TestMapErrorPropagates(t *testing.T) {
 // A cancelled context stops the job wherever it is — before it starts, while
 // mappers emit, inside the combiner's pass over a run, inside a reducer's
 // merge — within ctxStride records per task, and no goroutine outlives Run.
+// The "long" stages carry row-vector values of about 4 KiB, so ctxStride
+// records would be 4 MiB of text: there each task must stop within ctxBytes.
 func TestContextCancelStopsJob(t *testing.T) {
-	const nLines, cancelAt = 100000, 100
-	lines := make([]string, nLines)
-	for i := range lines {
-		lines[i] = strconv.Itoa(nLines - i) // descending: every run needs its sort
-	}
-	for _, stage := range []string{"before", "map", "combine", "reduce"} {
-		t.Run(stage, func(t *testing.T) {
+	const cancelAt = 100
+	long := []byte(strings.Repeat("0.123456789,", 341) + "1") // a 342-float row, 4 093 bytes
+	for _, tc := range []struct {
+		stage string
+		long  bool
+	}{{"before", false}, {"map", false}, {"combine", false}, {"reduce", false},
+		{"map", true}, {"combine", true}, {"reduce", true}} {
+		name, nLines, value, slack := tc.stage, 100000, []byte("1"), cancelAt+2*ctxStride
+		if tc.long {
+			name, nLines, value, slack = "long "+tc.stage, 4096, long, cancelAt+2*(ctxBytes/len(long)+1)
+		}
+		lines := make([]string, nLines)
+		for i := range lines {
+			lines[i] = strconv.Itoa(nLines - i) // descending: every run needs its sort
+		}
+		t.Run(name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			var calls [3]atomic.Int64 // map, combine, reduce
 			hit := func(i int, name string) {
-				if calls[i].Add(1) == cancelAt && stage == name {
+				if calls[i].Add(1) == cancelAt && tc.stage == name {
 					cancel()
 				}
 			}
@@ -168,38 +179,38 @@ func TestContextCancelStopsJob(t *testing.T) {
 				Input: SplitLines(lines, 2),
 				Map: func(line string, out *Emitter) error {
 					hit(0, "map")
-					out.Emit([]byte(pad(line)), []byte("1"))
+					out.Emit([]byte(pad(line)), value)
 					return nil
 				},
 				Combine:     group(1, "combine"),
 				Reduce:      group(2, "reduce"),
 				NumReducers: 2,
 			}
-			if stage == "before" {
+			if tc.stage == "before" {
 				cancel()
 			}
 			if _, err := Run(ctx, job, LocalScheduler{Workers: 2}); !errors.Is(err, context.Canceled) {
 				t.Fatalf("err=%v", err)
 			}
 			// Each of the two concurrent tasks of the cancelled wave may run
-			// on until its next poll; nothing after that wave runs at all.
-			const slack = cancelAt + 2*ctxStride
+			// on until its next poll, one record or byte stride away; nothing
+			// after that wave runs at all.
 			m, c, r := calls[0].Load(), calls[1].Load(), calls[2].Load()
-			switch stage {
+			switch tc.stage {
 			case "before":
 				if m+c+r != 0 {
 					t.Fatalf("ran %d map, %d combine, %d reduce calls on a cancelled context", m, c, r)
 				}
 			case "map":
-				if m > slack || c+r != 0 {
+				if m > int64(slack) || c+r != 0 {
 					t.Fatalf("%d map calls (want <= %d), %d combine, %d reduce after cancelling in map", m, slack, c, r)
 				}
 			case "combine":
-				if c > slack || r != 0 {
+				if c > int64(slack) || r != 0 {
 					t.Fatalf("%d combine calls (want <= %d), %d reduce after cancelling in combine", c, slack, r)
 				}
 			case "reduce":
-				if r > slack {
+				if r > int64(slack) {
 					t.Fatalf("%d reduce calls after cancelling in reduce, want <= %d", r, slack)
 				}
 			}
