@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/genbase/genbase/internal/core"
@@ -72,6 +73,14 @@ func TestCohortRegressionRunsEverywhereWithZeroEngineCode(t *testing.T) {
 		}
 		ans := res.Answer.(*engine.RegressionAnswer)
 		runs = append(runs, run{cfg.Name, ans})
+		// A request failing both guards reports the genes guard: plans run
+		// in compile order, and Q6 selects its genes first.
+		bad := p
+		bad.CohortFunctionThreshold, bad.DiseaseID = 0, -1
+		if _, err := eng.Run(context.Background(), engine.Q6CohortRegression, bad); err == nil ||
+			!strings.Contains(err.Error(), "no genes pass function < 0") {
+			t.Errorf("%s: request failing both guards: %v, want the genes guard", cfg.Name, err)
+		}
 		if cfg.Name == "colstore-r" {
 			// Reference for the cohort restriction check: full-population Q1.
 			q1, err := eng.Run(context.Background(), engine.Q1Regression, p)

@@ -328,10 +328,9 @@ func Fit(pipelineJSON, kernelsJSON, serveJSON []byte) (*Model, error) {
 		}
 	}
 
-	// The header is part of the committed coeffs.json bytes, so its
-	// regenerate hint keeps the flag spelling the file was fitted under
-	// until the next refit rewrites the file.
-	m.Header = fmt.Sprintf("deterministic fit from BENCH_pipeline.json + BENCH_kernels.json + BENCH_serve.json at the small preset (%d patients x %d genes x %d GO terms), engine.DefaultParams(); %d configuration keys; regenerate with: go run ./cmd/genbase-bench -fit-cost",
+	// The header is part of the committed coeffs.json bytes: changing it
+	// means regenerating the file.
+	m.Header = fmt.Sprintf("deterministic fit from BENCH_pipeline.json + BENCH_kernels.json + BENCH_serve.json at the small preset (%d patients x %d genes x %d GO terms), engine.DefaultParams(); %d configuration keys; regenerate with: go run ./cmd/genbase-bench fit-cost",
 		FitDims.Patients, FitDims.Genes, FitDims.GOTerms, len(m.Coeffs))
 	return m, nil
 }

@@ -73,7 +73,9 @@ func Compile(q engine.QueryID, p engine.Params) (*Plan, error) {
 		// The planner-only scenario: Q1's gene predicate (tightened for the
 		// smaller population) × Q2's cohort predicate. No engine has (or
 		// needs) any code for it — the DAG reuses the registered physical
-		// operators as-is.
+		// operators as-is. Plans run in the order written here, so a request
+		// failing both guards reports the genes guard; the two leaf
+		// selections commute, so the order moves no answer (DESIGN.md §16).
 		genes := b.selectGenes(p.CohortFunctionThreshold)
 		pats := b.add(Node{
 			Kind: OpSelectPred, Table: TablePatients,
@@ -88,10 +90,6 @@ func Compile(q engine.QueryID, p engine.Params) (*Plan, error) {
 	default:
 		return nil, engine.ErrUnsupported
 	}
-	// The stats-free ordering pass (order.go): run the cheapest, most
-	// binding leaf selections first. Answer-invariant — the golden tests pin
-	// the reordered plans' answers bitwise on all 14 configurations.
-	Reorder(b.pl, DefaultRank)
 	return b.pl, nil
 }
 

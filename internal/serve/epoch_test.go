@@ -43,6 +43,7 @@ func answerOf(t *testing.T, res *engine.Result) float64 {
 // — epoch advance re-keys instead of evicting, and the old epoch's entry
 // stays valid.
 func TestWALEpochSwapRekeysCache(t *testing.T) {
+	noLeak(t)
 	e0 := &epochStub{stubEngine: stubEngine{name: "stub"}, answer: 10}
 	e1 := &epochStub{stubEngine: stubEngine{name: "stub"}, answer: 20}
 	srv := New(e0, Options{MaxConcurrent: 2})
@@ -84,6 +85,7 @@ func TestWALEpochSwapRekeysCache(t *testing.T) {
 // executes on — and files its cache entry under — the generation it pinned at
 // admission. The displaced engine stays usable until the request drains.
 func TestWALEpochPinnedAtAdmission(t *testing.T) {
+	noLeak(t)
 	e0 := &epochStub{
 		stubEngine: stubEngine{name: "stub"},
 		answer:     10,
@@ -136,6 +138,7 @@ func TestWALEpochSwapRejectsForeignSystem(t *testing.T) {
 // epoch — after a backend swaps, the same fingerprint re-executes and the two
 // epochs' answers coexist in the cache under distinct keys.
 func TestWALEpochRouterProbe(t *testing.T) {
+	noLeak(t)
 	e0 := &epochStub{stubEngine: stubEngine{name: "stub"}, answer: 10}
 	e1 := &epochStub{stubEngine: stubEngine{name: "stub"}, answer: 20}
 	srv := New(e0, Options{MaxConcurrent: 2, DisableCache: true})

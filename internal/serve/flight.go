@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 
 	"github.com/genbase/genbase/internal/engine"
 )
@@ -17,6 +18,8 @@ import (
 type flights struct {
 	mu      sync.Mutex
 	pending map[Key]chan struct{}
+
+	coalesced atomic.Int64 // waiters answered by a twin's execution
 }
 
 // run executes fn single-flight per key. The leader runs fn — which is
@@ -34,6 +37,7 @@ func (f *flights) run(ctx context.Context, cache *Cache, key Key, fn func() (*en
 		// between the last wait and this contention round.
 		if !first {
 			if res, ok := cache.peek(key); ok {
+				f.coalesced.Add(1)
 				return res, true, nil
 			}
 		}

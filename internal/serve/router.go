@@ -399,6 +399,7 @@ func (r *Router) Stats() Stats {
 		Shed:         r.shed.Load(),
 		Deadlined:    r.deadline.Load(),
 		Degraded:     r.degraded.Load(),
+		Coalesced:    r.flights.coalesced.Load(),
 	}
 	for _, b := range r.backends {
 		bs := b.srv.Stats()

@@ -163,6 +163,7 @@ func TestRouterStaticPolicyPins(t *testing.T) {
 }
 
 func TestRouterHedgesToNextOnOverload(t *testing.T) {
+	noLeak(t)
 	fast := &routeEngine{stubEngine: stubEngine{name: "fast"}, fail: fmt.Errorf("kernel exploded")}
 	slow := &routeEngine{stubEngine: stubEngine{name: "slow"}}
 	backends := []Backend{
@@ -267,6 +268,7 @@ func TestRouterCacheIsClassKeyed(t *testing.T) {
 }
 
 func TestRouterCoalescesAcrossFleet(t *testing.T) {
+	noLeak(t)
 	eng := &routeEngine{stubEngine: stubEngine{name: "fast", delay: 10 * time.Millisecond}}
 	slow := &routeEngine{stubEngine: stubEngine{name: "slow"}}
 	r, err := NewRouter(routerBackends(eng, slow), RouterOptions{Model: testModel()})
@@ -274,21 +276,23 @@ func TestRouterCoalescesAcrossFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := engine.DefaultParams()
-	errs := make(chan error, 8)
-	for i := 0; i < 8; i++ {
+	const twins = 8
+	errs := make(chan error, twins)
+	for i := 0; i < twins; i++ {
 		go func() {
 			_, _, err := r.Run(context.Background(), engine.Q5Statistics, p)
 			errs <- err
 		}()
 	}
-	for i := 0; i < 8; i++ {
+	for i := 0; i < twins; i++ {
 		if err := <-errs; err != nil {
 			t.Fatal(err)
 		}
 	}
 	if got := eng.runs.Load() + slow.runs.Load(); got != 1 {
-		t.Fatalf("8 identical cold requests executed %d times, want 1 (single-flight)", got)
+		t.Fatalf("%d identical cold requests executed %d times, want 1 (single-flight)", twins, got)
 	}
+	checkCoalesced(t, r.Stats(), twins)
 }
 
 func TestRouterRejectsBackendWithOwnCache(t *testing.T) {

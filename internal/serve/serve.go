@@ -463,6 +463,10 @@ type Stats struct {
 	// CacheHits / CacheMisses are the cache counters, zero when caching is
 	// disabled.
 	CacheHits, CacheMisses int64
+	// Coalesced counts requests answered by a twin's execution: they missed
+	// the cache, waited on an identical in-flight query, and found its
+	// answer published (each also counts once in CacheHits).
+	Coalesced int64
 
 	// Shed counts requests rejected because the admission queue was full,
 	// BreakerDenials those rejected while the circuit was open — both typed
@@ -491,6 +495,7 @@ func (s *Server) Stats() Stats {
 		Deadlined:      s.deadlined.Load(),
 		EngineFailures: s.engineFailures.Load(),
 		Degraded:       s.degraded.Load(),
+		Coalesced:      s.flights.coalesced.Load(),
 	}
 	if s.breaker != nil {
 		st.BreakerOpen = s.breaker.isOpen()

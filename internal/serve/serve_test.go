@@ -185,8 +185,24 @@ func TestColdCacheStampedeExecutesOnce(t *testing.T) {
 			t.Fatalf("twin %d got a different result pointer", i)
 		}
 	}
-	if st := srv.Stats(); st.Admitted != 1 {
+	st := srv.Stats()
+	if st.Admitted != 1 {
 		t.Fatalf("admitted %d, want 1", st.Admitted)
+	}
+	checkCoalesced(t, st, twins)
+}
+
+// checkCoalesced checks a stampede's counters once its twins have executed
+// once: every twin but the leader was answered either by a plain cache hit
+// (it looked up after the leader published) or by coalescing (it missed,
+// waited on the leader and found its answer). How many took which path
+// depends on scheduling, so only the sum is exact.
+func checkCoalesced(t *testing.T, st Stats, twins int64) {
+	t.Helper()
+	plain := twins - st.CacheMisses // twins whose first lookup hit
+	if st.Coalesced+plain != twins-1 || st.CacheHits != twins-1 {
+		t.Fatalf("%d twins: coalesced %d + plain hits %d (hits %d, misses %d), want %d answered without executing",
+			twins, st.Coalesced, plain, st.CacheHits, st.CacheMisses, twins-1)
 	}
 }
 
