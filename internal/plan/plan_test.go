@@ -2,6 +2,7 @@ package plan
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -178,6 +179,80 @@ func TestCohortRegressionIsPlannerOnly(t *testing.T) {
 	for _, want := range []string{"function<", "diseaseid=", "Kernel[regression]"} {
 		if !strings.Contains(fp, want) {
 			t.Errorf("Q6 fingerprint %q missing %q", fp, want)
+		}
+	}
+}
+
+// Plans run in the order Compile writes them. Q6 selects its genes first,
+// then its cohort, and every consumer's inputs point at those two slots.
+func TestQ6CompilesGenesSelectionFirst(t *testing.T) {
+	pl, err := Compile(engine.Q6CohortRegression, engine.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	genes, pats := &pl.Nodes[0], &pl.Nodes[1]
+	if genes.Kind != OpSelectPred || genes.Table != TableGenes || genes.Preds[0].Op != CmpLT {
+		t.Fatalf("node #0 should be the range genes selection, got %s", genes.describe())
+	}
+	if pats.Kind != OpSelectPred || pats.Table != TablePatients || pats.Preds[0].Op != CmpEQ {
+		t.Fatalf("node #1 should be the equality patients selection, got %s", pats.describe())
+	}
+	for i := range pl.Nodes {
+		n := &pl.Nodes[i]
+		switch n.Kind {
+		case OpPivotMicro:
+			if !reflect.DeepEqual(n.Inputs, []int{1, 0}) {
+				t.Errorf("pivot inputs %v, want (patients #1, genes #0)", n.Inputs)
+			}
+		case OpScanTable:
+			if !reflect.DeepEqual(n.Inputs, []int{1}) {
+				t.Errorf("response scan inputs %v, want the patients selection #1", n.Inputs)
+			}
+		case OpEmit:
+			if got := n.Inputs[1:]; !reflect.DeepEqual(got, []int{0, 1}) {
+				t.Errorf("emit id inputs %v, want (genes #0, patients #1)", got)
+			}
+		}
+	}
+}
+
+// Compiling the same request twice yields the same plan, node for node, so
+// equal requests share a fingerprint and a cache entry.
+func TestCompileIsDeterministic(t *testing.T) {
+	for _, q := range engine.AllScenarios() {
+		a, err := Compile(q, engine.DefaultParams())
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		b, _ := Compile(q, engine.DefaultParams())
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: two compiles differ:\n%+v\n%+v", q, a.Nodes, b.Nodes)
+		}
+		if a.Fingerprint() != b.Fingerprint() {
+			t.Errorf("%s: two compiles fingerprint differently", q)
+		}
+	}
+}
+
+// Every metadata selection Compile writes is a leaf: it reads only its base
+// table, never another node's output. That is what lets leaf selections
+// commute (DESIGN.md §16) — none can change what another one sees.
+func TestSelectionsAreLeaves(t *testing.T) {
+	for _, q := range engine.AllScenarios() {
+		pl, err := Compile(q, engine.DefaultParams())
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		for i := range pl.Nodes {
+			n := &pl.Nodes[i]
+			if n.Kind != OpSelectPred && n.Kind != OpSamplePatients {
+				continue
+			}
+			for _, in := range n.Inputs {
+				if in >= 0 {
+					t.Errorf("%s: selection #%d (%s) consumes node #%d", q, i, n.describe(), in)
+				}
+			}
 		}
 	}
 }

@@ -206,6 +206,34 @@ func checkCoalesced(t *testing.T, st Stats, twins int64) {
 	}
 }
 
+// Coalesced counts only requests that waited on an in-flight twin. Repeats
+// issued one after another find the answer already cached: plain hits, on
+// the Server and the Router alike.
+func TestSequentialRepeatsAreNotCoalesced(t *testing.T) {
+	eng := &stubEngine{name: "stub"}
+	srv := New(eng, Options{MaxConcurrent: 2})
+	fast := &routeEngine{stubEngine: stubEngine{name: "fast"}}
+	slow := &routeEngine{stubEngine: stubEngine{name: "slow"}}
+	r, err := NewRouter(routerBackends(fast, slow), RouterOptions{Model: testModel()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := engine.DefaultParams()
+	for i := 0; i < 4; i++ {
+		if _, _, err := srv.Run(context.Background(), engine.Q4SVD, p); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := r.Run(context.Background(), engine.Q4SVD, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, st := range map[string]Stats{"server": srv.Stats(), "router": r.Stats()} {
+		if st.Coalesced != 0 || st.CacheHits != 3 || st.CacheMisses != 1 {
+			t.Errorf("%s: coalesced %d, hits %d, misses %d; want 0, 3, 1", name, st.Coalesced, st.CacheHits, st.CacheMisses)
+		}
+	}
+}
+
 // The cache key is the plan fingerprint, which covers exactly the parameters
 // the compiled query reads. Two Params differing only in fields irrelevant
 // to the query (MaxAge, SampleFrac, DiseaseID for Q4) must hit the same
