@@ -9,19 +9,21 @@ import (
 	"github.com/genbase/genbase/internal/datagen"
 	"github.com/genbase/genbase/internal/engine"
 	"github.com/genbase/genbase/internal/plan"
+	"github.com/genbase/genbase/internal/xeonphi"
 )
 
-// Engine is the SciDB configuration. An optional Accelerator offloads the
-// analytics kernels (the paper's §5 Xeon Phi experiments plug in here).
+// Engine is the SciDB configuration. With Phi set it offloads the analytics
+// kernels to the Xeon Phi model (the paper's §5 experiments).
 type Engine struct {
 	// Workers is the analytics-kernel worker count (0 = the GENBASE_PARALLEL
-	// / NumCPU default). Answers are bitwise identical at any value; with an
-	// accelerator attached it also sets the host-side kernel parallelism the
-	// device model measures against.
+	// / NumCPU default). Answers are bitwise identical at any value; with
+	// Phi set it also sets the host-side kernel parallelism the device model
+	// divides.
 	Workers int
-	// Accel, when non-nil, runs the analytics kernels on a coprocessor
-	// device model, adding transfer charges. Nil means host execution.
-	Accel Accelerator
+	// Phi books the analytics kernels at the coprocessor model's device
+	// time plus PCIe transfer charges (internal/xeonphi) instead of their
+	// host time.
+	Phi bool
 
 	expr *Array2D
 	// 1-D attribute arrays the scans read: drug response indexed by patient
@@ -41,26 +43,13 @@ type Engine struct {
 // attrKey names an attribute array by its IR table and column.
 type attrKey struct{ table, col string }
 
-// Accelerator abstracts the coprocessor offload used by the SciDB + Xeon Phi
-// configuration: it executes a kernel (for correctness) and returns the
-// modeled device time plus transfer charges, which the engine books in place
-// of the measured host time.
-type Accelerator interface {
-	Name() string
-	// Offload runs kernel after charging for moving inBytes to the device
-	// and outBytes back. kind names the kernel family (gemm, lanczos, rank,
-	// bicluster) — accelerators speed different kernels up differently. It
-	// returns the modeled device compute and transfer seconds.
-	Offload(ctx context.Context, kind string, inBytes, outBytes int64, kernel func() error) (compute, transfer float64, err error)
-}
-
 // New creates an arraydb engine; Load chunks the microarray at DefaultChunk.
 func New() *Engine { return &Engine{} }
 
 // Name implements engine.Engine.
 func (e *Engine) Name() string {
-	if e.Accel != nil {
-		return "scidb-" + e.Accel.Name()
+	if e.Phi {
+		return "scidb-phi"
 	}
 	return "scidb"
 }
@@ -124,19 +113,24 @@ func (e *Engine) Run(ctx context.Context, q engine.QueryID, p engine.Params) (*e
 	return plan.Execute(ctx, e, pl)
 }
 
-// runKernel executes an analytics kernel either on the host (measured
-// normally by the caller's stopwatch) or via the accelerator (modeled device
-// and transfer seconds are banked into the stopwatch explicitly).
+// runKernel executes an analytics kernel once. On the host the caller's
+// stopwatch times it as analytics; with Phi the wall clock the stopwatch
+// reads times it, and the modeled device and transfer seconds are banked
+// into the stopwatch explicitly.
 func (e *Engine) runKernel(ctx context.Context, sw *engine.StopWatch, kind string, inBytes, outBytes int64, kernel func() error) error {
-	if e.Accel == nil {
+	if !e.Phi {
 		sw.StartAnalytics()
 		return kernel()
 	}
-	sw.Stop()
-	compute, transfer, err := e.Accel.Offload(ctx, kind, inBytes, outBytes, kernel)
-	if err != nil {
+	if err := engine.CheckCtx(ctx); err != nil {
 		return err
 	}
+	sw.Stop()
+	start := time.Now()
+	if err := kernel(); err != nil {
+		return err
+	}
+	compute, transfer := xeonphi.Offload(kind, time.Since(start).Seconds(), inBytes, outBytes)
 	sw.AddExternal(engine.Timing{
 		Analytics: secondsToDuration(compute),
 		Transfer:  secondsToDuration(transfer),

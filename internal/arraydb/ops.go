@@ -10,14 +10,15 @@ import (
 	"github.com/genbase/genbase/internal/engine"
 	"github.com/genbase/genbase/internal/linalg"
 	"github.com/genbase/genbase/internal/plan"
+	"github.com/genbase/genbase/internal/xeonphi"
 )
 
 // The array store's physical operators (plan.Physical): metadata lives in
 // 1-D attribute arrays selected through their encoded pages, pivots are
 // chunk-aligned single-pass gathers into pooled dense matrices, and the
-// kernels run on the host — or on the coprocessor device model when an
-// Accelerator is attached, which books modeled compute and transfer time in
-// place of measured host time.
+// kernels run on the host — or, with Phi set, on the coprocessor device
+// model, which books modeled compute and transfer time in place of measured
+// host time.
 
 // Capabilities implements plan.Physical: SciDB runs every operator.
 func (e *Engine) Capabilities() plan.OpSet { return plan.AllOps() }
@@ -182,7 +183,7 @@ func (e *Engine) RunCovariance(ctx context.Context, sw *engine.StopWatch, x *lin
 	inBytes := int64(x.Rows) * int64(x.Cols) * 8
 	outBytes := int64(x.Cols) * int64(x.Cols) * 8
 	var cov *linalg.Matrix
-	err := e.runKernel(ctx, sw, "gemm", inBytes, outBytes, func() error {
+	err := e.runKernel(ctx, sw, xeonphi.KindGEMM, inBytes, outBytes, func() error {
 		cov = linalg.CovarianceP(x, e.Workers)
 		return nil
 	})
@@ -200,7 +201,7 @@ func (e *Engine) RunSVD(ctx context.Context, sw *engine.StopWatch, x *linalg.Mat
 	inBytes := int64(x.Rows) * int64(x.Cols) * 8
 	outBytes := int64(k) * int64(x.Cols+1) * 8
 	var sv []float64
-	err := e.runKernel(ctx, sw, "lanczos", inBytes, outBytes, func() error {
+	err := e.runKernel(ctx, sw, xeonphi.KindLanczos, inBytes, outBytes, func() error {
 		eig, kerr := linalg.Lanczos(op, k,
 			linalg.LanczosOptions{Reorthogonalize: true, Seed: seed, Workers: e.Workers})
 		if kerr != nil {
@@ -226,7 +227,7 @@ func (e *Engine) RunSVD(ctx context.Context, sw *engine.StopWatch, x *linalg.Mat
 func (e *Engine) RunBicluster(ctx context.Context, sw *engine.StopWatch, x *linalg.Matrix, maxB int, seed uint64) ([]bicluster.Bicluster, error) {
 	var blocks []bicluster.Bicluster
 	inBytes := int64(x.Rows) * int64(x.Cols) * 8
-	err := e.runKernel(ctx, sw, "bicluster", inBytes, 4096, func() error {
+	err := e.runKernel(ctx, sw, xeonphi.KindBicluster, inBytes, 4096, func() error {
 		var kerr error
 		blocks, kerr = bicluster.RunCtx(ctx, x, bicluster.Options{MaxBiclusters: maxB, Seed: seed})
 		return kerr
@@ -242,7 +243,7 @@ func (e *Engine) RunBicluster(ctx context.Context, sw *engine.StopWatch, x *lina
 func (e *Engine) RunStats(ctx context.Context, sw *engine.StopWatch, means []float64, members [][]int32, sampled int) (*engine.StatsAnswer, error) {
 	var ans *engine.StatsAnswer
 	inBytes := int64(len(means))*8 + int64(len(e.goArr))
-	err := e.runKernel(ctx, sw, "rank", inBytes, int64(e.numTerm)*16, func() error {
+	err := e.runKernel(ctx, sw, xeonphi.KindRank, inBytes, int64(e.numTerm)*16, func() error {
 		var kerr error
 		ans, kerr = engine.EnrichmentTestP(ctx, means, members, sampled, e.Workers)
 		return kerr
@@ -256,8 +257,8 @@ func (e *Engine) RunStats(ctx context.Context, sw *engine.StopWatch, means []flo
 // PhysicalName implements plan.Physical.
 func (e *Engine) PhysicalName(k plan.OpKind) string {
 	kernel := "host BLAS-lite kernel"
-	if e.Accel != nil {
-		kernel = "coprocessor offload (" + e.Accel.Name() + ")"
+	if e.Phi {
+		kernel = "coprocessor offload (xeonphi)"
 	}
 	switch k {
 	case plan.OpSelectPred:

@@ -91,11 +91,12 @@ type Config struct {
 	// extreme straggler into a crash the scheduler can fail over.
 	ExecTimeoutSec float64
 
-	// Now is the clock that times each exec's compute (nil = time.Now).
-	// Tests install a stepping clock so an exec costs a fixed tick and a
-	// makespan is an exact function of placement and bytes sent; with one
-	// installed RunNodes takes its serial path, since readings of a shared
-	// stepping clock only mean that when execs do not interleave.
+	// Now is the clock that times all compute on the cluster: every Exec
+	// and every Measure (nil = time.Now). Tests install a stepping clock so
+	// an exec or a measured kernel costs a fixed tick and a makespan is an
+	// exact function of placement and bytes sent; with one installed
+	// RunNodes takes its serial path, since readings of a shared stepping
+	// clock only mean that when execs do not interleave.
 	Now func() time.Time
 }
 
@@ -276,9 +277,8 @@ func (c *Cluster) ExecCtx(ctx context.Context, node int, fn func() error) error 
 				return fmt.Errorf("node %d step %d: %w", node, step, err)
 			}
 		}
-		start := c.now()
-		err := fn()
-		d := c.now().Sub(start).Seconds() * c.NodeSlowFactor(node)
+		d, err := c.Measure(fn)
+		d *= c.NodeSlowFactor(node)
 		c.clocks[node] += d
 		if err == nil && c.cfg.ExecTimeoutSec > 0 && d > c.cfg.ExecTimeoutSec {
 			// The per-node exec timeout: an extreme straggler is declared
@@ -413,8 +413,18 @@ func (c *Cluster) now() time.Time {
 	return time.Now()
 }
 
-// Charge adds pre-measured virtual seconds to a node's clock (used by the
-// coprocessor model, whose kernels have their own rate).
+// Measure runs fn once and returns its duration on the clock that times
+// compute. Exec charges it at the node's slow factor; the MapReduce
+// scheduler and multinode's kernels Charge it themselves, the latter after
+// the coprocessor model converts it to device time on SciDB+Phi.
+func (c *Cluster) Measure(fn func() error) (float64, error) {
+	start := c.now()
+	err := fn()
+	return c.now().Sub(start).Seconds(), err
+}
+
+// Charge adds pre-measured virtual seconds to a node's clock (used for
+// Measure's samples and the coprocessor model's device time).
 func (c *Cluster) Charge(node int, seconds float64) {
 	c.checkNode(node)
 	if seconds > 0 {

@@ -35,12 +35,11 @@ func (s *MRScheduler) RunWave(ctx context.Context, phase string, n int, task fun
 			return ctx.Err()
 		default:
 		}
-		node := nodes[i]
-		start := s.C.now()
-		if err := task(i); err != nil {
+		sec, err := s.C.Measure(func() error { return task(i) })
+		if err != nil {
 			return err
 		}
-		s.C.Charge(node, s.C.now().Sub(start).Seconds())
+		s.C.Charge(nodes[i], sec)
 	}
 	if strings.HasSuffix(phase, ":map") {
 		s.lastMapNodes = nodes

@@ -16,7 +16,6 @@ import (
 	"github.com/genbase/genbase/internal/multinode"
 	"github.com/genbase/genbase/internal/rengine"
 	"github.com/genbase/genbase/internal/rowstore"
-	"github.com/genbase/genbase/internal/xeonphi"
 )
 
 // SystemConfig describes one benchmarkable configuration.
@@ -87,7 +86,7 @@ func Configs() []SystemConfig {
 			Name: "scidb-phi",
 			New: func(_ int, _ string) engine.Engine {
 				e := arraydb.New()
-				e.Accel = xeonphi.NewDevice5110P()
+				e.Phi = true
 				return e
 			},
 			NewCluster: func(nodes int) engine.Engine { return multinode.New(multinode.SciDBPhi, nodes) },

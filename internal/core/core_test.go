@@ -48,6 +48,41 @@ func TestConfigByName(t *testing.T) {
 	}
 }
 
+// Every engine a configuration builds reports that configuration's name:
+// the runner labels outcomes with it and a served backend keys its cache by
+// it. Sixteen registry constructions (single-node and cluster) and the
+// fourteen fleet members.
+func TestEveryConstructionReportsItsConfigName(t *testing.T) {
+	dir := t.TempDir()
+	n := 0
+	check := func(what, want string, eng engine.Engine) {
+		t.Helper()
+		n++
+		if got := eng.Name(); got != want {
+			t.Errorf("%s reports %q, want %q", what, got, want)
+		}
+	}
+	for _, c := range Configs() {
+		check(c.Name+" New", c.Name, c.New(1, dir))
+		if c.NewCluster != nil {
+			check(c.Name+" NewCluster", c.Name, c.NewCluster(2))
+		}
+	}
+	if n != 16 {
+		t.Errorf("%d registry constructions, want 16", n)
+	}
+	fleet, err := FleetConfigs(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range fleet {
+		check("fleet member "+m.Key, m.Config.System, m.New(dir))
+	}
+	if n != 16+14 {
+		t.Errorf("%d fleet members, want 14", n-16)
+	}
+}
+
 func TestRunSystemAllQueries(t *testing.T) {
 	s := tinySuite()
 	ds, err := s.Dataset(datagen.Small)

@@ -42,24 +42,21 @@ func (x *exec) redistribute(d *distlinalg.DistMatrix) {
 	x.c.AllToAll(total / pairs)
 }
 
-// execKernel runs an analytics kernel for a shard, at host rate or on the
-// owner node's coprocessor (SciDBPhi). Both paths measure the (idempotent)
-// kernel with xeonphi.MeasureKernel so host/device speedup ratios are stable
-// even for sub-millisecond kernels.
+// execKernel runs an analytics kernel for a shard once, timed by the
+// cluster's clock (Config.Now), and charges the owner node at host rate or,
+// on SciDBPhi, the coprocessor's modeled compute and PCIe time. It charges
+// rather than Execs, so the fault plan's step positions and slow factors
+// see only the execs around it.
 func (x *exec) execKernel(node int, kind string, inBytes, outBytes int64, fn func() error) error {
-	if x.e.dev == nil {
-		measured, err := xeonphi.MeasureKernel(fn)
-		if err != nil {
-			return err
-		}
-		x.c.Charge(node, measured)
-		return nil
-	}
-	compute, transfer, err := x.e.dev.Offload(context.Background(), kind, inBytes, outBytes, fn)
+	sec, err := x.c.Measure(fn)
 	if err != nil {
 		return err
 	}
-	x.c.Charge(node, compute+transfer)
+	if x.e.kind == SciDBPhi {
+		compute, transfer := xeonphi.Offload(kind, sec, inBytes, outBytes)
+		sec = compute + transfer
+	}
+	x.c.Charge(node, sec)
 	return nil
 }
 
@@ -141,7 +138,7 @@ func (x *exec) RunCovariance(ctx context.Context, _ *engine.StopWatch, d *distli
 		if x.e.kind == SciDB || x.e.kind == SciDBPhi {
 			x.redistribute(d)
 		}
-		if x.e.dev != nil {
+		if x.e.kind == SciDBPhi {
 			cov, err = x.phiCovariance(d)
 		} else {
 			cov, err = d.Covariance()
@@ -237,7 +234,7 @@ func (x *exec) RunSVD(ctx context.Context, _ *engine.StopWatch, d *distlinalg.Di
 		if x.e.kind == SciDB || x.e.kind == SciDBPhi {
 			x.redistribute(d)
 		}
-		if x.e.dev != nil {
+		if x.e.kind == SciDBPhi {
 			return x.phiSVD(d, k, seed)
 		}
 		return d.TopKSingularValues(k, seed)

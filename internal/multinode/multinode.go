@@ -35,7 +35,6 @@ import (
 	"github.com/genbase/genbase/internal/engine"
 	"github.com/genbase/genbase/internal/linalg"
 	"github.com/genbase/genbase/internal/plan"
-	"github.com/genbase/genbase/internal/xeonphi"
 )
 
 // Kind names a multi-node configuration.
@@ -76,8 +75,7 @@ func AllKinds() []Kind { return []Kind{PBDR, ColstorePBDR, ColstoreUDF, SciDB, S
 type Engine struct {
 	kind   Kind
 	nodes  int
-	shards int             // numeric shard count (distlinalg.DefaultNumericShards)
-	dev    *xeonphi.Device // SciDBPhi only (stateless rate model, shareable)
+	shards int // numeric shard count (distlinalg.DefaultNumericShards)
 
 	// Row-partitioned expression data: shard s owns patients
 	// [starts[s], starts[s+1]).
@@ -97,8 +95,9 @@ type Engine struct {
 	injector    cluster.Injector // deterministic fault plan (nil = fault-free)
 	replication int              // shard replication factor (0/1 = none)
 
-	// now times each Run's execs (cluster.Config.Now; nil = wall clock).
-	// Package tests install a stepping clock to make virtual time exact.
+	// now times each Run's execs and kernels (cluster.Config.Now; nil =
+	// wall clock). Package tests install a stepping clock to make virtual
+	// time exact.
 	now func() time.Time
 
 	// lastC is the virtual cluster of the most recently completed Run, kept
@@ -112,11 +111,7 @@ func New(kind Kind, nodes int) *Engine {
 	if nodes < 1 {
 		nodes = 1
 	}
-	e := &Engine{kind: kind, nodes: nodes, shards: distlinalg.DefaultNumericShards}
-	if kind == SciDBPhi {
-		e.dev = xeonphi.NewDevice5110P()
-	}
-	return e
+	return &Engine{kind: kind, nodes: nodes, shards: distlinalg.DefaultNumericShards}
 }
 
 // Nodes returns the configured cluster size.

@@ -68,7 +68,7 @@ func TestFaultServeContextDeadlineInterruptsQuery(t *testing.T) {
 
 func TestFaultServeQueueDepthSheds(t *testing.T) {
 	noLeak(t)
-	eng := &stubEngine{name: "stub", delay: time.Second}
+	eng := &stubEngine{name: "stub", delay: time.Second, started: make(chan struct{})}
 	srv := New(eng, Options{MaxConcurrent: 1, MaxQueue: 1, DisableCache: true})
 	p := engine.DefaultParams()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -77,9 +77,7 @@ func TestFaultServeQueueDepthSheds(t *testing.T) {
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() { defer wg.Done(); srv.Run(ctx, engine.Q1Regression, p) }() // occupies the slot
-	for eng.active.Load() == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	<-eng.started
 	go func() { defer wg.Done(); srv.Run(ctx, engine.Q2Covariance, p) }() // fills the queue
 	for srv.waiting.Load() == 0 {
 		time.Sleep(time.Millisecond)

@@ -564,8 +564,8 @@ func (c *Cache) get(k Key) (*engine.Result, bool) {
 }
 
 // peek is get without recording a miss (a found entry still counts as a
-// hit). Server.Run's post-admission re-check uses it so one executed query
-// records exactly one miss.
+// hit). Router.run probes every answer class after the best-ranked one with
+// it, so one routed request records at most one miss.
 func (c *Cache) peek(k Key) (*engine.Result, bool) {
 	c.mu.Lock()
 	res, ok := c.entries[k]

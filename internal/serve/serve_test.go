@@ -26,6 +26,9 @@ type stubEngine struct {
 	active  atomic.Int64
 	peak    atomic.Int64
 	workers atomic.Int64 // last SetWorkers value
+	// started, when non-nil, is closed by the first Run.
+	started   chan struct{}
+	startOnce sync.Once
 }
 
 func (s *stubEngine) Name() string                 { return s.name }
@@ -37,6 +40,9 @@ func (s *stubEngine) SetWorkers(n int)             { s.workers.Store(int64(n)) }
 func (s *stubEngine) Run(ctx context.Context, q engine.QueryID, p engine.Params) (*engine.Result, error) {
 	cur := s.active.Add(1)
 	defer s.active.Add(-1)
+	if s.started != nil {
+		s.startOnce.Do(func() { close(s.started) })
+	}
 	for {
 		old := s.peak.Load()
 		if cur <= old || s.peak.CompareAndSwap(old, cur) {

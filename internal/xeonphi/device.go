@@ -1,7 +1,8 @@
 // Package xeonphi models the Intel Xeon Phi 5110P coprocessor used in the
 // paper's §5 hardware-acceleration experiments. No accelerator is attached
-// to this machine, so the device executes the real kernel (answers stay
-// correct) while its clock advances by measured-compute ÷ per-kernel rate,
+// to this machine, so the caller runs the real kernel on the host (answers
+// stay correct), times it once on the clock it already owns, and Offload
+// turns that host sample into device time: host seconds ÷ per-kernel rate,
 // plus explicit PCIe transfer charges ("data must be copied into the memory
 // of the Intel Xeon Phi coprocessor before it is operated on"). The rates
 // are calibrated to land in the paper's observed 1.2–2.9× analytics-speedup
@@ -10,61 +11,7 @@
 // on any accelerator".
 package xeonphi
 
-import (
-	"context"
-	"fmt"
-	"time"
-
-	"github.com/genbase/genbase/internal/engine"
-)
-
-// Device is a coprocessor model.
-type Device struct {
-	// Rates maps kernel kinds to compute-rate multipliers (virtual device
-	// time = measured ÷ rate). Missing kinds use DefaultRate.
-	Rates map[string]float64
-	// DefaultRate applies to unknown kernel kinds.
-	DefaultRate float64
-	// LinkBandwidth is the PCIe bandwidth in bytes/second.
-	LinkBandwidth float64
-	// LinkLatencySec is the per-transfer setup latency.
-	LinkLatencySec float64
-	// MemBytes is the device memory; kernels whose input exceeds it pay the
-	// SpillPenalty on compute ("data sets that do not fit in this memory
-	// will suffer excessive data movement costs during computation").
-	MemBytes int64
-	// SpillPenalty multiplies compute time when the input spills (≥ 1).
-	SpillPenalty float64
-}
-
-// MeasureKernel times an idempotent analytics kernel. Sub-5ms kernels are
-// re-run twice and the minimum kept: on a shared single-core machine a
-// single sub-millisecond sample is dominated by scheduler and GC noise,
-// which would make modeled speedup ratios meaningless. Benchmark kernels are
-// pure functions of their inputs, so re-running is safe — including the
-// multicore kernels from internal/parallel, which are bitwise deterministic
-// at any worker count; a parallel host kernel simply yields a smaller
-// measured duration, and the device rates divide whatever was measured
-// (DESIGN.md §5, §9).
-func MeasureKernel(kernel func() error) (float64, error) {
-	start := time.Now()
-	if err := kernel(); err != nil {
-		return 0, err
-	}
-	best := time.Since(start).Seconds()
-	for rep := 0; rep < 2 && best < 5e-3; rep++ {
-		start = time.Now()
-		if err := kernel(); err != nil {
-			return 0, err
-		}
-		if d := time.Since(start).Seconds(); d < best {
-			best = d
-		}
-	}
-	return best, nil
-}
-
-// Kernel kind names used by the SciDB engine.
+// Kernel kinds, the families the device speeds up differently.
 const (
 	KindGEMM      = "gemm"      // covariance (pdgemm auto-offload)
 	KindLanczos   = "lanczos"   // SVD
@@ -72,51 +19,50 @@ const (
 	KindBicluster = "bicluster" // biclustering
 )
 
-// NewDevice5110P returns the calibrated model of the paper's card: 60 cores
-// at 8 GB, PCIe 2.0 x16 (~6 GiB/s), with per-kernel rates chosen so the
-// single-node analytics speedups land near Table 1's 2.60 (covariance),
-// 2.93 (SVD), 1.40 (statistics) and 1.18 (biclustering). Device memory is
-// scaled 1/20 with the datasets.
-func NewDevice5110P() *Device {
-	return &Device{
-		Rates: map[string]float64{
-			KindGEMM:      2.7,
-			KindLanczos:   3.0,
-			KindRank:      1.45,
-			KindBicluster: 1.18,
-		},
-		DefaultRate:    2.0,
-		LinkBandwidth:  6 << 30,
-		LinkLatencySec: 50e-6,
-		MemBytes:       8 << 30 / 20,
-		SpillPenalty:   3.0,
+// The calibrated 5110P: 60 cores at 8 GB, PCIe 2.0 x16 (~6 GiB/s). Device
+// memory is scaled 1/20 with the datasets.
+const (
+	// DefaultRate is the compute-rate multiplier of an unknown kernel kind.
+	DefaultRate = 2.0
+	// LinkBandwidth is the PCIe bandwidth in bytes/second.
+	LinkBandwidth = 6 << 30
+	// LinkLatencySec is the per-transfer setup latency.
+	LinkLatencySec = 50e-6
+	// MemBytes is the device memory; kernels whose input exceeds it pay the
+	// SpillPenalty on compute ("data sets that do not fit in this memory
+	// will suffer excessive data movement costs during computation").
+	MemBytes = 8 << 30 / 20
+	// SpillPenalty multiplies compute time when the input spills.
+	SpillPenalty = 3.0
+)
+
+// rate is a kernel kind's compute-rate multiplier, chosen so the single-node
+// analytics speedups land near Table 1's 2.60 (covariance), 2.93 (SVD), 1.40
+// (statistics) and 1.18 (biclustering).
+func rate(kind string) float64 {
+	switch kind {
+	case KindGEMM:
+		return 2.7
+	case KindLanczos:
+		return 3.0
+	case KindRank:
+		return 1.45
+	case KindBicluster:
+		return 1.18
 	}
+	return DefaultRate
 }
 
-// Name implements arraydb.Accelerator.
-func (d *Device) Name() string { return "xeonphi" }
-
-// Offload implements arraydb.Accelerator: run the kernel for real, report
-// modeled device compute seconds and transfer seconds.
-func (d *Device) Offload(ctx context.Context, kind string, inBytes, outBytes int64, kernel func() error) (compute, transfer float64, err error) {
-	if err := engine.CheckCtx(ctx); err != nil {
-		return 0, 0, err
+// Offload models a kernel of the given kind that took hostSec on the host,
+// after moving inBytes to the device and outBytes back: it returns the
+// device compute and PCIe transfer seconds. A parallel host kernel simply
+// yields a smaller hostSec; the rate divides whatever was measured
+// (DESIGN.md §5, §9).
+func Offload(kind string, hostSec float64, inBytes, outBytes int64) (compute, transfer float64) {
+	compute = hostSec / rate(kind)
+	if inBytes > MemBytes {
+		compute *= SpillPenalty
 	}
-	rate := d.DefaultRate
-	if r, ok := d.Rates[kind]; ok {
-		rate = r
-	}
-	if rate <= 0 {
-		return 0, 0, fmt.Errorf("xeonphi: invalid rate for kernel %q", kind)
-	}
-	measured, err := MeasureKernel(kernel)
-	if err != nil {
-		return 0, 0, err
-	}
-	compute = measured / rate
-	if d.MemBytes > 0 && inBytes > d.MemBytes {
-		compute *= d.SpillPenalty
-	}
-	transfer = 2*d.LinkLatencySec + float64(inBytes+outBytes)/d.LinkBandwidth
-	return compute, transfer, nil
+	transfer = 2*LinkLatencySec + float64(inBytes+outBytes)/LinkBandwidth
+	return compute, transfer
 }

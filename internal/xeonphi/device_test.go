@@ -1,85 +1,59 @@
 package xeonphi
 
-import (
-	"context"
-	"errors"
-	"testing"
-	"time"
-)
-
-func busyKernel(d time.Duration) func() error {
-	return func() error {
-		deadline := time.Now().Add(d)
-		for time.Now().Before(deadline) {
-		}
-		return nil
-	}
-}
+import "testing"
 
 func TestOffloadSpeedsUpCompute(t *testing.T) {
-	dev := NewDevice5110P()
-	compute, _, err := dev.Offload(context.Background(), KindGEMM, 1<<20, 1<<10, busyKernel(4*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Device time ≈ measured/2.7, so well under the real 4ms.
-	if compute >= 0.004 || compute <= 0 {
-		t.Fatalf("compute=%v", compute)
+	host, gemmRate := 0.004, 2.7
+	compute, _ := Offload(KindGEMM, host, 1<<20, 1<<10)
+	if want := host / gemmRate; compute != want {
+		t.Fatalf("compute=%v, want %v", compute, want)
 	}
 }
 
 func TestOffloadChargesTransfer(t *testing.T) {
-	dev := NewDevice5110P()
-	_, transfer, err := dev.Offload(context.Background(), KindGEMM, 6<<30, 0, func() error { return nil })
-	if err != nil {
-		t.Fatal(err)
+	// 6 GiB over a 6 GiB/s link is 1 s, plus a setup latency each way.
+	_, transfer := Offload(KindGEMM, 0, 6<<30, 0)
+	latency := 50e-6
+	if want := 2*latency + 1; transfer != want {
+		t.Fatalf("transfer=%v, want %v", transfer, want)
 	}
-	// 6 GiB over a 6 GiB/s link ≈ 1 s.
-	if transfer < 0.9 || transfer > 1.2 {
-		t.Fatalf("transfer=%v", transfer)
+	// The transfer charge depends only on the bytes moved.
+	if _, again := Offload(KindBicluster, 1, 3<<30, 3<<30); again != transfer {
+		t.Fatalf("transfer=%v for the same bytes split both ways, want %v", again, transfer)
+	}
+}
+
+// Every kind's device time is its host time over Table 1's calibrated rate.
+func TestRatesPerKind(t *testing.T) {
+	for kind, want := range map[string]float64{
+		KindGEMM: 2.7, KindLanczos: 3.0, KindRank: 1.45, KindBicluster: 1.18,
+	} {
+		if compute, _ := Offload(kind, 1, 0, 0); compute != 1/want {
+			t.Errorf("%s: compute=%v for 1 host second, want 1/%v", kind, compute, want)
+		}
 	}
 }
 
 func TestBiclusterBarelyAccelerated(t *testing.T) {
-	dev := NewDevice5110P()
-	gemm, _, _ := dev.Offload(context.Background(), KindGEMM, 0, 0, busyKernel(3*time.Millisecond))
-	bic, _, _ := dev.Offload(context.Background(), KindBicluster, 0, 0, busyKernel(3*time.Millisecond))
-	if bic <= gemm {
-		t.Fatalf("bicluster (%v) should be slower on device than gemm (%v)", bic, gemm)
+	gemm, _ := Offload(KindGEMM, 0.003, 0, 0)
+	bic, _ := Offload(KindBicluster, 0.003, 0, 0)
+	if bic <= gemm || bic >= 0.003 {
+		t.Fatalf("bicluster %v should sit between gemm %v and the host's 0.003", bic, gemm)
 	}
 }
 
 func TestSpillPenalty(t *testing.T) {
-	dev := NewDevice5110P()
-	dev.MemBytes = 100
-	small, _, _ := dev.Offload(context.Background(), KindGEMM, 50, 0, busyKernel(2*time.Millisecond))
-	big, _, _ := dev.Offload(context.Background(), KindGEMM, 200, 0, busyKernel(2*time.Millisecond))
-	if big < small*2 {
-		t.Fatalf("spill penalty not applied: small=%v big=%v", small, big)
-	}
-}
-
-func TestKernelErrorPropagates(t *testing.T) {
-	dev := NewDevice5110P()
-	boom := errors.New("boom")
-	if _, _, err := dev.Offload(context.Background(), KindRank, 0, 0, func() error { return boom }); !errors.Is(err, boom) {
-		t.Fatalf("err=%v", err)
-	}
-}
-
-func TestContextCancelled(t *testing.T) {
-	dev := NewDevice5110P()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, err := dev.Offload(ctx, KindRank, 0, 0, func() error { return nil }); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err=%v", err)
+	host, gemmRate := 0.002, 2.7
+	fits, _ := Offload(KindGEMM, host, MemBytes, 0)
+	spills, _ := Offload(KindGEMM, host, MemBytes+1, 0)
+	if want := host / gemmRate; fits != want || spills != want*SpillPenalty {
+		t.Fatalf("fits=%v spills=%v, want %v and %v", fits, spills, want, want*SpillPenalty)
 	}
 }
 
 func TestUnknownKindUsesDefaultRate(t *testing.T) {
-	dev := NewDevice5110P()
-	c, _, err := dev.Offload(context.Background(), "mystery", 0, 0, busyKernel(2*time.Millisecond))
-	if err != nil || c <= 0 {
-		t.Fatalf("c=%v err=%v", c, err)
+	host := 0.002
+	if c, _ := Offload("mystery", host, 0, 0); c != host/DefaultRate {
+		t.Fatalf("c=%v, want %v", c, host/DefaultRate)
 	}
 }
