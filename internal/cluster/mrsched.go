@@ -7,20 +7,13 @@ import (
 
 // MRScheduler places MapReduce waves onto the virtual cluster: task i of a
 // wave runs on node i mod N, waves end with a barrier, and shuffle traffic
-// is charged to the network. It also splits the virtual makespan into
-// data-management vs analytics time by job-name prefix ("hive-" jobs are
-// DM, "mahout-" jobs analytics) so the multi-node Hadoop configuration can
-// report the paper's phase breakdown.
+// is charged to the network. One scheduler serves one query's cluster.
 type MRScheduler struct {
 	C *Cluster
 
-	// lastTasks remembers each wave's task→node placement so ShuffleCost can
-	// route mapper→reducer traffic over the same nodes.
+	// lastMapNodes remembers the map wave's task→node placement so
+	// ShuffleCost can route mapper→reducer traffic over the same nodes.
 	lastMapNodes []int
-
-	DMSeconds        float64
-	AnalyticsSeconds float64
-	lastSnapshot     float64
 }
 
 // RunWave implements mapreduce.TaskScheduler.
@@ -45,7 +38,6 @@ func (s *MRScheduler) RunWave(ctx context.Context, phase string, n int, task fun
 		s.lastMapNodes = nodes
 	}
 	s.C.Barrier()
-	s.account(phase)
 	return nil
 }
 
@@ -65,24 +57,4 @@ func (s *MRScheduler) ShuffleCost(bytes [][]int64) {
 		}
 	}
 	s.C.Barrier()
-}
-
-// account attributes makespan growth since the last snapshot to DM or
-// analytics based on the job-name prefix carried in phase.
-func (s *MRScheduler) account(phase string) {
-	now := s.C.MakespanSeconds()
-	delta := now - s.lastSnapshot
-	s.lastSnapshot = now
-	if strings.HasPrefix(phase, "mahout-") {
-		s.AnalyticsSeconds += delta
-	} else {
-		s.DMSeconds += delta
-	}
-}
-
-// ResetAccounting zeroes the phase attribution (between queries).
-func (s *MRScheduler) ResetAccounting() {
-	s.DMSeconds = 0
-	s.AnalyticsSeconds = 0
-	s.lastSnapshot = s.C.MakespanSeconds()
 }

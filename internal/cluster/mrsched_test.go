@@ -19,27 +19,6 @@ func TestMRSchedulerSpreadsWaves(t *testing.T) {
 	}
 }
 
-// Two one-tick tasks per wave over two nodes: each wave adds one tick to the
-// makespan, attributed to DM or analytics by the job-name prefix.
-func TestMRSchedulerPhaseAttribution(t *testing.T) {
-	const tick = 2 * time.Millisecond
-	c := New(steppedConfig(2, tick))
-	s := &MRScheduler{C: c}
-	s.ResetAccounting()
-	ctx := context.Background()
-	for _, phase := range []string{"hive-join:map", "mahout-gram:map"} {
-		if err := s.RunWave(ctx, phase, 2, func(int) error { return nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s.DMSeconds != tick.Seconds() || s.AnalyticsSeconds != tick.Seconds() {
-		t.Fatalf("attribution: dm=%v analytics=%v, want %v each", s.DMSeconds, s.AnalyticsSeconds, tick)
-	}
-	if total := c.MakespanSeconds(); s.DMSeconds+s.AnalyticsSeconds != total {
-		t.Fatalf("phases (%v) don't sum to makespan (%v)", s.DMSeconds+s.AnalyticsSeconds, total)
-	}
-}
-
 func TestMRSchedulerShuffleChargesNetwork(t *testing.T) {
 	const tick = time.Millisecond
 	c := New(steppedConfig(2, tick))
@@ -70,19 +49,5 @@ func TestMRSchedulerContextCancel(t *testing.T) {
 	cancel()
 	if err := s.RunWave(ctx, "hive-x:map", 4, func(int) error { return nil }); err == nil {
 		t.Fatal("expected cancellation")
-	}
-}
-
-func TestMRSchedulerResetAccounting(t *testing.T) {
-	const tick = time.Millisecond
-	c := New(steppedConfig(1, tick))
-	s := &MRScheduler{C: c}
-	s.RunWave(context.Background(), "mahout-x:map", 1, func(int) error { return nil })
-	if s.AnalyticsSeconds != tick.Seconds() {
-		t.Fatalf("analytics %v, want one %v tick", s.AnalyticsSeconds, tick)
-	}
-	s.ResetAccounting()
-	if s.DMSeconds != 0 || s.AnalyticsSeconds != 0 {
-		t.Fatal("reset incomplete")
 	}
 }

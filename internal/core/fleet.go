@@ -37,9 +37,7 @@ type FleetMember struct {
 	Config cost.Config
 	// Class is the answer-equivalence class (ClassDense/ClassDist/ClassMR).
 	Class string
-	// Serial pins the backend's admission width to 1: the cluster Hadoop
-	// wrapper keeps shared MR-scheduler accounting (DESIGN.md §13), so its
-	// engine contract forbids concurrent Run calls.
+	// Serial is always false (every backend serves concurrent Runs); kept for readers.
 	Serial bool
 	// New builds the engine; dir is scratch space for disk-backed engines.
 	New func(dir string) engine.Engine
@@ -94,7 +92,6 @@ func FleetConfigs(clusterNodes int) ([]FleetMember, error) {
 			Key:    fmt.Sprintf("hadoop@%dn", clusterNodes),
 			Config: cost.Config{System: "hadoop", Nodes: clusterNodes},
 			Class:  ClassMR,
-			Serial: true,
 			New:    func(string) engine.Engine { return multinode.NewHadoop(clusterNodes) },
 		},
 	}

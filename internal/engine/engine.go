@@ -233,9 +233,8 @@ type Result struct {
 // fresh virtual cluster, so the simulated clocks are query-local state.
 // Answers are bitwise identical to a serial run. (Concurrent queries can
 // time-share host cores and so perturb each other's measured — and therefore
-// virtual — durations; answers are unaffected.) The one remaining exception
-// is the multi-node Hadoop wrapper, whose MR scheduler keeps shared
-// accounting across jobs: it is serial-only and must not be served.
+// virtual — durations; answers are unaffected.) The multi-node Hadoop
+// wrapper likewise runs each query's MR jobs on their own virtual cluster.
 //
 // Ingest and snapshots (DESIGN.md §18): engines themselves stay immutable
 // after Load — writes never reach a loaded engine. New rows land in a WAL
@@ -269,7 +268,13 @@ var (
 // mutex guards the few cross-goroutine touches the serve path allows — a
 // harness reading Timing while a query is mid-phase — and costs nothing
 // uncontended.
+//
+// Clock is the clock of the platform the query runs on, read at every
+// switch. The zero value reads the wall clock; on a virtual cluster it reads
+// the cluster's makespan, so the phase split is simulated time.
 type StopWatch struct {
+	Clock func() time.Time
+
 	mu     sync.Mutex
 	timing Timing
 	start  time.Time
@@ -291,52 +296,50 @@ func (s *StopWatch) Stop() { s.switchTo(0) }
 // Timing returns the accumulated phase durations, counting any in-flight
 // phase up to now. It is a pure read: it neither banks the in-flight slice
 // nor resets the phase start, so calling it twice (or concurrently with a
-// running phase) can no longer double-count — the old implementation
-// silently switched phases, a data race and a double-count trap once
-// queries run concurrently.
+// running phase) cannot double-count.
 func (s *StopWatch) Timing() Timing {
+	now := s.now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t := s.timing
-	if s.phase != 0 {
-		d := time.Since(s.start)
-		switch s.phase {
-		case 1:
-			t.DataManagement += d
-		case 2:
-			t.Analytics += d
-		case 3:
-			t.Transfer += d
-		}
-	}
+	t.addPhase(s.phase, now.Sub(s.start))
 	return t
 }
 
-// AddExternal folds in time measured elsewhere (e.g. the virtual cluster's
-// simulated makespan).
+// AddExternal folds in time measured elsewhere (the Xeon Phi model's
+// device time).
 func (s *StopWatch) AddExternal(t Timing) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.timing.Add(t)
 }
 
+func (s *StopWatch) now() time.Time {
+	if s.Clock != nil {
+		return s.Clock()
+	}
+	return time.Now()
+}
+
 func (s *StopWatch) switchTo(phase int) {
-	now := time.Now()
+	now := s.now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.phase != 0 {
-		d := now.Sub(s.start)
-		switch s.phase {
-		case 1:
-			s.timing.DataManagement += d
-		case 2:
-			s.timing.Analytics += d
-		case 3:
-			s.timing.Transfer += d
-		}
-	}
+	s.timing.addPhase(s.phase, now.Sub(s.start))
 	s.phase = phase
 	s.start = now
+}
+
+// addPhase credits d to the StopWatch phase (0 credits nothing).
+func (t *Timing) addPhase(phase int, d time.Duration) {
+	switch phase {
+	case 1:
+		t.DataManagement += d
+	case 2:
+		t.Analytics += d
+	case 3:
+		t.Transfer += d
+	}
 }
 
 // CheckCtx returns the context error, if any. Engines call it inside long

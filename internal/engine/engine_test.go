@@ -56,21 +56,29 @@ func TestSamplePatientStep(t *testing.T) {
 	}
 }
 
+// Under a clock that steps 1 ms per reading, every phase between two
+// switches lasts exactly one tick, and a mid-phase Timing counts the
+// in-flight phase without banking it (its own reading is the tick that
+// makes the transfer phase two ticks long).
 func TestStopWatchPhases(t *testing.T) {
-	var sw StopWatch
+	now := time.Unix(0, 0)
+	sw := StopWatch{Clock: func() time.Time {
+		now = now.Add(time.Millisecond)
+		return now
+	}}
 	sw.StartDM()
-	time.Sleep(2 * time.Millisecond)
 	sw.StartAnalytics()
-	time.Sleep(2 * time.Millisecond)
 	sw.StartTransfer()
-	time.Sleep(2 * time.Millisecond)
-	sw.Stop()
-	tm := sw.Timing()
-	if tm.DataManagement <= 0 || tm.Analytics <= 0 || tm.Transfer <= 0 {
-		t.Fatalf("phases not recorded: %+v", tm)
+	if tm := sw.Timing(); tm != (Timing{DataManagement: time.Millisecond, Analytics: time.Millisecond, Transfer: time.Millisecond}) {
+		t.Fatalf("mid-phase timing %+v, want 1ms in each phase", tm)
 	}
-	if tm.Total() < 6*time.Millisecond {
-		t.Fatalf("total %v too small", tm.Total())
+	sw.Stop()
+	want := Timing{DataManagement: time.Millisecond, Analytics: time.Millisecond, Transfer: 2 * time.Millisecond}
+	if tm := sw.Timing(); tm != want {
+		t.Fatalf("timing %+v, want %+v", tm, want)
+	}
+	if tm := sw.Timing(); tm != want {
+		t.Fatalf("a stopped StopWatch moved: %+v, want %+v", tm, want)
 	}
 }
 

@@ -31,8 +31,6 @@ type Engine struct {
 	Workers int
 	// Sched places map/reduce waves; nil runs single-node on Workers slots.
 	Sched TaskScheduler
-	// NameSuffix distinguishes multi-node variants in reports.
-	NameSuffix string
 
 	micro    [][]string // splits of "g,p,v" lines
 	patients []string
@@ -46,7 +44,7 @@ type Engine struct {
 func New() *Engine { return &Engine{} }
 
 // Name implements engine.Engine.
-func (e *Engine) Name() string { return "hadoop" + e.NameSuffix }
+func (e *Engine) Name() string { return "hadoop" }
 
 // Supports implements engine.Engine, derived from the registered physical
 // operators: the biclustering kernel is absent from Capabilities (ops.go),

@@ -46,7 +46,8 @@ func (x *exec) redistribute(d *distlinalg.DistMatrix) {
 // cluster's clock (Config.Now), and charges the owner node at host rate or,
 // on SciDBPhi, the coprocessor's modeled compute and PCIe time. It charges
 // rather than Execs, so the fault plan's step positions and slow factors
-// see only the execs around it.
+// see only the execs around it. The modeled PCIe time lands inside the
+// kernel's analytics phase, so the cluster engines report no Transfer.
 func (x *exec) execKernel(node int, kind string, inBytes, outBytes int64, fn func() error) error {
 	sec, err := x.c.Measure(fn)
 	if err != nil {
@@ -79,11 +80,11 @@ func (x *exec) shardKernelNode(d *distlinalg.DistMatrix, s int) (int, error) {
 // normal equations; SciDB kinds redistribute first; the UDF kind gathers and
 // solves on the coordinator. Regression never offloads to the Phi (MKL
 // auto-offload unsupported, §5.2).
-func (x *exec) RunRegression(ctx context.Context, _ *engine.StopWatch, d *distlinalg.DistMatrix, y []float64) ([]float64, float64, error) {
+func (x *exec) RunRegression(ctx context.Context, sw *engine.StopWatch, d *distlinalg.DistMatrix, y []float64) ([]float64, float64, error) {
 	if err := engine.CheckCtx(ctx); err != nil {
 		return nil, 0, err
 	}
-	x.markAnalytics()
+	sw.StartAnalytics()
 	var fit *linalg.LeastSquaresResult
 	var err error
 	switch x.e.kind {
@@ -116,11 +117,11 @@ func (x *exec) RunRegression(ctx context.Context, _ *engine.StopWatch, d *distli
 // it there (charged to the coordinator's clock via ExecLocal, attributed
 // back to data management by the plan's phase tags, exactly as the
 // hand-coded Q2 did).
-func (x *exec) RunCovariance(ctx context.Context, _ *engine.StopWatch, d *distlinalg.DistMatrix) (*linalg.Matrix, error) {
+func (x *exec) RunCovariance(ctx context.Context, sw *engine.StopWatch, d *distlinalg.DistMatrix) (*linalg.Matrix, error) {
 	if err := engine.CheckCtx(ctx); err != nil {
 		return nil, err
 	}
-	x.markAnalytics()
+	sw.StartAnalytics()
 	var cov *linalg.Matrix
 	var err error
 	switch x.e.kind {
@@ -206,11 +207,11 @@ func (x *exec) phiCovariance(d *distlinalg.DistMatrix) (*linalg.Matrix, error) {
 }
 
 // RunSVD implements plan.Physical.
-func (x *exec) RunSVD(ctx context.Context, _ *engine.StopWatch, d *distlinalg.DistMatrix, k int, seed uint64) ([]float64, error) {
+func (x *exec) RunSVD(ctx context.Context, sw *engine.StopWatch, d *distlinalg.DistMatrix, k int, seed uint64) ([]float64, error) {
 	if err := engine.CheckCtx(ctx); err != nil {
 		return nil, err
 	}
-	x.markAnalytics()
+	sw.StartAnalytics()
 	switch x.e.kind {
 	case ColstoreUDF:
 		a, gerr := d.Gather()
@@ -330,7 +331,7 @@ func (o *phiATAOperator) Apply(v []float64) []float64 {
 // every configuration gathers the filtered matrix to the coordinator (data
 // management, as the hand-coded path attributed it — this is why Q3 shows no
 // multi-node speedup) and runs the shared Cheng–Church kernel there.
-func (x *exec) RunBicluster(ctx context.Context, _ *engine.StopWatch, d *distlinalg.DistMatrix, maxB int, seed uint64) ([]bicluster.Bicluster, error) {
+func (x *exec) RunBicluster(ctx context.Context, sw *engine.StopWatch, d *distlinalg.DistMatrix, maxB int, seed uint64) ([]bicluster.Bicluster, error) {
 	if err := engine.CheckCtx(ctx); err != nil {
 		return nil, err
 	}
@@ -338,7 +339,7 @@ func (x *exec) RunBicluster(ctx context.Context, _ *engine.StopWatch, d *distlin
 	if gerr != nil {
 		return nil, gerr
 	}
-	x.markAnalytics()
+	sw.StartAnalytics()
 	var blocks []bicluster.Bicluster
 	inBytes := int64(xm.Rows) * int64(xm.Cols) * 8
 	err := x.execKernel(x.c.Coordinator(), xeonphi.KindBicluster, inBytes, 4096, func() error {
@@ -355,8 +356,8 @@ func (x *exec) RunBicluster(ctx context.Context, _ *engine.StopWatch, d *distlin
 // RunStats implements plan.Physical: the per-shard sample aggregate already
 // ran as data management (SampleMeans); the enrichment test is the
 // coordinator's rank kernel.
-func (x *exec) RunStats(ctx context.Context, _ *engine.StopWatch, means []float64, members [][]int32, sampled int) (*engine.StatsAnswer, error) {
-	x.markAnalytics()
+func (x *exec) RunStats(ctx context.Context, sw *engine.StopWatch, means []float64, members [][]int32, sampled int) (*engine.StatsAnswer, error) {
+	sw.StartAnalytics()
 	var ans *engine.StatsAnswer
 	inBytes := int64(x.e.numGenes)*8 + int64(len(x.e.goArr))
 	err := x.execKernel(x.c.Coordinator(), xeonphi.KindRank, inBytes, int64(x.e.numTerms)*16, func() error {

@@ -218,7 +218,7 @@ func (e *Engine) Load(ds *datagen.Dataset) error {
 // Run implements engine.Engine: compile the query into the shared operator
 // IR and execute it against this configuration's partitioned physical
 // operators on a fresh per-query virtual cluster. Timing is the virtual
-// makespan, split at the plan's phase boundaries.
+// makespan, split by the query StopWatch reading it.
 func (e *Engine) Run(ctx context.Context, q engine.QueryID, p engine.Params) (*engine.Result, error) {
 	if e.starts == nil {
 		return nil, fmt.Errorf("multinode: not loaded")
@@ -236,11 +236,10 @@ func (e *Engine) Run(ctx context.Context, q engine.QueryID, p engine.Params) (*e
 	return res, err
 }
 
-func secToDur(s float64) time.Duration {
-	if s < 0 {
-		s = 0
-	}
-	return time.Duration(s * 1e9)
+// makespanTime reads c's makespan as a time, the clock a query StopWatch
+// reads on a virtual cluster. Each reading truncates to whole nanoseconds.
+func makespanTime(c *cluster.Cluster) time.Time {
+	return time.Time{}.Add(time.Duration(c.MakespanSeconds() * 1e9))
 }
 
 // --- shard-local data management (per shard, executed under the owner

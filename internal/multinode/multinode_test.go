@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/genbase/genbase/internal/cluster"
 	"github.com/genbase/genbase/internal/datagen"
 	"github.com/genbase/genbase/internal/engine"
 	"github.com/genbase/genbase/internal/rengine"
@@ -189,10 +188,7 @@ func steppingClock(tick time.Duration) func() time.Time {
 // clock, so every MapReduce task costs exactly one tick.
 func steppedHadoop(nodes int) *Hadoop {
 	h := NewHadoop(nodes)
-	cfg := cluster.DefaultConfig(nodes)
-	cfg.Now = steppingClock(time.Millisecond)
-	h.c = cluster.New(cfg)
-	h.sched.C = h.c
+	h.now = steppingClock(time.Millisecond)
 	return h
 }
 
@@ -272,9 +268,10 @@ func TestPhiAcceleratesCovariance(t *testing.T) {
 }
 
 func TestRunBeforeLoad(t *testing.T) {
-	e := New(PBDR, 2)
-	if _, err := e.Run(context.Background(), engine.Q1Regression, engine.DefaultParams()); err == nil {
-		t.Fatal("expected error before load")
+	for _, e := range []engine.Engine{New(PBDR, 2), NewHadoop(2)} {
+		if _, err := e.Run(context.Background(), engine.Q1Regression, engine.DefaultParams()); err == nil {
+			t.Fatalf("%s: expected error before load", e.Name())
+		}
 	}
 }
 

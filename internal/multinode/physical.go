@@ -3,6 +3,7 @@ package multinode
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"github.com/genbase/genbase/internal/cluster"
 	"github.com/genbase/genbase/internal/distlinalg"
@@ -13,25 +14,14 @@ import (
 
 // exec is one query's physical executor: the engine's sixth-family
 // plan.Physical implementation over distlinalg.DistMatrix shards, plus the
-// plan.Timekeeper that replaces the executor's wall-clock StopWatch with the
-// virtual cluster's makespan. It is created per Run with a fresh virtual
-// cluster, so concurrent queries never share mutable state — the loaded
-// shards and replicated metadata are read-only.
+// plan.Timekeeper whose clock is the virtual cluster's makespan. It is
+// created per Run with a fresh virtual cluster, so concurrent queries never
+// share mutable state — the loaded shards and replicated metadata are
+// read-only.
 type exec struct {
 	e        *Engine
 	c        *cluster.Cluster
 	replicas [][]int // shard → candidate nodes in failover order (first = primary)
-
-	// Virtual-time phase attribution: all makespan growth between marks is
-	// credited to the bucket current at the time (plan.Timekeeper). There is
-	// no transfer bucket — the hand-coded path reported Transfer as zero
-	// too: the coprocessor's modeled PCIe time is charged to the owner
-	// node's clock inside the kernel window and therefore lands in
-	// analytics, exactly as before.
-	cur           *float64
-	dm, analytics float64
-	discard       float64
-	lastMark      float64
 }
 
 func (e *Engine) newExec() *exec {
@@ -40,47 +30,18 @@ func (e *Engine) newExec() *exec {
 	cfg.ReplicationFactor = e.replication
 	cfg.Now = e.now
 	c := cluster.New(cfg)
-	x := &exec{e: e, c: c,
+	return &exec{e: e, c: c,
 		replicas: distlinalg.ReplicaPlacement(e.shards, c.Nodes(), c.ReplicationFactor())}
-	x.cur = &x.discard
-	return x
 }
 
-// --- plan.Timekeeper ---
-
-// markTo attributes makespan growth since the previous mark to the current
-// bucket, then switches buckets.
-func (x *exec) markTo(bucket *float64) {
-	now := x.c.MakespanSeconds()
-	*x.cur += now - x.lastMark
-	x.lastMark = now
-	x.cur = bucket
-}
-
-// MarkDM implements plan.Timekeeper.
-func (x *exec) MarkDM() { x.markTo(&x.dm) }
-
-// markAnalytics is called by the kernel operators at their compute boundary
-// (mirroring StopWatch.StartAnalytics inside the single-node kernels).
-func (x *exec) markAnalytics() { x.markTo(&x.analytics) }
-
-// MarkDone implements plan.Timekeeper.
-func (x *exec) MarkDone() { x.markTo(&x.discard) }
+// Now implements plan.Timekeeper: the query StopWatch reads the makespan.
+func (x *exec) Now() time.Time { return makespanTime(x.c) }
 
 // ExecLocal implements plan.Timekeeper: executor-resident steps (the shared
 // TopKByAbs covariance summary) run on the coordinator's clock, as they did
 // when the engines hand-coded them — failing the role over if the
 // coordinator dies.
 func (x *exec) ExecLocal(fn func() error) error { return x.c.ExecCoordinator(fn) }
-
-// QueryTiming implements plan.Timekeeper.
-func (x *exec) QueryTiming() engine.Timing {
-	x.markTo(&x.discard)
-	return engine.Timing{
-		DataManagement: secToDur(x.dm),
-		Analytics:      secToDur(x.analytics),
-	}
-}
 
 // execShards runs fn once per shard through the fault-tolerant shard
 // scheduler (distlinalg.RunShards): primaries first, failover to replicas

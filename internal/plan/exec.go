@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"time"
 
 	"github.com/genbase/genbase/internal/bicluster"
 	"github.com/genbase/genbase/internal/engine"
@@ -34,7 +35,8 @@ import (
 // before compute, the coprocessor offload books modeled device time, and the
 // in-database paths go straight to analytics. All other operators are timed
 // by the executor under the phase tag of their plan node. Engines whose time
-// is simulated rather than measured additionally implement Timekeeper.
+// is simulated rather than measured additionally implement Timekeeper, whose
+// clock the StopWatch then reads.
 //
 // Matrix ownership: a kernel consumes its input matrix (releasing it to the
 // arena when pooled); the executor releases the covariance matrix after the
@@ -94,26 +96,17 @@ type Describer interface {
 	PhysicalName(k OpKind) string
 }
 
-// Timekeeper is an optional extension implemented by engines whose reported
-// query time is a simulated makespan rather than the executor's wall-clock
-// StopWatch (the virtual-cluster engines). The executor mirrors its StopWatch
-// switches into the Timekeeper at the same node boundaries — MarkDM before a
-// data-management node, MarkDone before Emit — and kernels refine their own
-// phases internally, exactly as they do with the StopWatch. When an executed
-// engine implements Timekeeper, the Result carries QueryTiming() instead of
-// the wall-clock split.
+// Timekeeper is an optional extension implemented by engines that run on a
+// virtual cluster, supplying what only that platform knows: the clock the
+// query StopWatch reads, and where executor-resident work runs.
 type Timekeeper interface {
-	// MarkDM attributes subsequent virtual-clock growth to data management.
-	MarkDM()
-	// MarkDone stops attribution (answer assembly is untimed, as with the
-	// StopWatch).
-	MarkDone()
+	// Now reads the platform's clock, the cluster's virtual makespan. The
+	// executor's StopWatch times every phase on it.
+	Now() time.Time
 	// ExecLocal runs an executor-resident step (the generic TopKByAbs
 	// summary) on the coordinator's clock, so shared answer assembly has
 	// the same virtual cost it had when engines hand-coded it.
 	ExecLocal(fn func() error) error
-	// QueryTiming returns the accumulated virtual phase split.
-	QueryTiming() engine.Timing
 }
 
 // regOut carries a regression kernel's result between nodes.
@@ -138,6 +131,9 @@ func Execute[M any](ctx context.Context, ex Physical[M], pl *Plan) (*engine.Resu
 	}
 	tk, _ := any(ex).(Timekeeper)
 	var sw engine.StopWatch
+	if tk != nil {
+		sw.Clock = tk.Now
+	}
 	vals := make([]any, len(pl.Nodes))
 	var answer any
 	for i := range pl.Nodes {
@@ -148,14 +144,8 @@ func Execute[M any](ctx context.Context, ex Physical[M], pl *Plan) (*engine.Resu
 		}
 		if n.Kind == OpEmit {
 			sw.Stop()
-			if tk != nil {
-				tk.MarkDone()
-			}
 		} else if n.Phase == PhaseDM {
 			sw.StartDM()
-			if tk != nil {
-				tk.MarkDM()
-			}
 		}
 		v, err := executeNode(ctx, ex, tk, &sw, n, vals)
 		// Kernels and the TopK summary take ownership of their matrix
@@ -183,12 +173,7 @@ func Execute[M any](ctx context.Context, ex Physical[M], pl *Plan) (*engine.Resu
 		}
 	}
 	sw.Stop()
-	timing := sw.Timing()
-	if tk != nil {
-		tk.MarkDone()
-		timing = tk.QueryTiming()
-	}
-	return &engine.Result{Query: pl.Query, Timing: timing, Answer: answer}, nil
+	return &engine.Result{Query: pl.Query, Timing: sw.Timing(), Answer: answer}, nil
 }
 
 // consumesMatrixInputs reports whether a node's physical implementation

@@ -62,10 +62,10 @@ type Router struct {
 
 // Backend declares one fleet member for NewRouter.
 type Backend struct {
-	// Server wraps the loaded engine with its per-backend admission width,
-	// circuit breaker, and (serial-only engines) width-1 serialization. The
-	// server must not have its own cache (NewRouter enforces this): result
-	// caching is the router's, keyed by answer class.
+	// Server wraps the loaded engine with its per-backend admission width
+	// and circuit breaker. The server must not have its own cache
+	// (NewRouter enforces this): result caching is the router's, keyed by
+	// answer class.
 	Server *Server
 	// Config is the backend's cost-model identity: system, node count,
 	// pinned workers.

@@ -26,9 +26,7 @@
 // have since the contract was written, and the multinode virtual-cluster
 // engines do since the distributed plan layer gave each query its own
 // virtual cluster (DESIGN.md §13) — so a cluster configuration serves
-// traffic exactly like a single-node one. The sole exception is the
-// multi-node Hadoop wrapper (shared MR-scheduler accounting): serial-only,
-// served at admission width 1.
+// traffic exactly like a single-node one.
 package serve
 
 import (

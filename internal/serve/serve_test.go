@@ -414,9 +414,11 @@ func TestConcurrentAnswersBitwiseIdenticalToSerial(t *testing.T) {
 // every virtual-cluster configuration and every scenario. Each query
 // executes on its own virtual cluster, so the simulated clocks are
 // query-local; with -race this doubles as the data-race stress test for the
-// shard→distributed-kernel path. (Concurrent queries time-share the host's
-// cores, which can perturb the measured — hence virtual — durations; the
-// contract is about answers, which must not move by a bit.)
+// shard→distributed-kernel path. The cluster Hadoop wrapper runs every
+// query's MR jobs on its own cluster too, and rides along at 2 nodes.
+// (Concurrent queries time-share the host's cores, which can perturb the
+// measured — hence virtual — durations; the contract is about answers,
+// which must not move by a bit.)
 //
 // The served node-kill drill rides along: pbdr at 4 nodes with replication
 // 2 loses node 1 at its second exec step of every query, and every served
@@ -429,22 +431,24 @@ func TestDistServeConcurrentMatchesSerial(t *testing.T) {
 
 	type drill struct {
 		name        string
-		kind        multinode.Kind
-		nodes       int
+		build       func() engine.Engine
 		faults      string // served under this plan; serial truth stays fault-free
 		replication int
 	}
 	var drills []drill
 	for _, kind := range multinode.AllKinds() {
-		drills = append(drills, drill{name: kind.String() + "@2n", kind: kind, nodes: 2})
+		drills = append(drills, drill{name: kind.String() + "@2n",
+			build: func() engine.Engine { return multinode.New(kind, 2) }})
 	}
-	drills = append(drills, drill{name: "pbdr@4n/crash:1@2", kind: multinode.PBDR, nodes: 4,
-		faults: "crash:1@2", replication: 2})
+	drills = append(drills,
+		drill{name: "hadoop@2n", build: func() engine.Engine { return multinode.NewHadoop(2) }},
+		drill{name: "pbdr@4n/crash:1@2", build: func() engine.Engine { return multinode.New(multinode.PBDR, 4) },
+			faults: "crash:1@2", replication: 2})
 
 	for _, d := range drills {
 		t.Run(d.name, func(t *testing.T) {
 			noLeak(t)
-			eng := multinode.New(d.kind, d.nodes)
+			eng := d.build()
 			defer eng.Close()
 			if err := eng.Load(ds); err != nil {
 				t.Fatal(err)
@@ -473,8 +477,9 @@ func TestDistServeConcurrentMatchesSerial(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				eng.SetFaults(plan)
-				eng.SetReplication(d.replication)
+				fe := eng.(*multinode.Engine)
+				fe.SetFaults(plan)
+				fe.SetReplication(d.replication)
 				for _, q := range supported {
 					res, err := eng.Run(context.Background(), q, params)
 					if err != nil {

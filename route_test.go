@@ -62,12 +62,8 @@ func fleetUnderTest(t *testing.T) ([]core.FleetMember, func() []serve.Backend) {
 	backends := func() []serve.Backend {
 		out := make([]serve.Backend, len(fleet))
 		for i, m := range fleet {
-			width := 2
-			if m.Serial {
-				width = 1
-			}
 			out[i] = serve.Backend{
-				Server: serve.New(engines[i], serve.Options{MaxConcurrent: width, DisableCache: true}),
+				Server: serve.New(engines[i], serve.Options{MaxConcurrent: 2, DisableCache: true}),
 				Config: m.Config,
 				Class:  m.Class,
 			}
