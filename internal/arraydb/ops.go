@@ -3,7 +3,6 @@ package arraydb
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"github.com/genbase/genbase/internal/bicluster"
 	"github.com/genbase/genbase/internal/colpage"
@@ -197,24 +196,14 @@ func (e *Engine) RunCovariance(ctx context.Context, sw *engine.StopWatch, x *lin
 // RunSVD implements plan.Physical: Lanczos over the dense AᵀA operator
 // (offloadable).
 func (e *Engine) RunSVD(ctx context.Context, sw *engine.StopWatch, x *linalg.Matrix, k int, seed uint64) ([]float64, error) {
-	op := linalg.ATAOperator{A: x, Workers: e.Workers}
 	inBytes := int64(x.Rows) * int64(x.Cols) * 8
 	outBytes := int64(k) * int64(x.Cols+1) * 8
 	var sv []float64
 	err := e.runKernel(ctx, sw, xeonphi.KindLanczos, inBytes, outBytes, func() error {
-		eig, kerr := linalg.Lanczos(op, k,
+		var kerr error
+		sv, kerr = linalg.SingularValues(linalg.ATAOperator{A: x, Workers: e.Workers}, k,
 			linalg.LanczosOptions{Reorthogonalize: true, Seed: seed, Workers: e.Workers})
-		if kerr != nil {
-			return kerr
-		}
-		sv = make([]float64, len(eig.Values))
-		for i, lam := range eig.Values {
-			if lam < 0 {
-				lam = 0
-			}
-			sv[i] = math.Sqrt(lam)
-		}
-		return nil
+		return kerr
 	})
 	linalg.PutMatrix(x)
 	if err != nil {

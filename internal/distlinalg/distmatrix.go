@@ -417,12 +417,14 @@ func (d *DistMatrix) LeastSquares(y []float64) (*linalg.LeastSquaresResult, erro
 	ssParts := make([]float64, len(d.Parts))
 	if err := d.execParts(func(s int) error {
 		part := d.Parts[s]
+		pred := linalg.GetSlice(part.Rows)
+		linalg.MatVecInto(pred, part, beta, 1)
 		ss := 0.0
-		for r := 0; r < part.Rows; r++ {
-			pred := linalg.Dot(part.Row(r), beta)
-			diff := y[d.Starts[s]+r] - pred
+		for r, p := range pred {
+			diff := y[d.Starts[s]+r] - p
 			ss += diff * diff
 		}
+		linalg.PutSlice(pred)
 		ssParts[s] = ss
 		return nil
 	}); err != nil {
@@ -466,13 +468,8 @@ func (o *ATAOperator) Apply(x []float64) []float64 {
 	}
 	partials := make([][]float64, len(d.Parts))
 	if err := d.execParts(func(s int) error {
-		part := d.Parts[s]
 		local := make([]float64, d.Cols)
-		for r := 0; r < part.Rows; r++ {
-			row := part.Row(r)
-			yi := linalg.Dot(row, x)
-			linalg.Axpy(yi, row, local)
-		}
+		linalg.AddATAx(local, d.Parts[s], x)
 		partials[s] = local
 		return nil
 	}); err != nil {
@@ -502,19 +499,9 @@ func (o *ATAOperator) Apply(x []float64) []float64 {
 // singular values of the distributed matrix.
 func (d *DistMatrix) TopKSingularValues(k int, seed uint64) ([]float64, error) {
 	op := &ATAOperator{D: d}
-	eig, err := linalg.Lanczos(op, k, linalg.LanczosOptions{Reorthogonalize: true, Seed: seed})
+	sv, err := linalg.SingularValues(op, k, linalg.LanczosOptions{Reorthogonalize: true, Seed: seed})
 	if op.Err != nil {
 		return nil, op.Err
 	}
-	if err != nil {
-		return nil, err
-	}
-	sv := make([]float64, len(eig.Values))
-	for i, lam := range eig.Values {
-		if lam < 0 {
-			lam = 0
-		}
-		sv[i] = math.Sqrt(lam)
-	}
-	return sv, nil
+	return sv, err
 }

@@ -97,7 +97,10 @@ func TestXtYMatchesDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := linalg.MatTVec(m, y)
+	want := make([]float64, m.Cols)
+	for i := 0; i < m.Rows; i++ {
+		linalg.Axpy(y[i], m.Row(i), want)
+	}
 	for j := range want {
 		if math.Abs(got[j]-want[j]) > 1e-10 {
 			t.Fatalf("j=%d: %v vs %v", j, got[j], want[j])
@@ -108,7 +111,8 @@ func TestXtYMatchesDense(t *testing.T) {
 func TestLeastSquaresMatchesQR(t *testing.T) {
 	m := randMatrix(60, 5, 21)
 	beta0 := []float64{1, -2, 0.5, 3, -1}
-	y := linalg.MatVecP(m, beta0, 0)
+	y := make([]float64, m.Rows)
+	linalg.MatVecInto(y, m, beta0, 0)
 	rng := datagen.NewRNG(22)
 	for i := range y {
 		y[i] += 0.01 * rng.NormFloat64()

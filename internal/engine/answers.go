@@ -308,16 +308,14 @@ func FitLeastSquares(x *linalg.Matrix, y []float64, workers int) ([]float64, flo
 	return fit.Coefficients, fit.RSquared, nil
 }
 
-// TopKSingularValues is the shared host SVD kernel body (Lanczos with full
-// reorthogonalization over AᵀA, identical options everywhere). a is
-// consumed.
+// TopKSingularValues is the shared host SVD kernel body: Lanczos with full
+// reorthogonalization over AᵀA, identical options everywhere, values only.
+// a is consumed.
 func TopKSingularValues(a *linalg.Matrix, k int, seed uint64, workers int) ([]float64, error) {
-	svd, err := linalg.TopKSVD(a, k, linalg.LanczosOptions{Reorthogonalize: true, Seed: seed, Workers: workers})
+	sv, err := linalg.SingularValues(linalg.ATAOperator{A: a, Workers: workers}, k,
+		linalg.LanczosOptions{Reorthogonalize: true, Seed: seed, Workers: workers})
 	linalg.PutMatrix(a)
-	if err != nil {
-		return nil, err
-	}
-	return svd.SingularValues, nil
+	return sv, err
 }
 
 // CovarianceHost is the shared host covariance kernel body. x is consumed.

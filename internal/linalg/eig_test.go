@@ -101,7 +101,7 @@ func TestJacobiEigKnown(t *testing.T) {
 		t.Fatalf("vals=%v", vals)
 	}
 	// A·v = λ·v for top pair.
-	av := MatVecP(m, vecs.Col(0), 0)
+	av := matVec(m, vecs.Col(0), 0)
 	for i, v := range av {
 		if !almostEqual(v, 3*vecs.At(i, 0), 1e-10) {
 			t.Fatal("eigenpair residual too large")
@@ -152,7 +152,7 @@ func TestLanczosMatchesJacobiOnSPD(t *testing.T) {
 			return false
 		}
 		k := 3
-		got, err := Lanczos(DenseOperator{M: spd}, k, LanczosOptions{Reorthogonalize: true, Seed: seed})
+		got, err := Lanczos(denseOperator{M: spd}, k, LanczosOptions{Reorthogonalize: true, Seed: seed})
 		if err != nil {
 			return false
 		}
@@ -171,13 +171,13 @@ func TestLanczosMatchesJacobiOnSPD(t *testing.T) {
 
 func TestLanczosEigenpairResidual(t *testing.T) {
 	spd := randSPD(30, 31415)
-	res, err := Lanczos(DenseOperator{M: spd}, 5, LanczosOptions{Reorthogonalize: true})
+	res, err := Lanczos(denseOperator{M: spd}, 5, LanczosOptions{Reorthogonalize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for j := 0; j < 5; j++ {
 		v := res.Vectors.Col(j)
-		av := MatVecP(spd, v, 0)
+		av := matVec(spd, v, 0)
 		for i := range av {
 			if math.Abs(av[i]-res.Values[j]*v[i]) > 1e-5*(1+res.Values[0]) {
 				t.Fatalf("residual too large for pair %d", j)
@@ -188,7 +188,7 @@ func TestLanczosEigenpairResidual(t *testing.T) {
 
 func TestLanczosDescendingValues(t *testing.T) {
 	spd := randSPD(25, 999)
-	res, err := Lanczos(DenseOperator{M: spd}, 6, LanczosOptions{Reorthogonalize: true})
+	res, err := Lanczos(denseOperator{M: spd}, 6, LanczosOptions{Reorthogonalize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestLanczosDescendingValues(t *testing.T) {
 
 func TestLanczosKLargerThanN(t *testing.T) {
 	spd := randSPD(4, 7)
-	res, err := Lanczos(DenseOperator{M: spd}, 10, LanczosOptions{Reorthogonalize: true})
+	res, err := Lanczos(denseOperator{M: spd}, 10, LanczosOptions{Reorthogonalize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestLanczosLowRankBreakdown(t *testing.T) {
 			m.Set(i, j, v[i]*v[j])
 		}
 	}
-	res, err := Lanczos(DenseOperator{M: m}, 3, LanczosOptions{Reorthogonalize: true})
+	res, err := Lanczos(denseOperator{M: m}, 3, LanczosOptions{Reorthogonalize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,14 +241,14 @@ func TestLanczosLowRankBreakdown(t *testing.T) {
 }
 
 func TestLanczosZeroDim(t *testing.T) {
-	res, err := Lanczos(DenseOperator{M: NewMatrix(0, 0)}, 3, LanczosOptions{})
+	res, err := Lanczos(denseOperator{M: NewMatrix(0, 0)}, 3, LanczosOptions{})
 	if err != nil || len(res.Values) != 0 {
 		t.Fatalf("zero-dim: %v %v", res, err)
 	}
 }
 
 func TestLanczosRejectsNonPositiveK(t *testing.T) {
-	if _, err := Lanczos(DenseOperator{M: randSPD(3, 1)}, 0, LanczosOptions{}); err == nil {
+	if _, err := Lanczos(denseOperator{M: randSPD(3, 1)}, 0, LanczosOptions{}); err == nil {
 		t.Fatal("expected error for k=0")
 	}
 }
@@ -279,7 +279,7 @@ func TestTopKSVDTripletConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	for j := 0; j < 3; j++ {
-		av := MatVecP(a, svd.V.Col(j), 0)
+		av := matVec(a, svd.V.Col(j), 0)
 		for i := range av {
 			if math.Abs(av[i]-svd.SingularValues[j]*svd.U.At(i, j)) > 1e-6*(1+svd.SingularValues[0]) {
 				t.Fatalf("triplet %d inconsistent", j)

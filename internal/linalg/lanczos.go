@@ -24,24 +24,6 @@ type LinearOperator interface {
 	Apply(x []float64) []float64
 }
 
-// DenseOperator wraps a symmetric dense matrix as a LinearOperator. Workers
-// sets the mat-vec worker count (0 = default knob).
-type DenseOperator struct {
-	M       *Matrix
-	Workers int
-}
-
-// Dim implements LinearOperator.
-func (d DenseOperator) Dim() int { return d.M.Rows }
-
-// Apply implements LinearOperator. The result is drawn from the pooled
-// arena; Lanczos returns it there when the iteration no longer needs it.
-func (d DenseOperator) Apply(x []float64) []float64 {
-	y := GetSlice(d.M.Rows)
-	matVecInto(y, d.M, x, d.Workers)
-	return y
-}
-
 // ATAOperator applies x ↦ Aᵀ(A·x) without forming AᵀA. This is the operator
 // Q4 uses: the Lanczos iteration on AᵀA yields A's singular values. Workers
 // sets the worker count of both mat-vecs (0 = default knob).
@@ -59,7 +41,7 @@ func (o ATAOperator) Dim() int { return o.A.Cols }
 // this removes were the KernelSVD/parallel allocation blow-up.
 func (o ATAOperator) Apply(x []float64) []float64 {
 	tmp := GetSlice(o.A.Rows)
-	matVecInto(tmp, o.A, x, o.Workers)
+	MatVecInto(tmp, o.A, x, o.Workers)
 	y := GetSlice(o.A.Cols)
 	matTVecInto(y, o.A, tmp, o.Workers)
 	PutSlice(tmp)
@@ -96,6 +78,13 @@ type EigResult struct {
 // algorithm, ... a power method that can iteratively find the largest
 // eigenvalues of symmetric positive semidefinite matrices").
 func Lanczos(op LinearOperator, k int, opts LanczosOptions) (*EigResult, error) {
+	return lanczos(op, k, opts, true)
+}
+
+// lanczos is Lanczos; without wantVectors it skips the Ritz vectors and
+// leaves EigResult.Vectors nil. The eigenvalues do not depend on it:
+// SymTriEig runs the same QL sweeps whether or not it accumulates vectors.
+func lanczos(op LinearOperator, k int, opts LanczosOptions, wantVectors bool) (*EigResult, error) {
 	n := op.Dim()
 	if n == 0 {
 		return &EigResult{Values: nil, Vectors: NewMatrix(0, 0)}, nil
@@ -190,7 +179,7 @@ func Lanczos(op LinearOperator, k int, opts LanczosOptions) (*EigResult, error) 
 	}
 
 	m := len(alpha)
-	vals, vecsT, err := SymTriEig(alpha, beta[:m-1], true)
+	vals, vecsT, err := SymTriEig(alpha, beta[:m-1], wantVectors)
 	if err != nil {
 		return nil, err
 	}
@@ -199,28 +188,31 @@ func Lanczos(op LinearOperator, k int, opts LanczosOptions) (*EigResult, error) 
 		k = m
 	}
 	res := &EigResult{Values: make([]float64, k), Iterations: iters}
-	res.Vectors = NewMatrix(n, k)
 	for j := 0; j < k; j++ {
 		res.Values[j] = vals[m-1-j]
 	}
-	// Ritz vectors: V_basis · y_col, with the output rows partitioned across
-	// the pool (each element keeps its serial accumulation order over t).
-	ritzWorkers := gemmWorkers(opts.Workers, int64(n)*int64(m)*int64(k))
-	parallel.ForSplit(ritzWorkers, n, func(lo, hi int) {
-		for j := 0; j < k; j++ {
-			col := m - 1 - j
-			for t := 0; t < m; t++ {
-				c := vecsT.At(t, col)
-				if c == 0 {
-					continue
-				}
-				bt := basis[t]
-				for i := lo; i < hi; i++ {
-					res.Vectors.Data[i*res.Vectors.Stride+j] += c * bt[i]
+	if wantVectors {
+		res.Vectors = NewMatrix(n, k)
+		// Ritz vectors: V_basis · y_col, with the output rows partitioned
+		// across the pool (each element keeps its serial accumulation order
+		// over t).
+		ritzWorkers := gemmWorkers(opts.Workers, int64(n)*int64(m)*int64(k))
+		parallel.ForSplit(ritzWorkers, n, func(lo, hi int) {
+			for j := 0; j < k; j++ {
+				col := m - 1 - j
+				for t := 0; t < m; t++ {
+					c := vecsT.At(t, col)
+					if c == 0 {
+						continue
+					}
+					bt := basis[t]
+					for i := lo; i < hi; i++ {
+						res.Vectors.Data[i*res.Vectors.Stride+j] += c * bt[i]
+					}
 				}
 			}
-		}
-	})
+		})
+	}
 	// Recycle the Krylov basis and the final (never-enrolled) Apply result:
 	// every loop exit leaves the last av outside basis. Basis entries are the
 	// start vector plus enrolled Apply results — all arena-drawn under the
@@ -252,19 +244,14 @@ func TopKSVD(a *Matrix, k int, opts LanczosOptions) (*SVDResult, error) {
 		return nil, err
 	}
 	res := &SVDResult{
-		SingularValues: make([]float64, len(eig.Values)),
+		SingularValues: sqrtEigenvalues(eig.Values),
 		V:              eig.Vectors,
 		U:              NewMatrix(a.Rows, len(eig.Values)),
 	}
-	for j, lam := range eig.Values {
-		if lam < 0 {
-			lam = 0 // AᵀA is PSD; tiny negatives are roundoff
-		}
-		sigma := math.Sqrt(lam)
-		res.SingularValues[j] = sigma
+	for j, sigma := range res.SingularValues {
 		if sigma > 1e-13 {
 			u := GetSlice(a.Rows)
-			matVecInto(u, a, eig.Vectors.Col(j), opts.Workers)
+			MatVecInto(u, a, eig.Vectors.Col(j), opts.Workers)
 			ScaleVec(1/sigma, u)
 			for i := 0; i < a.Rows; i++ {
 				res.U.Set(i, j, u[i])
@@ -273,6 +260,32 @@ func TopKSVD(a *Matrix, k int, opts LanczosOptions) (*SVDResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// SingularValues returns the k largest singular values, descending, of the
+// matrix A whose AᵀA op applies: Lanczos without Ritz vectors, then
+// sqrtEigenvalues. It is Q4's answer for every engine that keeps no
+// singular vectors; its values are bitwise those of TopKSVD on the same
+// operator and options.
+func SingularValues(op LinearOperator, k int, opts LanczosOptions) ([]float64, error) {
+	eig, err := lanczos(op, k, opts, false)
+	if err != nil {
+		return nil, err
+	}
+	return sqrtEigenvalues(eig.Values), nil
+}
+
+// sqrtEigenvalues maps eigenvalues of AᵀA to singular values of A. AᵀA is
+// PSD, so a negative eigenvalue is roundoff and maps to 0.
+func sqrtEigenvalues(lams []float64) []float64 {
+	sv := make([]float64, len(lams))
+	for i, lam := range lams {
+		if lam < 0 {
+			lam = 0
+		}
+		sv[i] = math.Sqrt(lam)
+	}
+	return sv
 }
 
 // topDescending returns the k largest entries of vals in descending order.

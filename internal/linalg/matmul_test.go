@@ -72,7 +72,7 @@ func TestMulATASymmetric(t *testing.T) {
 func TestMatVecMatchesMul(t *testing.T) {
 	a := randMatrix(6, 4, 41)
 	x := randMatrix(4, 1, 42)
-	got := MatVecP(a, x.Col(0), 0)
+	got := matVec(a, x.Col(0), 0)
 	want := Mul(a, x)
 	for i, v := range got {
 		if !almostEqual(v, want.At(i, 0), 1e-12) {
@@ -85,8 +85,8 @@ func TestMatTVecMatchesTransposeMatVec(t *testing.T) {
 	f := func(seed uint64) bool {
 		a := randMatrix(int(seed%15)+1, int((seed>>8)%15)+1, seed)
 		x := randMatrix(a.Rows, 1, seed^1).Col(0)
-		got := MatTVec(a, x)
-		want := MatVecP(a.Transpose(), x, 0)
+		got := matTVec(a, x, 0)
+		want := matVec(a.Transpose(), x, 0)
 		for i := range got {
 			if !almostEqual(got[i], want[i], 1e-10) {
 				return false

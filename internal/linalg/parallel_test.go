@@ -49,8 +49,8 @@ func TestParallelKernelsBitwiseDeterministic(t *testing.T) {
 	cov1 := CovarianceP(a, 1)
 	means1 := ColumnMeansP(a, 1)
 	cent1 := CenterColumnsP(a, 1)
-	mv1 := MatVecP(a, x, 1)
-	mtv1 := MatTVecP(a, xr, 1)
+	mv1 := matVec(a, x, 1)
+	mtv1 := matTVec(a, xr, 1)
 	svd1, err := TopKSVD(a, 6, LanczosOptions{Reorthogonalize: true, Seed: 5, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -62,8 +62,8 @@ func TestParallelKernelsBitwiseDeterministic(t *testing.T) {
 		bitsEqualMat(t, "Covariance", w, CovarianceP(a, w), cov1)
 		bitsEqualVec(t, "ColumnMeans", w, ColumnMeansP(a, w), means1)
 		bitsEqualMat(t, "CenterColumns", w, CenterColumnsP(a, w), cent1)
-		bitsEqualVec(t, "MatVec", w, MatVecP(a, x, w), mv1)
-		bitsEqualVec(t, "MatTVec", w, MatTVecP(a, xr, w), mtv1)
+		bitsEqualVec(t, "MatVec", w, matVec(a, x, w), mv1)
+		bitsEqualVec(t, "MatTVec", w, matTVec(a, xr, w), mtv1)
 		svdw, err := TopKSVD(a, 6, LanczosOptions{Reorthogonalize: true, Seed: 5, Workers: w})
 		if err != nil {
 			t.Fatal(err)

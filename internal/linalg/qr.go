@@ -268,7 +268,7 @@ func LeastSquaresP(a *Matrix, b []float64, workers int) (*LeastSquaresResult, er
 		return nil, err
 	}
 	pred := GetSlice(a.Rows)
-	matVecInto(pred, a, x, workers)
+	MatVecInto(pred, a, x, workers)
 	ssRes := 0.0
 	for i, v := range b {
 		d := v - pred[i]

@@ -77,7 +77,7 @@ func TestSolveRecoversPlantedSolution(t *testing.T) {
 		n := int((seed>>8)%6) + 2
 		a := randMatrix(m, n, seed)
 		x0 := randMatrix(n, 1, seed^3).Col(0)
-		b := MatVecP(a, x0, 0)
+		b := matVec(a, x0, 0)
 		qr, err := NewQR(a)
 		if err != nil {
 			return false
@@ -107,12 +107,12 @@ func TestResidualOrthogonalToColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred := MatVecP(a, x, 0)
+	pred := matVec(a, x, 0)
 	resid := make([]float64, len(b))
 	for i := range b {
 		resid[i] = b[i] - pred[i]
 	}
-	proj := MatTVec(a, resid)
+	proj := matTVec(a, resid, 0)
 	for j, v := range proj {
 		if math.Abs(v) > 1e-8 {
 			t.Fatalf("Aᵀr[%d]=%v, residual not orthogonal", j, v)
@@ -135,7 +135,7 @@ func TestSolveRankDeficient(t *testing.T) {
 func TestLeastSquaresPerfectFitR2(t *testing.T) {
 	a := AddInterceptColumn(randMatrix(30, 3, 55))
 	beta := []float64{2, -1, 0.5, 3}
-	b := MatVecP(a, beta, 0)
+	b := matVec(a, beta, 0)
 	res, err := LeastSquares(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +157,7 @@ func TestLeastSquaresNoisyFitR2InRange(t *testing.T) {
 	rng := splitMix64(123)
 	a := AddInterceptColumn(randMatrix(200, 4, 66))
 	beta := []float64{1, 2, -3, 0.5, 1.5}
-	b := MatVecP(a, beta, 0)
+	b := matVec(a, beta, 0)
 	for i := range b {
 		b[i] += (rng() - 0.5) * 0.1
 	}
@@ -189,7 +189,7 @@ func TestQRAgreesWithNormalEquations(t *testing.T) {
 	}
 	// Solve (AᵀA)x = Aᵀb via Jacobi eigendecomposition.
 	ata := MulATA(a)
-	atb := MatTVec(a, b)
+	atb := matTVec(a, b, 0)
 	vals, vecs, err := JacobiEig(ata)
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 
@@ -314,21 +313,11 @@ func (e *Engine) RunCovariance(ctx context.Context, sw *engine.StopWatch, x *lin
 func (e *Engine) RunSVD(ctx context.Context, sw *engine.StopWatch, a *linalg.Matrix, k int, seed uint64) ([]float64, error) {
 	sw.StartAnalytics()
 	op := &mrATAOperator{ctx: ctx, e: e, matrix: matrixLines(a, e.splits()), k: a.Cols}
-	eig, err := linalg.Lanczos(op, k, linalg.LanczosOptions{Reorthogonalize: true, Seed: seed})
+	sv, err := linalg.SingularValues(op, k, linalg.LanczosOptions{Reorthogonalize: true, Seed: seed})
 	if op.err != nil {
 		return nil, op.err
 	}
-	if err != nil {
-		return nil, err
-	}
-	sv := make([]float64, len(eig.Values))
-	for i, lam := range eig.Values {
-		if lam < 0 {
-			lam = 0
-		}
-		sv[i] = math.Sqrt(lam)
-	}
-	return sv, nil
+	return sv, err
 }
 
 // RunBicluster is not registered (Capabilities omits the kernel); it exists

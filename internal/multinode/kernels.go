@@ -2,7 +2,6 @@ package multinode
 
 import (
 	"context"
-	"math"
 
 	"github.com/genbase/genbase/internal/bicluster"
 	"github.com/genbase/genbase/internal/distlinalg"
@@ -220,12 +219,9 @@ func (x *exec) RunSVD(ctx context.Context, sw *engine.StopWatch, d *distlinalg.D
 		}
 		var sv []float64
 		err := x.c.ExecCoordinator(func() error {
-			svd, kerr := linalg.TopKSVD(a, k, linalg.LanczosOptions{Reorthogonalize: true, Seed: seed, Workers: 1})
-			if kerr != nil {
-				return kerr
-			}
-			sv = svd.SingularValues
-			return nil
+			var kerr error
+			sv, kerr = engine.TopKSingularValues(a, k, seed, 1)
+			return kerr
 		})
 		if err != nil {
 			return nil, err
@@ -246,21 +242,11 @@ func (x *exec) RunSVD(ctx context.Context, sw *engine.StopWatch, d *distlinalg.D
 // to its owner node's coprocessor.
 func (x *exec) phiSVD(d *distlinalg.DistMatrix, k int, seed uint64) ([]float64, error) {
 	op := &phiATAOperator{x: x, d: d}
-	eig, err := linalg.Lanczos(op, k, linalg.LanczosOptions{Reorthogonalize: true, Seed: seed})
+	sv, err := linalg.SingularValues(op, k, linalg.LanczosOptions{Reorthogonalize: true, Seed: seed})
 	if op.err != nil {
 		return nil, op.err
 	}
-	if err != nil {
-		return nil, err
-	}
-	sv := make([]float64, len(eig.Values))
-	for i, lam := range eig.Values {
-		if lam < 0 {
-			lam = 0
-		}
-		sv[i] = math.Sqrt(lam)
-	}
-	return sv, nil
+	return sv, err
 }
 
 type phiATAOperator struct {
@@ -295,11 +281,7 @@ func (o *phiATAOperator) Apply(v []float64) []float64 {
 		}
 		if err := o.x.execKernel(node, xeonphi.KindLanczos, inBytes, int64(d.Cols)*8, func() error {
 			local := make([]float64, d.Cols)
-			for r := 0; r < part.Rows; r++ {
-				row := part.Row(r)
-				yi := linalg.Dot(row, v)
-				linalg.Axpy(yi, row, local)
-			}
+			linalg.AddATAx(local, part, v)
 			partials[i] = local
 			return nil
 		}); err != nil {

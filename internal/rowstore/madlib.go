@@ -2,7 +2,6 @@ package rowstore
 
 import (
 	"context"
-	"math"
 
 	"github.com/genbase/genbase/internal/engine"
 	"github.com/genbase/genbase/internal/linalg"
@@ -118,23 +117,14 @@ func (o *sqlATAOperator) matVecPlan(vec *relation.Table, joinCol, groupCol int, 
 // singular values of a.
 func (e *Engine) madlibSVD(ctx context.Context, a *linalg.Matrix, k int, seed uint64) ([]float64, error) {
 	// The mat-vecs run as relational plans (that is the configuration's
-	// point), so only the driver-side Ritz assembly uses the worker pool.
+	// point), and the values need no Ritz vectors, so nothing here uses
+	// the worker pool.
 	op := &sqlATAOperator{ctx: ctx, triples: tripleTable(a), rows: a.Rows, cols: a.Cols}
-	eig, err := linalg.Lanczos(op, k, linalg.LanczosOptions{Reorthogonalize: true, Seed: seed, Workers: e.Workers})
+	sv, err := linalg.SingularValues(op, k, linalg.LanczosOptions{Reorthogonalize: true, Seed: seed})
 	if op.err != nil {
 		return nil, op.err
 	}
-	if err != nil {
-		return nil, err
-	}
-	sv := make([]float64, len(eig.Values))
-	for i, lam := range eig.Values {
-		if lam < 0 {
-			lam = 0
-		}
-		sv[i] = math.Sqrt(lam)
-	}
-	return sv, nil
+	return sv, err
 }
 
 // madlibWilcoxon runs Q5's enrichment as a naive SQL formulation: for every

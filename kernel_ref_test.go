@@ -177,10 +177,9 @@ func refLeastSquares(a *linalg.Matrix, b []float64) (*linalg.LeastSquaresResult,
 	if err != nil {
 		return nil, err
 	}
-	pred := linalg.MatVecP(a, x, 1)
 	ssRes := 0.0
 	for i, v := range b {
-		d := v - pred[i]
+		d := v - linalg.Dot(a.Row(i), x)
 		ssRes += d * d
 	}
 	mb := linalg.Mean(b)
