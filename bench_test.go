@@ -306,7 +306,7 @@ func BenchmarkTable1PhiSpeedup(b *testing.B) {
 // -cpu aware: `go test -bench Kernel -cpu 1,2,4,8` reruns each with
 // GOMAXPROCS set accordingly, and the parallel variants size their worker
 // pool from GOMAXPROCS — so one sweep yields the single-core vs multicore
-// speedup curve. BENCH_kernels.json records a baseline.
+// speedup curve.
 
 // kernelBenchDims is the Large preset's expression-matrix shape (patients ×
 // genes at the repo's 1/20 scale).
@@ -701,9 +701,8 @@ func BenchmarkXeonPhiOffload(b *testing.B) {
 // End-to-end storage→kernel pipelines, one query in a warm loop.
 // Allocation counts are the headline metric: pivots go through views and
 // pooled scratch, so a warm query loop should allocate almost nothing on the
-// data-management side. BENCH_pipeline.json records a baseline; the
-// sub-bench keeps its "zerocopy" name because internal/cost's fit reads the
-// rows by it.
+// data-management side. The sub-bench keeps its "zerocopy" name, under
+// which the committed cost table's pipeline rates were recorded.
 func benchPipelineQuery(b *testing.B, system string, q engine.QueryID) {
 	b.Run("zerocopy", func(b *testing.B) {
 		b.ReportAllocs()

@@ -1,10 +1,8 @@
 // Command genbase-bench regenerates the paper's evaluation and the
-// repository's committed plan and cost-model artefacts. Each job is one
-// subcommand:
+// repository's committed plan listing. Each job is one subcommand:
 //
 //	genbase-bench figures [flags] 1|2|3|4|5|table1|all ...
 //	genbase-bench explain                 # compiled plans; the bytes of PLANS.txt
-//	genbase-bench fit-cost                # cost-model fit; the bytes of internal/cost/coeffs.json
 //	genbase-bench crash-drill [flags]     # WAL crash-recovery convergence drill
 //
 // figures prints every panel of Figures 1–5 and Table 1 as aligned text
@@ -46,7 +44,6 @@ type command struct {
 var commands = []command{
 	{"figures", "regenerate Figures 1-5 and Table 1 of the paper", runFigures},
 	{"explain", "print every configuration's compiled plan for every scenario (PLANS.txt)", runExplain},
-	{"fit-cost", "refit the cost model from the committed BENCH_*.json (internal/cost/coeffs.json)", runFitCost},
 	{"crash-drill", "crash a checkpointed WAL at every record boundary and check recovery converges", runCrashDrill},
 }
 

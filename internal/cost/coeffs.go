@@ -7,14 +7,17 @@ import (
 	"sync"
 )
 
-// coeffs.json is the committed offline fit — regenerated with
-// `go run ./cmd/genbase-bench fit-cost` and held by
-// TestFitReproducesCommittedCoefficients to a fresh fit of the committed
-// BENCH_*.json, so it can never drift from the bench baselines it claims to
-// summarize.
+// coeffs.json is the committed coefficient table: data, not a build output.
+// Nothing regenerates it; its header records how it was fit (DESIGN.md §16).
 //
 //go:embed coeffs.json
 var embeddedCoeffs []byte
+
+// FitDims is the dataset shape at which the table prices plans: the small
+// preset (250 patients × 250 genes × 100 GO terms) the table was fit at.
+// The router's default online model and `genbase-bench explain` estimate at
+// it.
+var FitDims = Dims{Patients: 250, Genes: 250, GOTerms: 100}
 
 var (
 	defaultOnce  sync.Once
@@ -22,33 +25,19 @@ var (
 	defaultErr   error
 )
 
-// Load parses the committed coefficient file into a fresh Model.
-func Load() (*Model, error) {
-	var m Model
-	if err := json.Unmarshal(embeddedCoeffs, &m); err != nil {
-		return nil, fmt.Errorf("parse embedded coeffs.json: %w", err)
-	}
-	return &m, nil
-}
-
-// Default returns the committed offline model, parsed once. It panics only
-// if the committed file is unparseable — a build defect, not a runtime
-// condition.
+// Default returns the committed model, parsed once. It panics only if the
+// committed file is unparseable — a build defect, not a runtime condition.
 func Default() *Model {
-	defaultOnce.Do(func() { defaultModel, defaultErr = Load() })
+	defaultOnce.Do(func() {
+		var m Model
+		if err := json.Unmarshal(embeddedCoeffs, &m); err != nil {
+			defaultErr = fmt.Errorf("parse embedded coeffs.json: %w", err)
+			return
+		}
+		defaultModel = &m
+	})
 	if defaultErr != nil {
 		panic(defaultErr)
 	}
 	return defaultModel
-}
-
-// MarshalJSONFile renders the model as the committed coeffs.json bytes:
-// indented, key-sorted (encoding/json sorts map keys), trailing newline —
-// byte-stable for the CI determinism diff.
-func (m *Model) MarshalJSONFile() ([]byte, error) {
-	blob, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(blob, '\n'), nil
 }

@@ -1,5 +1,5 @@
-// Package cost is the calibrated per-operator cost model behind the serving
-// fleet's router (DESIGN.md §16). The paper's contribution is a cross-engine
+// Package cost is the per-operator cost model behind the serving fleet's
+// router (DESIGN.md §16). The paper's contribution is a cross-engine
 // comparison — the same genomics queries run on a row store, a column store,
 // an array DBMS, R and MapReduce, and no single engine wins everywhere. This
 // package operationalizes that comparison as an optimizer input: for a
@@ -17,19 +17,16 @@
 //     Selections are charged their full input table (an upper bound, because
 //     without statistics the output cardinality is unknowable), kernels their
 //     dense flop shapes.
-//   - Each configuration carries two fitted coefficients: nanoseconds per
-//     data-management unit and nanoseconds per kernel unit. They are fit
-//     offline (Fit) from the committed BENCH_pipeline.json /
-//     BENCH_kernels.json / BENCH_serve.json baselines — pure arithmetic over
-//     the committed measurements, so the committed coefficients reproduce
-//     bit-for-bit from the committed bench data (CI checks this).
-//   - At serve time an Online layer (online.go) refines the offline estimate
+//   - Each configuration carries two rates: nanoseconds per data-management
+//     unit and nanoseconds per kernel unit. They are the committed table
+//     coeffs.json (coeffs.go), read by Default; nothing regenerates it.
+//   - At serve time an Online layer (online.go) refines the table's estimate
 //     per (configuration, operator, size-class) from the timings the executor
 //     already records, EWMA-smoothed and decayed faster under drift.
 //
 // The absolute numbers matter less than the ranking: the router needs "which
-// configuration is cheapest for THIS plan", and the offline fit seeds that
-// ranking while the online layer corrects it from ground truth.
+// configuration is cheapest for THIS plan", and the table seeds that ranking
+// while the online layer corrects it from ground truth.
 package cost
 
 import (
@@ -41,41 +38,22 @@ import (
 	"github.com/genbase/genbase/internal/plan"
 )
 
-// Config identifies one routable configuration: a system, a cluster size and
-// an analytics worker count — the three dimensions the serving fleet can pick
-// between per request.
+// Config identifies one routable configuration: a system and a cluster size,
+// the two dimensions the serving fleet can pick between per request.
 type Config struct {
 	// System is the configuration name ("colstore-udf", "pbdr", …).
 	System string
 	// Nodes is the virtual-cluster size; 0 or 1 means the single-node engine.
 	Nodes int
-	// Workers is the pinned analytics worker count; 0 means the engine
-	// default. Answers are bitwise identical at any worker count, so Workers
-	// only moves cost, never bits.
-	Workers int
 }
 
-// Key renders the canonical coefficient-table key: the system name, "@Nn"
-// for cluster variants (matching the golden-answer key convention), and
-// "/wW" when a worker count is pinned.
+// Key renders the canonical coefficient-table key: the system name, plus
+// "@Nn" for cluster variants (matching the golden-answer key convention).
 func (c Config) Key() string {
-	k := c.System
 	if c.Nodes > 1 {
-		k = fmt.Sprintf("%s@%dn", c.System, c.Nodes)
+		return fmt.Sprintf("%s@%dn", c.System, c.Nodes)
 	}
-	if c.Workers > 0 {
-		k = fmt.Sprintf("%s/w%d", k, c.Workers)
-	}
-	return k
-}
-
-// baseKey strips the worker suffix: fit data has no worker dimension, so
-// worker-pinned variants share the base configuration's coefficients (the
-// online layer keys by the full Key and so still refines them apart).
-func (c Config) baseKey() string {
-	w := c
-	w.Workers = 0
-	return w.Key()
+	return c.System
 }
 
 // Dims is the loaded dataset shape the work-unit formulas scale with.
@@ -83,7 +61,7 @@ type Dims struct {
 	Patients, Genes, GOTerms int
 }
 
-// opClass splits the operator vocabulary the way the coefficients are fit:
+// opClass splits the operator vocabulary the way the table prices it:
 // data management (scans, selections, pivots, answer joins) versus kernels.
 func opClass(k plan.OpKind) int {
 	switch k {
@@ -160,28 +138,23 @@ func Units(n *plan.Node, d Dims) float64 {
 	return 1
 }
 
-// Coeff is one configuration's fitted cost rates.
+// Coeff is one configuration's cost rates.
 type Coeff struct {
 	// DMNsPerUnit and KernelNsPerUnit are nanoseconds per work unit for the
 	// two operator classes.
 	DMNsPerUnit     float64 `json:"dm_ns_per_unit"`
 	KernelNsPerUnit float64 `json:"kernel_ns_per_unit"`
-	// Source records how the coefficient was fit ("pipeline+serve", "serve",
-	// "default") — provenance for the committed file, unused at runtime.
+	// Source records how the rates were fit ("pipeline-lsq", "serve-prior",
+	// "alias:scidb", …) — provenance for the committed file, unused at
+	// runtime.
 	Source string `json:"source"`
 }
 
-// Model maps configuration keys to fitted coefficients. Zero value is
-// unusable; build one with Fit or load the committed fit with Load.
+// Model maps configuration keys to cost rates. Default returns the
+// committed table.
 type Model struct {
 	Coeffs map[string]Coeff `json:"coeffs"`
-	// ParallelKernelScale is the measured multi-worker kernel-rate
-	// multiplier (median parallel/serial ns ratio from BENCH_kernels.json),
-	// applied to the kernel rate when a configuration pins Workers > 1. On a
-	// genuinely multi-core host it is < 1; the committed 1-CPU recording
-	// shows the oversubscription penalty instead.
-	ParallelKernelScale float64 `json:"parallel_kernel_scale,omitempty"`
-	// Header documents the fit inputs for the committed file.
+	// Header states the committed table's provenance.
 	Header string `json:"header,omitempty"`
 }
 
@@ -194,18 +167,18 @@ type Estimate struct {
 }
 
 // Lookup resolves the coefficients for a configuration, walking a
-// deterministic fallback chain when the exact key was never fit: the base
-// system at other node counts (nearest count, larger preferred on ties),
-// then the single-node base system, then the median of every fitted
-// configuration. ok is false only for an empty model.
+// deterministic fallback chain when the table has no entry for its key: the
+// same system at other node counts, single-node included (nearest count,
+// larger preferred on ties), then the median of every listed configuration.
+// ok is false only for an empty model.
 func (m *Model) Lookup(c Config) (Coeff, bool) {
 	if m == nil || len(m.Coeffs) == 0 {
 		return Coeff{}, false
 	}
-	if co, ok := m.Coeffs[c.baseKey()]; ok {
+	if co, ok := m.Coeffs[c.Key()]; ok {
 		return co, true
 	}
-	// Same system, any fitted node count: nearest, larger on ties.
+	// Same system, any listed node count: nearest, larger on ties.
 	prefix := c.System + "@"
 	best := ""
 	bestDist := math.MaxInt
@@ -231,8 +204,8 @@ func (m *Model) Lookup(c Config) (Coeff, bool) {
 	return m.median(), true
 }
 
-// median returns the per-class median coefficient over every fitted
-// configuration — the fallback for systems with no bench data at all.
+// median returns the per-class median rate over every listed configuration —
+// the fallback for systems the table does not list at all.
 func (m *Model) median() Coeff {
 	keys := make([]string, 0, len(m.Coeffs))
 	for k := range m.Coeffs {
@@ -251,16 +224,13 @@ func (m *Model) median() Coeff {
 }
 
 // Estimate predicts the cost of executing a compiled plan on a
-// configuration: each operator's work units times the configuration's fitted
-// rate for the operator's class. The estimate is selectivity-free and
+// configuration: each operator's work units times the configuration's rate
+// for the operator's class. The estimate is selectivity-free and
 // deterministic — same plan, same config, same dims, same answer.
 func (m *Model) Estimate(pl *plan.Plan, c Config, d Dims) (Estimate, bool) {
 	co, ok := m.Lookup(c)
 	if !ok {
 		return Estimate{}, false
-	}
-	if c.Workers > 1 && m.ParallelKernelScale > 0 {
-		co.KernelNsPerUnit *= m.ParallelKernelScale
 	}
 	est := Estimate{PerOpNs: make([]float64, len(pl.Nodes))}
 	for i := range pl.Nodes {

@@ -1,56 +1,16 @@
 package cost
 
 import (
-	"bytes"
-	"os"
 	"testing"
 
 	"github.com/genbase/genbase/internal/engine"
 	"github.com/genbase/genbase/internal/plan"
 )
 
-func readBench(t *testing.T, name string) []byte {
-	t.Helper()
-	blob, err := os.ReadFile("../../" + name)
-	if err != nil {
-		t.Fatalf("read %s: %v", name, err)
-	}
-	return blob
-}
-
-func fitFromCommitted(t *testing.T) *Model {
-	t.Helper()
-	m, err := Fit(readBench(t, "BENCH_pipeline.json"), readBench(t, "BENCH_kernels.json"), readBench(t, "BENCH_serve.json"))
-	if err != nil {
-		t.Fatalf("Fit: %v", err)
-	}
-	return m
-}
-
-// The committed coeffs.json must be exactly what a fresh fit of the
-// committed bench baselines produces — the same bytes
-// `genbase-bench fit-cost` prints.
-func TestFitReproducesCommittedCoefficients(t *testing.T) {
-	m := fitFromCommitted(t)
-	got, err := m.MarshalJSONFile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, embeddedCoeffs) {
-		t.Fatalf("fresh fit differs from committed coeffs.json; regenerate with: go run ./cmd/genbase-bench fit-cost")
-	}
-	// And twice over: the fit itself is deterministic.
-	again, err := fitFromCommitted(t).MarshalJSONFile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, again) {
-		t.Fatal("two fits of the same bytes disagree")
-	}
-}
-
-func TestFitCoefficientShapes(t *testing.T) {
-	m := fitFromCommitted(t)
+// The committed table lists the fleet's 18 configuration keys with
+// positive rates, and keeps the relations its fit established.
+func TestCommittedCoefficientShapes(t *testing.T) {
+	m := Default()
 	wantKeys := []string{
 		"vanilla-r", "postgres-madlib", "postgres-r", "colstore-r",
 		"colstore-udf", "scidb", "scidb-phi", "hadoop",
@@ -69,7 +29,7 @@ func TestFitCoefficientShapes(t *testing.T) {
 		}
 	}
 	if len(m.Coeffs) != len(wantKeys) {
-		t.Errorf("fit produced %d keys, want %d", len(m.Coeffs), len(wantKeys))
+		t.Errorf("table lists %d keys, want %d", len(m.Coeffs), len(wantKeys))
 	}
 	if src := m.Coeffs["colstore-udf"].Source; src != "pipeline-lsq" {
 		t.Errorf("colstore-udf should be solved from its two pipelines, got source %q", src)
@@ -81,32 +41,10 @@ func TestFitCoefficientShapes(t *testing.T) {
 	}) {
 		t.Error("scidb-phi should alias scidb's rates")
 	}
-	if m.ParallelKernelScale <= 0 {
-		t.Error("missing parallel kernel scale from BENCH_kernels.json")
-	}
-	// The serve bench makes hadoop's MapReduce simulation ~50-100x slower
-	// than the fast engines; the fit must preserve that ordering.
+	// Hadoop's MapReduce simulation prices ~50-100x slower than the fast
+	// engines.
 	if m.Coeffs["hadoop"].DMNsPerUnit < 10*m.Coeffs["colstore-udf"].DMNsPerUnit {
-		t.Error("hadoop should fit far slower than colstore-udf")
-	}
-}
-
-func TestFitRejectsBadJSON(t *testing.T) {
-	good := []byte(`{"results":[]}`)
-	for i := 0; i < 3; i++ {
-		in := [][]byte{good, good, good}
-		in[i] = []byte("{")
-		if _, err := Fit(in[0], in[1], in[2]); err == nil {
-			t.Errorf("Fit accepted malformed input %d", i)
-		}
-	}
-	// All-empty inputs still fit (an empty but valid model).
-	m, err := Fit(good, good, good)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Coeffs) != 0 {
-		t.Errorf("empty benches produced %d keys", len(m.Coeffs))
+		t.Error("hadoop should price far slower than colstore-udf")
 	}
 }
 
@@ -118,8 +56,6 @@ func TestConfigKey(t *testing.T) {
 		{Config{System: "scidb"}, "scidb"},
 		{Config{System: "scidb", Nodes: 1}, "scidb"},
 		{Config{System: "scidb", Nodes: 4}, "scidb@4n"},
-		{Config{System: "pbdr", Nodes: 2, Workers: 3}, "pbdr@2n/w3"},
-		{Config{System: "vanilla-r", Workers: 2}, "vanilla-r/w2"},
 	}
 	for _, c := range cases {
 		if got := c.c.Key(); got != c.want {
@@ -129,21 +65,17 @@ func TestConfigKey(t *testing.T) {
 }
 
 func TestLookupFallbackChain(t *testing.T) {
-	m := fitFromCommitted(t)
+	m := Default()
 
 	// Exact key.
 	if co, ok := m.Lookup(Config{System: "pbdr", Nodes: 2}); !ok || co != m.Coeffs["pbdr@2n"] {
 		t.Error("exact key lookup failed")
 	}
-	// Worker-pinned variants share the base configuration's coefficients.
-	if co, _ := m.Lookup(Config{System: "pbdr", Nodes: 2, Workers: 4}); co != m.Coeffs["pbdr@2n"] {
-		t.Error("worker-pinned lookup should strip the worker suffix")
-	}
-	// Unfit node count: nearest fitted count for the same system.
+	// Unlisted node count: nearest listed count for the same system.
 	if co, _ := m.Lookup(Config{System: "pbdr", Nodes: 8}); co != m.Coeffs["pbdr@4n"] {
-		t.Error("pbdr@8n should borrow pbdr@4n (nearest fitted count)")
+		t.Error("pbdr@8n should borrow pbdr@4n (nearest listed count)")
 	}
-	// Cluster variant of a system fit only single-node: base system.
+	// Cluster variant of a system listed only single-node: base system.
 	if co, _ := m.Lookup(Config{System: "hadoop", Nodes: 4}); co != m.Coeffs["hadoop"] {
 		t.Error("hadoop@4n should borrow single-node hadoop")
 	}
@@ -176,7 +108,7 @@ func compileQ(t *testing.T, q engine.QueryID) *plan.Plan {
 }
 
 func TestEstimateProperties(t *testing.T) {
-	m := fitFromCommitted(t)
+	m := Default()
 	d := FitDims
 	cov := compileQ(t, engine.Q2Covariance)
 	stats := compileQ(t, engine.Q5Statistics)
@@ -209,15 +141,7 @@ func TestEstimateProperties(t *testing.T) {
 		t.Error("estimate should grow with dataset dimensions")
 	}
 
-	// Worker-pinned estimates apply the measured parallel kernel scale.
-	base, _ := m.Estimate(cov, Config{System: "scidb"}, d)
-	pinned, _ := m.Estimate(cov, Config{System: "scidb", Workers: 4}, d)
-	if m.ParallelKernelScale > 1 && pinned.TotalNs <= base.TotalNs {
-		t.Error("worker-pinned estimate should reflect the >1 oversubscription scale")
-	}
-
-	// The fit must preserve the bench's headline ordering on the serve mix:
-	// hadoop is far costlier than every fast engine.
+	// Hadoop is far costlier than every fast engine.
 	fast, _ := m.Estimate(cov, Config{System: "colstore-udf"}, d)
 	slow, _ := m.Estimate(cov, Config{System: "hadoop"}, d)
 	if slow.TotalNs < 10*fast.TotalNs {
@@ -267,13 +191,10 @@ func TestDefaultModelLoads(t *testing.T) {
 	if m != Default() {
 		t.Error("Default should return the same parsed model")
 	}
-	if _, err := Load(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestOnlineRefinement(t *testing.T) {
-	m := fitFromCommitted(t)
+	m := Default()
 	o := NewOnline(m, FitDims)
 	cfg := Config{System: "colstore-udf"}
 	pl := compileQ(t, engine.Q2Covariance)
@@ -323,7 +244,7 @@ func TestOnlineRefinement(t *testing.T) {
 }
 
 func TestOnlineDriftDecaysFaster(t *testing.T) {
-	m := fitFromCommitted(t)
+	m := Default()
 	cfg := Config{System: "scidb"}
 	pl := compileQ(t, engine.Q5Statistics)
 	off, _ := m.Estimate(pl, cfg, FitDims)
@@ -360,8 +281,5 @@ func TestOnlineDriftDecaysFaster(t *testing.T) {
 		if _, ok := o.Ratio(cfg, pl.Nodes[i].Kind, Units(&pl.Nodes[i], FitDims)); ok {
 			t.Fatalf("degenerate observation created a cell for %v", pl.Nodes[i].Kind)
 		}
-	}
-	if o.Base() != m || o.Dims() != FitDims {
-		t.Error("accessors lost the wrapped model")
 	}
 }

@@ -7,17 +7,17 @@ import (
 	"github.com/genbase/genbase/internal/plan"
 )
 
-// Online wraps an offline-fitted Model with serve-path refinement. The router
-// feeds every uncontended request's measured wall-clock time back here
+// Online wraps a Model (normally Default) with serve-path refinement. The
+// router feeds every uncontended request's measured wall-clock time back here
 // (ObserveWall). The observation updates an EWMA correction ratio —
 // observed / offline-predicted — per (configuration, operator kind,
 // size-class), and Estimate multiplies each operator's offline prediction by
-// its learned ratio. The offline fit seeds the ranking; the online layer
+// its learned ratio. The committed table seeds the ranking; the online layer
 // corrects it from ground truth without ever touching the committed
 // coefficients.
 //
 // Drift handling: when a fresh observation disagrees with the smoothed ratio
-// by more than DriftThreshold (relative), the update uses the faster
+// by more than driftThreshold (relative), the update uses the faster
 // DriftAlpha instead of Alpha, so a regime change (dataset swap, host
 // contention) re-converges in a few observations instead of ~1/Alpha.
 type Online struct {
@@ -26,10 +26,9 @@ type Online struct {
 
 	// Alpha is the steady-state EWMA weight for a new observation;
 	// DriftAlpha replaces it when the observation deviates from the current
-	// mean by more than DriftThreshold (relative error).
-	Alpha          float64
-	DriftAlpha     float64
-	DriftThreshold float64
+	// mean by more than driftThreshold (relative error).
+	Alpha      float64
+	DriftAlpha float64
 
 	mu    sync.Mutex
 	cells map[cellKey]*cell
@@ -50,23 +49,20 @@ type cell struct {
 	n     int64   // observation count (drift restarts do not reset it)
 }
 
+// driftThreshold is the relative error past which an observation counts as
+// drift and updates with DriftAlpha.
+const driftThreshold = 1.0
+
 // NewOnline wraps base for serve-path refinement at the given dataset shape.
 func NewOnline(base *Model, d Dims) *Online {
 	return &Online{
-		base:           base,
-		dims:           d,
-		Alpha:          0.2,
-		DriftAlpha:     0.5,
-		DriftThreshold: 1.0,
-		cells:          map[cellKey]*cell{},
+		base:       base,
+		dims:       d,
+		Alpha:      0.2,
+		DriftAlpha: 0.5,
+		cells:      map[cellKey]*cell{},
 	}
 }
-
-// Base returns the wrapped offline model.
-func (o *Online) Base() *Model { return o.base }
-
-// Dims returns the dataset shape estimates are computed at.
-func (o *Online) Dims() Dims { return o.dims }
 
 func sizeClass(units float64) int {
 	if units < 1 {
@@ -105,7 +101,7 @@ func (o *Online) updateCell(ck cellKey, r float64) {
 		return
 	}
 	alpha := o.Alpha
-	if cl.ratio > 0 && math.Abs(r-cl.ratio)/cl.ratio > o.DriftThreshold {
+	if cl.ratio > 0 && math.Abs(r-cl.ratio)/cl.ratio > driftThreshold {
 		alpha = o.DriftAlpha // decay the stale mean faster under drift
 	}
 	cl.ratio = (1-alpha)*cl.ratio + alpha*r

@@ -2,10 +2,8 @@ package linalg
 
 import "github.com/genbase/genbase/internal/parallel"
 
-// ColumnMeans returns the mean of each column of a.
-func ColumnMeans(a *Matrix) []float64 { return ColumnMeansP(a, 0) }
-
-// ColumnMeansP is ColumnMeans with an explicit worker count. Columns are
+// ColumnMeansP returns the mean of each column of a, computed by workers
+// goroutines (0 = the GENBASE_PARALLEL / NumCPU default). Columns are
 // partitioned across workers; each column still sums rows in ascending order,
 // so the result is bitwise identical at any worker count.
 func ColumnMeansP(a *Matrix, workers int) []float64 {
@@ -45,11 +43,9 @@ func columnSumRange(dst []float64, a *Matrix, lo, hi int) {
 	}
 }
 
-// CenterColumns returns a copy of a with each column shifted to zero mean.
-func CenterColumns(a *Matrix) *Matrix { return CenterColumnsP(a, 0) }
-
-// CenterColumnsP is CenterColumns with an explicit worker count (rows are
-// independent, so the partition cannot affect the result).
+// CenterColumnsP returns a copy of a with each column shifted to zero mean,
+// computed by workers goroutines (0 = the default; rows are independent, so
+// the partition cannot affect the result).
 func CenterColumnsP(a *Matrix, workers int) *Matrix {
 	out := NewMatrix(a.Rows, a.Cols)
 	centerColumnsInto(out, a, workers)

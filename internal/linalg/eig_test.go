@@ -351,8 +351,8 @@ func TestCovarianceDegenerate(t *testing.T) {
 
 func TestCenterColumnsZeroMean(t *testing.T) {
 	a := randMatrix(20, 5, 111)
-	x := CenterColumns(a)
-	for _, m := range ColumnMeans(x) {
+	x := CenterColumnsP(a, 0)
+	for _, m := range ColumnMeansP(x, 0) {
 		if math.Abs(m) > 1e-12 {
 			t.Fatalf("column mean %v after centering", m)
 		}

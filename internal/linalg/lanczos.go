@@ -59,10 +59,13 @@ type LanczosOptions struct {
 	Reorthogonalize bool
 	// Seed selects the deterministic start vector.
 	Seed uint64
-	// Workers is the worker count for the dense mat-vec kernels inside the
-	// iteration (0 = the GENBASE_PARALLEL / NumCPU default). Results are
-	// bitwise identical at any worker count; the reorthogonalization sweep
-	// itself is a serial chain of dependent updates and stays single-threaded.
+	// Workers is a worker count (0 = the GENBASE_PARALLEL / NumCPU default).
+	// The iteration itself never reads it: the operator's Apply brings its
+	// own (ATAOperator.Workers), and the reorthogonalization sweep is a
+	// serial chain of dependent updates. Lanczos uses it only to assemble
+	// the Ritz vectors; TopKSVD also hands it to its ATAOperator and to the
+	// mat-vec that forms U. Under SingularValues it does nothing. Results
+	// are bitwise identical at any worker count.
 	Workers int
 }
 

@@ -39,14 +39,6 @@ func DenseView(data []float64, rows, cols int) *Matrix {
 	return ViewOf(data, 0, rows, cols, cols)
 }
 
-// ColView returns column j of m as an n×1 view sharing m's storage.
-func (m *Matrix) ColView(j int) *Matrix {
-	if j < 0 || j >= m.Cols {
-		panic(fmt.Sprintf("linalg: column %d out of %d×%d", j, m.Rows, m.Cols))
-	}
-	return &Matrix{Rows: m.Rows, Cols: 1, Stride: m.Stride, Data: m.Data[j:]}
-}
-
 // VecView wraps a slice as a 1×n row view (no copy).
 func VecView(v []float64) *Matrix {
 	return &Matrix{Rows: 1, Cols: len(v), Stride: len(v), Data: v}

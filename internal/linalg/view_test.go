@@ -89,14 +89,14 @@ func TestViewAliasingIsVisible(t *testing.T) {
 	if snapshot.At(1, 1) != 5 {
 		t.Fatalf("clone must be detached from the source: got %v", snapshot.At(1, 1))
 	}
-	// ColView shares storage the same way.
-	cv := v.ColView(1)
+	// A strided column view shares storage the same way.
+	cv := ViewOf(backing, 1, 2, 1, 3)
 	if cv.Rows != 2 || cv.Cols != 1 || cv.At(1, 0) != 99 {
-		t.Fatalf("ColView wrong: %dx%d %v", cv.Rows, cv.Cols, cv.At(1, 0))
+		t.Fatalf("column view wrong: %dx%d %v", cv.Rows, cv.Cols, cv.At(1, 0))
 	}
 	backing[1] = -7
 	if cv.At(0, 0) != -7 {
-		t.Fatalf("ColView did not observe source mutation")
+		t.Fatalf("column view did not observe source mutation")
 	}
 }
 

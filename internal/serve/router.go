@@ -105,7 +105,7 @@ type RouterOptions struct {
 	// Policy selects cost-based or statically pinned routing.
 	Policy Policy
 	// Model is the online-refined cost model; nil wraps the committed
-	// offline fit at the fit's recording dims.
+	// cost table at cost.FitDims.
 	Model *cost.Online
 	// Cache shares a fleet-wide result cache; nil creates a private one
 	// unless DisableCache.
@@ -166,9 +166,6 @@ func NewRouter(backends []Backend, opts RouterOptions) (*Router, error) {
 
 // Name identifies the router by its routing policy.
 func (r *Router) Name() string { return "fleet/" + r.policy.String() }
-
-// Model returns the online cost model the router ranks with.
-func (r *Router) Model() *cost.Online { return r.model }
 
 // Run routes one request. The bool reports a cache hit (including a
 // coalesced twin's execution). Error typing matches Server.Run:

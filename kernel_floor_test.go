@@ -1,6 +1,6 @@
 // Kernel perf-floor smoke (DESIGN.md §17): the packed register-tiled GEMM
 // must not regress back under the naive triple loop — the exact failure the
-// pre-packing "blocked" kernel shipped with (BENCH_kernels.json history).
+// pre-packing "blocked" kernel shipped with (CHANGES.md records it).
 // Gated behind GENBASE_PERF_FLOOR=1 because wall-clock assertions are only
 // meaningful on an otherwise idle host; CI sets the gate.
 //
@@ -67,8 +67,9 @@ func bestOfThree(ref, kernel func()) (refBest, kernelBest time.Duration) {
 // and top-k kernels stay the stated factor ahead of their reference bodies.
 // Each floor first re-checks bit equality on the timed operands, so a floor
 // failure is never a masked correctness failure. The floors sit well under
-// the recorded ratios (BENCH_kernels.json: 3.9×, 4.8×, 5.2×): they catch a
-// kernel falling back to the replaced loop's cost, not a noisy host.
+// the ratios recorded in CHANGES.md when the kernels landed (3.9×, 4.8×,
+// 5.2×): they catch a kernel falling back to the replaced loop's cost, not a
+// noisy host.
 func TestKernelPerfFloorSecondPass(t *testing.T) {
 	if os.Getenv("GENBASE_PERF_FLOOR") == "" {
 		t.Skip("set GENBASE_PERF_FLOOR=1 to run the wall-clock kernel floor")
