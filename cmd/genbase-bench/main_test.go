@@ -76,6 +76,20 @@ func TestCrashDrillConverges(t *testing.T) {
 	}
 }
 
+// The top-level usage lists exactly the three commands; fit-cost is gone
+// because the cost table is committed data.
+func TestUsageListsEveryCommand(t *testing.T) {
+	_, _, errOut := runCLI(t)
+	for _, name := range []string{"figures", "explain", "crash-drill"} {
+		if !strings.Contains(errOut, "\n  "+name+" ") {
+			t.Errorf("usage does not list %s:\n%s", name, errOut)
+		}
+	}
+	if strings.Contains(errOut, "fit-cost") {
+		t.Errorf("usage still lists fit-cost:\n%s", errOut)
+	}
+}
+
 // A command line that selects nothing runnable is a usage error: exit 2,
 // usage on stderr, nothing on stdout.
 func TestBadCommandLinesExitTwo(t *testing.T) {

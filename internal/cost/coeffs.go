@@ -1,9 +1,12 @@
 package cost
 
 import (
+	"bytes"
 	_ "embed"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"sync"
 )
 
@@ -29,15 +32,38 @@ var (
 // committed file is unparseable — a build defect, not a runtime condition.
 func Default() *Model {
 	defaultOnce.Do(func() {
-		var m Model
-		if err := json.Unmarshal(embeddedCoeffs, &m); err != nil {
-			defaultErr = fmt.Errorf("parse embedded coeffs.json: %w", err)
-			return
+		defaultModel, defaultErr = parseModel(embeddedCoeffs)
+		if defaultErr != nil {
+			defaultErr = fmt.Errorf("parse embedded coeffs.json: %w", defaultErr)
 		}
-		defaultModel = &m
 	})
 	if defaultErr != nil {
 		panic(defaultErr)
 	}
 	return defaultModel
+}
+
+// parseModel decodes a coefficient table strictly: one JSON object with no
+// field the Model does not declare (so a stale table, such as one still
+// carrying the dropped parallel_kernel_scale, is refused rather than half
+// read), at least one configuration, and positive rates for each.
+func parseModel(blob []byte) (*Model, error) {
+	dec := json.NewDecoder(bytes.NewReader(blob))
+	dec.DisallowUnknownFields()
+	var m Model
+	if err := dec.Decode(&m); err != nil {
+		return nil, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("trailing data after the table")
+	}
+	if len(m.Coeffs) == 0 {
+		return nil, errors.New("no configurations")
+	}
+	for key, co := range m.Coeffs {
+		if !(co.DMNsPerUnit > 0) || !(co.KernelNsPerUnit > 0) {
+			return nil, fmt.Errorf("%s: rates must be positive, got dm %v kernel %v", key, co.DMNsPerUnit, co.KernelNsPerUnit)
+		}
+	}
+	return &m, nil
 }

@@ -193,6 +193,30 @@ func TestDefaultModelLoads(t *testing.T) {
 	}
 }
 
+// The committed table is read strictly: a malformed, stale or degenerate
+// table is an error, never a silently partial model.
+func TestParseModelRejectsBadTables(t *testing.T) {
+	const entry = `"scidb": {"dm_ns_per_unit": 1, "kernel_ns_per_unit": 2, "source": "x"}`
+	if m, err := parseModel([]byte(`{"coeffs": {` + entry + `}}`)); err != nil || m.Coeffs["scidb"].KernelNsPerUnit != 2 {
+		t.Fatalf("well-formed table: %v, %+v", err, m)
+	}
+	for _, c := range []struct{ name, blob string }{
+		{"malformed", `{`},
+		{"trailing data", `{"coeffs": {` + entry + `}} {}`},
+		{"unknown table field", `{"coeffs": {` + entry + `}, "parallel_kernel_scale": 1.5}`},
+		{"unknown rate field", `{"coeffs": {"scidb": {"dm_ns_per_unit": 1, "kernel_ns_per_unit": 2, "workers": 4}}}`},
+		{"no configurations", `{"coeffs": {}}`},
+		{"zero dm rate", `{"coeffs": {"scidb": {"dm_ns_per_unit": 0, "kernel_ns_per_unit": 2}}}`},
+		{"negative kernel rate", `{"coeffs": {"scidb": {"dm_ns_per_unit": 1, "kernel_ns_per_unit": -2}}}`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if m, err := parseModel([]byte(c.blob)); err == nil {
+				t.Errorf("accepted %s as %+v", c.blob, m)
+			}
+		})
+	}
+}
+
 func TestOnlineRefinement(t *testing.T) {
 	m := Default()
 	o := NewOnline(m, FitDims)
