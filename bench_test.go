@@ -696,33 +696,30 @@ func BenchmarkXeonPhiOffload(b *testing.B) {
 	}
 }
 
-// --- zero-copy pipeline benches (DESIGN.md §10) ---
+// --- pipeline benches (DESIGN.md §10) ---
 //
 // End-to-end storage→kernel pipelines, one query in a warm loop.
 // Allocation counts are the headline metric: pivots go through views and
 // pooled scratch, so a warm query loop should allocate almost nothing on the
-// data-management side. The sub-bench keeps its "zerocopy" name, under
-// which the committed cost table's pipeline rates were recorded.
+// data-management side.
 func benchPipelineQuery(b *testing.B, system string, q engine.QueryID) {
-	b.Run("zerocopy", func(b *testing.B) {
-		b.ReportAllocs()
-		eng := loadedEngine(b, system)
-		if !eng.Supports(q) {
-			b.Skip("query unsupported by this configuration")
-		}
-		ctx := context.Background()
-		p := engine.DefaultParams()
-		// Warm the buffer pools and the scratch arena.
+	b.ReportAllocs()
+	eng := loadedEngine(b, system)
+	if !eng.Supports(q) {
+		b.Skip("query unsupported by this configuration")
+	}
+	ctx := context.Background()
+	p := engine.DefaultParams()
+	// Warm the buffer pools and the scratch arena.
+	if _, err := eng.Run(ctx, q, p); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		if _, err := eng.Run(ctx, q, p); err != nil {
 			b.Fatal(err)
 		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Run(ctx, q, p); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 func BenchmarkPipelineColstoreCovariance(b *testing.B) {

@@ -2,6 +2,7 @@ package genbase
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -40,10 +41,23 @@ func loadFleet(t *testing.T, fleet []core.FleetMember, ds *datagen.Dataset) []en
 // mostly-untouched. After ingest lands, the epoch-2 snapshot is loaded into
 // 14 fresh engines and their answers must again agree exactly within each
 // answer-equivalence class: the new epoch is as deterministic as the old.
+// Once every store and engine is closed, no goroutine the test started may
+// remain.
 func TestIngestEpochPinnedInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet sweep is not short")
 	}
+	// Registered first, so it runs after every deferred Close and every
+	// engine's cleanup.
+	before := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		for i := 0; i < 1000 && runtime.NumGoroutine() > before; i++ {
+			runtime.Gosched()
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("%d goroutines before the test, %d after it closed everything", before, after)
+		}
+	})
 	ds, err := datagen.Generate(datagen.Config{Size: datagen.Small, Seed: 1})
 	if err != nil {
 		t.Fatal(err)

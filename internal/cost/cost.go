@@ -1,12 +1,12 @@
-// Package cost is the per-operator cost model behind the serving fleet's
-// router (DESIGN.md §16). The paper's contribution is a cross-engine
-// comparison — the same genomics queries run on a row store, a column store,
-// an array DBMS, R and MapReduce, and no single engine wins everywhere. This
-// package operationalizes that comparison as an optimizer input: for a
-// compiled plan (internal/plan) and a configuration key ("colstore-udf",
-// "scidb@4n", …) it predicts the wall-clock cost of executing the plan there,
-// so the router (internal/serve.Router) can send each request to the
-// configuration predicted cheapest for it.
+// Package cost is the cost model behind the serving fleet's router
+// (DESIGN.md §16). The paper's contribution is a cross-engine comparison —
+// the same genomics queries run on a row store, a column store, an array
+// DBMS, R and MapReduce, and no single engine wins everywhere. This package
+// turns that comparison into an optimizer input: for a compiled plan
+// (internal/plan) and a configuration ("colstore-udf", "scidb@4n", …) it
+// predicts the wall-clock cost of executing the plan there, so the router
+// (internal/serve.Router) can send each request to the configuration
+// predicted cheapest for it.
 //
 // The model is deliberately simple and fully deterministic:
 //
@@ -19,14 +19,18 @@
 //     dense flop shapes.
 //   - Each configuration carries two rates: nanoseconds per data-management
 //     unit and nanoseconds per kernel unit. They are the committed table
-//     coeffs.json (coeffs.go), read by Default; nothing regenerates it.
-//   - At serve time an Online layer (online.go) refines the table's estimate
-//     per (configuration, operator, size-class) from the timings the executor
-//     already records, EWMA-smoothed and decayed faster under drift.
+//     coeffs.json (coeffs.go), read by Default; nothing regenerates it. Every
+//     configuration's two rates stand in the same proportion, so the table
+//     prices a plan as a per-configuration scalar times a plan-only work
+//     total.
+//   - Online (online.go) is the measured table the router ranks by: the
+//     committed total scaled by one observed/predicted wall-clock ratio per
+//     (configuration, query), fed by an explicit warm-up and never by served
+//     traffic.
 //
 // The absolute numbers matter less than the ranking: the router needs "which
-// configuration is cheapest for THIS plan", and the table seeds that ranking
-// while the online layer corrects it from ground truth.
+// configuration is cheapest for THIS plan". The committed table prices
+// PLANS.txt, cold start and every cell the warm-up did not measure.
 package cost
 
 import (
@@ -232,7 +236,15 @@ func (m *Model) Estimate(pl *plan.Plan, c Config, d Dims) (Estimate, bool) {
 	if !ok {
 		return Estimate{}, false
 	}
-	est := Estimate{PerOpNs: make([]float64, len(pl.Nodes))}
+	perOp := make([]float64, len(pl.Nodes))
+	return Estimate{TotalNs: co.total(pl, d, perOp), PerOpNs: perOp}, true
+}
+
+// total sums pl's operator costs at co's rates in node order, storing each
+// one in perOp when perOp is not nil. Model and Online both price through
+// it, so an unobserved Online total is the Model's bit for bit.
+func (co Coeff) total(pl *plan.Plan, d Dims, perOp []float64) float64 {
+	var sum float64
 	for i := range pl.Nodes {
 		n := &pl.Nodes[i]
 		rate := co.DMNsPerUnit
@@ -240,8 +252,10 @@ func (m *Model) Estimate(pl *plan.Plan, c Config, d Dims) (Estimate, bool) {
 			rate = co.KernelNsPerUnit
 		}
 		ns := Units(n, d) * rate
-		est.PerOpNs[i] = ns
-		est.TotalNs += ns
+		if perOp != nil {
+			perOp[i] = ns
+		}
+		sum += ns
 	}
-	return est, true
+	return sum
 }

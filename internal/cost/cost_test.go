@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"math"
 	"testing"
 
 	"github.com/genbase/genbase/internal/engine"
@@ -217,93 +218,97 @@ func TestParseModelRejectsBadTables(t *testing.T) {
 	}
 }
 
-func TestOnlineRefinement(t *testing.T) {
+// The measured table keeps one observed/predicted ratio per (configuration,
+// query), the lowest seen, and prices everything it has not observed at the
+// committed table.
+func TestMeasuredTable(t *testing.T) {
 	m := Default()
 	o := NewOnline(m, FitDims)
 	cfg := Config{System: "colstore-udf"}
-	pl := compileQ(t, engine.Q2Covariance)
-
-	base, _ := o.Estimate(pl, cfg)
+	pl := compileQ(t, engine.Q4SVD)
 	off, _ := m.Estimate(pl, cfg, FitDims)
-	if base.TotalNs != off.TotalNs {
-		t.Fatal("unobserved online estimate should equal the offline estimate")
-	}
-
-	// Feed wall-clock observations at 3x the predicted cost; the estimate
-	// must move toward 3x, monotonically.
-	prev := base.TotalNs
-	for i := 0; i < 20; i++ {
-		o.ObserveWall(cfg, pl, 3*off.TotalNs)
-		est, _ := o.Estimate(pl, cfg)
-		if est.TotalNs < prev-1 {
-			t.Fatalf("estimate moved away from the observations at step %d", i)
+	price := func(pl *plan.Plan, c Config) float64 {
+		t.Helper()
+		est, ok := o.Estimate(pl, c)
+		if !ok {
+			t.Fatalf("%s %v: no estimate", c.Key(), pl.Query)
 		}
-		prev = est.TotalNs
-	}
-	if prev < 2.5*base.TotalNs || prev > 3.5*base.TotalNs {
-		t.Errorf("after 20 observations of 3x cost, estimate is %.2fx the base", prev/base.TotalNs)
-	}
-
-	// Other configurations are untouched.
-	other, _ := o.Estimate(pl, Config{System: "scidb"})
-	otherOff, _ := m.Estimate(pl, Config{System: "scidb"}, FitDims)
-	if other.TotalNs != otherOff.TotalNs {
-		t.Error("observations for one configuration leaked into another")
-	}
-
-	// A learned ratio is inspectable.
-	var kernelOp *plan.Node
-	for i := range pl.Nodes {
-		if opClass(pl.Nodes[i].Kind) == classKernel {
-			kernelOp = &pl.Nodes[i]
-			break
-		}
-	}
-	if r, ok := o.Ratio(cfg, kernelOp.Kind, Units(kernelOp, FitDims)); !ok || r < 2.5 {
-		t.Errorf("kernel ratio = %v ok=%v, want ~3", r, ok)
-	}
-	if _, ok := o.Ratio(Config{System: "scidb"}, kernelOp.Kind, Units(kernelOp, FitDims)); ok {
-		t.Error("unobserved cell should report not-ok")
-	}
-}
-
-func TestOnlineDriftDecaysFaster(t *testing.T) {
-	m := Default()
-	cfg := Config{System: "scidb"}
-	pl := compileQ(t, engine.Q5Statistics)
-	off, _ := m.Estimate(pl, cfg, FitDims)
-
-	run := func(driftAlpha float64) float64 {
-		o := NewOnline(m, FitDims)
-		o.DriftAlpha = driftAlpha
-		// Converge near 1x, then shift the regime to 10x: past the drift
-		// threshold, so the faster alpha applies.
-		for i := 0; i < 5; i++ {
-			o.ObserveWall(cfg, pl, off.TotalNs)
-		}
-		o.ObserveWall(cfg, pl, 10*off.TotalNs)
-		est, _ := o.Estimate(pl, cfg)
 		return est.TotalNs
 	}
 
-	slow := run(0.2) // drift alpha = steady alpha: no fast decay
-	fast := run(0.5)
-	if fast <= slow {
-		t.Errorf("drift decay should converge faster: fast=%.0f slow=%.0f", fast, slow)
+	// Unobserved: the table, bit for bit.
+	if got := price(pl, cfg); got != off.TotalNs {
+		t.Fatalf("unobserved estimate %v, table %v", got, off.TotalNs)
 	}
 
-	// A degenerate observation (no measured time, or a configuration the
-	// model cannot price) must not update a cell or panic.
-	o := NewOnline(m, FitDims)
-	o.ObserveWall(cfg, pl, 0)
-	o.ObserveWall(cfg, pl, -1)
-	o.ObserveWall(Config{System: "no-such-system"}, pl, off.TotalNs)
-	if est, _ := o.Estimate(pl, cfg); est.TotalNs != off.TotalNs {
-		t.Errorf("degenerate observations moved the estimate: %.0f, offline %.0f", est.TotalNs, off.TotalNs)
+	// Observed: the plan prices at its measured wall.
+	const wall = 12_345_678.0
+	o.ObserveWall(cfg, pl, wall)
+	r := wall / off.TotalNs
+	if got := price(pl, cfg) / off.TotalNs; math.Abs(got-r) > math.Nextafter(r, math.Inf(1))-r {
+		t.Errorf("observed plan prices at ratio %v, measured %v", got, r)
 	}
-	for i := range pl.Nodes {
-		if _, ok := o.Ratio(cfg, pl.Nodes[i].Kind, Units(&pl.Nodes[i], FitDims)); ok {
-			t.Fatalf("degenerate observation created a cell for %v", pl.Nodes[i].Kind)
+
+	// Other params of the same query: the table's total, times the ratio.
+	p := engine.DefaultParams()
+	p.SVDK *= 3
+	wide, err := plan.Compile(engine.Q4SVD, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wideOff, _ := m.Estimate(wide, cfg, FitDims)
+	if wideOff.TotalNs == off.TotalNs {
+		t.Fatal("SVDK does not move the table's total; the case proves nothing")
+	}
+	if got := price(wide, cfg); got != wideOff.TotalNs*r {
+		t.Errorf("k=%d prices at %v, want the table's %v times the ratio %v", p.SVDK, got, wideOff.TotalNs, r)
+	}
+
+	// Other configurations, including the same system at another node
+	// count, and other queries on the observed configuration are untouched.
+	stats := compileQ(t, engine.Q5Statistics)
+	for _, c := range []struct {
+		pl  *plan.Plan
+		cfg Config
+	}{
+		{pl, Config{System: "scidb"}},
+		{pl, Config{System: "colstore-udf", Nodes: 2}},
+		{stats, cfg},
+	} {
+		want, _ := m.Estimate(c.pl, c.cfg, FitDims)
+		if got := price(c.pl, c.cfg); got != want.TotalNs {
+			t.Errorf("%s %v: %v after an unrelated observation, table %v", c.cfg.Key(), c.pl.Query, got, want.TotalNs)
 		}
+	}
+
+	// A slower later observation does not raise the cell; a faster one
+	// lowers it.
+	before := price(pl, cfg)
+	o.ObserveWall(cfg, pl, 2*wall)
+	if got := price(pl, cfg); got != before {
+		t.Errorf("a slower observation moved the cell: %v -> %v", before, got)
+	}
+	o.ObserveWall(cfg, pl, wall/2)
+	if got := price(pl, cfg); got != off.TotalNs*(wall/2/off.TotalNs) {
+		t.Errorf("a faster observation priced at %v, want %v", got, wall/2)
+	}
+
+	// Zero, negative and unpriceable observations create nothing: no
+	// measured time, an empty table, a plan with no work to price.
+	fresh := NewOnline(m, FitDims)
+	for _, w := range []float64{0, -1, math.NaN()} {
+		fresh.ObserveWall(cfg, pl, w)
+	}
+	fresh.ObserveWall(cfg, &plan.Plan{Query: engine.Q4SVD, Nodes: []plan.Node{{Kind: plan.OpEmit}}}, wall)
+	empty := NewOnline(&Model{}, FitDims)
+	empty.ObserveWall(cfg, pl, wall)
+	if len(fresh.ratios) != 0 || len(empty.ratios) != 0 {
+		t.Errorf("degenerate observations created cells: %v, %v", fresh.ratios, empty.ratios)
+	}
+	if got, _ := fresh.Estimate(pl, cfg); got.TotalNs != off.TotalNs {
+		t.Errorf("degenerate observations moved the estimate: %v, table %v", got.TotalNs, off.TotalNs)
+	}
+	if _, ok := empty.Estimate(pl, cfg); ok {
+		t.Error("an empty table priced a plan")
 	}
 }

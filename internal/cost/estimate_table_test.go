@@ -88,6 +88,76 @@ func TestEstimateTable(t *testing.T) {
 	}
 }
 
+// fleetPlans calls f with every serve-fleet member at nodes cluster nodes
+// and the compiled default plan of each query the member supports.
+func fleetPlans(t *testing.T, nodes int, f func(mem core.FleetMember, q engine.QueryID, pl *plan.Plan)) {
+	t.Helper()
+	fleet, err := core.FleetConfigs(nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mem := range fleet {
+		eng := mem.New(t.TempDir())
+		for _, q := range engine.AllScenarios() {
+			if !eng.Supports(q) {
+				continue
+			}
+			pl, err := plan.Compile(q, engine.DefaultParams())
+			if err != nil {
+				t.Fatalf("compile %v: %v", q, err)
+			}
+			f(mem, q, pl)
+		}
+		eng.Close()
+	}
+}
+
+// An unobserved measured table prices every TestEstimateTable cell at the
+// committed model's total, bit for bit.
+func TestOnlineUnobservedIsTable(t *testing.T) {
+	medium, err := datagen.PresetDims(datagen.Medium, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := cost.Default()
+	for name, d := range map[string]cost.Dims{
+		"fit":    cost.FitDims,
+		"medium": {Patients: medium.Patients, Genes: medium.Genes, GOTerms: medium.GOTerms},
+	} {
+		o := cost.NewOnline(m, d)
+		for _, nodes := range []int{2, 4} {
+			fleetPlans(t, nodes, func(mem core.FleetMember, q engine.QueryID, pl *plan.Plan) {
+				key := fmt.Sprintf("%s/%s/%s", mem.Key, q, name)
+				if _, ok := estimateTable[key]; !ok {
+					t.Errorf("%s: not a TestEstimateTable cell", key)
+				}
+				want, _ := m.Estimate(pl, mem.Config, d)
+				got, ok := o.Estimate(pl, mem.Config)
+				if !ok || math.Float64bits(got.TotalNs) != math.Float64bits(want.TotalNs) {
+					t.Errorf("%s: online %v, table %v", key, got.TotalNs, want.TotalNs)
+				}
+			})
+		}
+	}
+}
+
+// The router prices every supporting member per request: after a
+// configuration's first estimate, pricing allocates nothing, observed or
+// not.
+func TestOnlineEstimateDoesNotAllocate(t *testing.T) {
+	o := cost.NewOnline(cost.Default(), cost.FitDims)
+	fleetPlans(t, 2, func(mem core.FleetMember, q engine.QueryID, pl *plan.Plan) {
+		for _, observed := range []bool{false, true} {
+			if observed {
+				o.ObserveWall(mem.Config, pl, 1e6)
+			}
+			if n := testing.AllocsPerRun(10, func() { o.Estimate(pl, mem.Config) }); n != 0 {
+				t.Errorf("%s %v (observed %v): %v allocations per estimate", mem.Key, q, observed, n)
+			}
+		}
+	})
+}
+
 // estimateTable holds math.Float64bits of each estimate's TotalNs, keyed
 // member/query/dims.
 var estimateTable = map[string]uint64{

@@ -1,144 +1,100 @@
 package cost
 
 import (
-	"math"
 	"sync"
 
+	"github.com/genbase/genbase/internal/engine"
 	"github.com/genbase/genbase/internal/plan"
 )
 
-// Online wraps a Model (normally Default) with serve-path refinement. The
-// router feeds every uncontended request's measured wall-clock time back here
-// (ObserveWall). The observation updates an EWMA correction ratio —
-// observed / offline-predicted — per (configuration, operator kind,
-// size-class), and Estimate multiplies each operator's offline prediction by
-// its learned ratio. The committed table seeds the ranking; the online layer
-// corrects it from ground truth without ever touching the committed
-// coefficients.
+// Online is the measured table the router ranks by: the committed table
+// scaled by one observed/predicted ratio per (configuration, query).
+// ObserveWall records a measured solo wall time for a compiled plan, and the
+// cell keeps the lowest ratio it has seen, so one slow, contended probe never
+// raises it. Estimate prices every plan of that query — whatever its
+// parameters — at the table's total times the cell's ratio; a cell never
+// observed passes the table's total through bit for bit.
 //
-// Drift handling: when a fresh observation disagrees with the smoothed ratio
-// by more than driftThreshold (relative), the update uses the faster
-// DriftAlpha instead of Alpha, so a regime change (dataset swap, host
-// contention) re-converges in a few observations instead of ~1/Alpha.
+// Only an explicit warm-up observes: the router never feeds its own traffic
+// back, so served load cannot move the ranking.
 type Online struct {
 	base *Model
 	dims Dims
 
-	// Alpha is the steady-state EWMA weight for a new observation;
-	// DriftAlpha replaces it when the observation deviates from the current
-	// mean by more than driftThreshold (relative error).
+	// Alpha and DriftAlpha are inert. They weighted the per-operator
+	// smoothing this table replaced, and stay so that callers which freeze
+	// them still compile.
 	Alpha      float64
 	DriftAlpha float64
 
-	mu    sync.Mutex
-	cells map[cellKey]*cell
-}
-
-// cellKey is the refinement granularity the ISSUE prescribes: physical
-// implementation (configuration key), operator, size-class. Size-class is
-// log2 of the operator's work units, so a cell generalizes across parameter
-// jitter but not across order-of-magnitude shape changes.
-type cellKey struct {
-	config string
-	op     plan.OpKind
-	size   int
+	mu     sync.Mutex
+	coeffs map[Config]Coeff // each configuration's rates, resolved once
+	ratios map[cell]float64 // observed/predicted, the lowest seen
 }
 
 type cell struct {
-	ratio float64 // EWMA of observed/predicted
-	n     int64   // observation count (drift restarts do not reset it)
+	cfg Config
+	q   engine.QueryID
 }
 
-// driftThreshold is the relative error past which an observation counts as
-// drift and updates with DriftAlpha.
-const driftThreshold = 1.0
-
-// NewOnline wraps base for serve-path refinement at the given dataset shape.
+// NewOnline wraps base, which must not change afterwards, as a measured
+// table at the given dataset shape.
 func NewOnline(base *Model, d Dims) *Online {
-	return &Online{
-		base:       base,
-		dims:       d,
-		Alpha:      0.2,
-		DriftAlpha: 0.5,
-		cells:      map[cellKey]*cell{},
-	}
+	return &Online{base: base, dims: d, coeffs: map[Config]Coeff{}, ratios: map[cell]float64{}}
 }
 
-func sizeClass(units float64) int {
-	if units < 1 {
-		return 0
+// rates resolves c's coefficients, walking the table's fallback chain only
+// the first time c is priced. Callers hold o.mu.
+func (o *Online) rates(c Config) (Coeff, bool) {
+	if co, ok := o.coeffs[c]; ok {
+		return co, true
 	}
-	return int(math.Log2(units))
+	co, ok := o.base.Lookup(c)
+	if ok {
+		o.coeffs[c] = co
+	}
+	return co, ok
 }
 
-// ObserveWall feeds one completed request's measured wall-clock time back
-// into the model. The virtual-platform engines (the simulated clusters, the
-// accelerator) report phase Timings in their simulation's accounting, not in
-// elapsed host time — but the router serves in host time, so its ranking
-// must learn from the wall. A request times as a whole, so the total
-// observed/predicted ratio is applied to every operator's cell uniformly.
+// ObserveWall records one measured wall-clock time of pl on c. The router
+// serves in host time, while the virtual-platform engines report simulated
+// phase timings, so the table learns from the wall. An observation that is
+// not positive, or of a plan the table cannot price, records nothing.
 func (o *Online) ObserveWall(c Config, pl *plan.Plan, wallNs float64) {
-	base, ok := o.base.Estimate(pl, c, o.dims)
-	if !ok || base.TotalNs <= 0 || wallNs <= 0 {
+	if !(wallNs > 0) {
 		return
 	}
-	r := wallNs / base.TotalNs
-	key := c.Key()
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	for i := range pl.Nodes {
-		n := &pl.Nodes[i]
-		o.updateCell(cellKey{config: key, op: n.Kind, size: sizeClass(Units(n, o.dims))}, r)
-	}
-}
-
-// updateCell applies one observation to a cell under the EWMA/drift policy.
-// Callers hold o.mu.
-func (o *Online) updateCell(ck cellKey, r float64) {
-	cl, ok := o.cells[ck]
+	co, ok := o.rates(c)
 	if !ok {
-		o.cells[ck] = &cell{ratio: r, n: 1}
 		return
 	}
-	alpha := o.Alpha
-	if cl.ratio > 0 && math.Abs(r-cl.ratio)/cl.ratio > driftThreshold {
-		alpha = o.DriftAlpha // decay the stale mean faster under drift
+	total := co.total(pl, o.dims, nil)
+	if !(total > 0) {
+		return
 	}
-	cl.ratio = (1-alpha)*cl.ratio + alpha*r
-	cl.n++
+	r := wallNs / total
+	k := cell{c, pl.Query}
+	if old, seen := o.ratios[k]; !seen || r < old {
+		o.ratios[k] = r
+	}
 }
 
-// Estimate is the offline estimate with each operator's learned correction
-// ratio applied. Operators with no observed cell pass through at ratio 1.
+// Estimate prices pl on c: the table's total times the measured ratio of
+// (c, pl.Query), when one was observed. It carries the total only;
+// Model.Estimate gives the per-operator split.
 func (o *Online) Estimate(pl *plan.Plan, c Config) (Estimate, bool) {
-	base, ok := o.base.Estimate(pl, c, o.dims)
+	o.mu.Lock()
+	co, ok := o.rates(c)
+	r, measured := o.ratios[cell{c, pl.Query}]
+	o.mu.Unlock()
 	if !ok {
 		return Estimate{}, false
 	}
-	key := c.Key()
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	est := Estimate{PerOpNs: make([]float64, len(pl.Nodes))}
-	for i := range pl.Nodes {
-		ns := base.PerOpNs[i]
-		ck := cellKey{config: key, op: pl.Nodes[i].Kind, size: sizeClass(Units(&pl.Nodes[i], o.dims))}
-		if cl, ok := o.cells[ck]; ok && cl.ratio > 0 {
-			ns *= cl.ratio
-		}
-		est.PerOpNs[i] = ns
-		est.TotalNs += ns
+	total := co.total(pl, o.dims, nil)
+	if measured {
+		total *= r
 	}
-	return est, true
-}
-
-// Ratio exposes one cell's learned correction for tests and stats dumps;
-// ok is false when the cell has never been observed.
-func (o *Online) Ratio(c Config, op plan.OpKind, units float64) (float64, bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	cl, ok := o.cells[cellKey{config: c.Key(), op: op, size: sizeClass(units)}]
-	if !ok {
-		return 0, false
-	}
-	return cl.ratio, true
+	return Estimate{TotalNs: total}, true
 }

@@ -5,9 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync/atomic"
-	"time"
 
 	"github.com/genbase/genbase/internal/cost"
 	"github.com/genbase/genbase/internal/engine"
@@ -17,8 +15,10 @@ import (
 // Router is the fleet front end (DESIGN.md §16): it holds every loaded
 // configuration — single-node engines and virtual clusters at their node
 // counts — behind one admission/cache/coalescing layer and routes each
-// request to the cheapest supported configuration under the calibrated cost
-// model, refined online from the timings the fleet itself observes.
+// request to the supported configuration cheapest in its measured cost table
+// (cost.Online). Served traffic never moves that ranking; only the caller's
+// explicit warm-up of that table does. A pinned baseline is a Router over a
+// single backend.
 //
 // The paper's finding is that no engine wins everywhere; the Router is that
 // finding operationalized. Three properties make it safe:
@@ -41,14 +41,11 @@ import (
 type Router struct {
 	backends []*routerBackend
 	model    *cost.Online
-	policy   Policy
 	cache    *Cache
 	flights  flights
-	timeout  time.Duration
 
 	inflight atomic.Int64
 	peak     atomic.Int64
-	routed   atomic.Int64 // requests that reached some backend
 	rerouted atomic.Int64 // served by other than the first-ranked backend
 	shed     atomic.Int64 // fleet-wide overload: every candidate shed
 	deadline atomic.Int64
@@ -67,8 +64,7 @@ type Backend struct {
 	// (NewRouter enforces this): result caching is the router's, keyed by
 	// answer class.
 	Server *Server
-	// Config is the backend's cost-model identity: system, node count,
-	// pinned workers.
+	// Config is the backend's cost-model identity: system and node count.
 	Config cost.Config
 	// Class is the answer-equivalence class ("dense", "dist", "mr" — see
 	// core.FleetConfigs): backends of one class answer bit-identically, so
@@ -85,35 +81,11 @@ type routerBackend struct {
 	failed atomic.Int64 // engine errors this backend produced
 }
 
-// Policy selects how the router picks a backend.
-type Policy struct {
-	// Static pins every request to the named configuration key (the
-	// ablation baseline); empty routes each request to the predicted
-	// cheapest candidate.
-	Static string
-}
-
-func (p Policy) String() string {
-	if p.Static == "" {
-		return "cost"
-	}
-	return "static:" + p.Static
-}
-
 // RouterOptions configures a Router.
 type RouterOptions struct {
-	// Policy selects cost-based or statically pinned routing.
-	Policy Policy
-	// Model is the online-refined cost model; nil wraps the committed
-	// cost table at cost.FitDims.
+	// Model is the measured cost table the router ranks by; nil prices
+	// from the committed table at cost.FitDims alone.
 	Model *cost.Online
-	// Cache shares a fleet-wide result cache; nil creates a private one
-	// unless DisableCache.
-	Cache        *Cache
-	DisableCache bool
-	// RequestTimeout bounds each request end to end — queueing, hedged
-	// re-routes and all (0 = none).
-	RequestTimeout time.Duration
 }
 
 // NewRouter builds the fleet front end over loaded backends. Backend order
@@ -127,14 +99,7 @@ func NewRouter(backends []Backend, opts RouterOptions) (*Router, error) {
 	if model == nil {
 		model = cost.NewOnline(cost.Default(), cost.FitDims)
 	}
-	cache := opts.Cache
-	if cache == nil && !opts.DisableCache {
-		cache = NewCache(0)
-	}
-	if opts.DisableCache {
-		cache = nil
-	}
-	r := &Router{model: model, policy: opts.Policy, cache: cache, timeout: opts.RequestTimeout}
+	r := &Router{model: model, cache: NewCache(0)}
 	seen := map[string]bool{}
 	for _, b := range backends {
 		if b.Server == nil {
@@ -153,32 +118,19 @@ func NewRouter(backends []Backend, opts RouterOptions) (*Router, error) {
 		seen[key] = true
 		r.backends = append(r.backends, &routerBackend{srv: b.Server, cfg: b.Config, key: key, class: b.Class})
 	}
-	if st := opts.Policy.Static; st != "" && !seen[st] {
-		keys := make([]string, 0, len(seen))
-		for k := range seen {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		return nil, fmt.Errorf("serve: static policy names unknown configuration %q (fleet: %s)", st, strings.Join(keys, ", "))
-	}
 	return r, nil
 }
 
-// Name identifies the router by its routing policy.
-func (r *Router) Name() string { return "fleet/" + r.policy.String() }
+// Name identifies the router.
+func (r *Router) Name() string { return "fleet/cost" }
 
 // Run routes one request. The bool reports a cache hit (including a
 // coalesced twin's execution). Error typing matches Server.Run:
-// engine.ErrUnsupported when no fleet member supports the query (or the
-// pinned configuration doesn't), engine.ErrOverload when every candidate
-// shed, engine.ErrDeadlineExceeded past the request deadline,
-// engine.ErrBadParams for invalid parameters.
+// engine.ErrUnsupported when no fleet member supports the query,
+// engine.ErrOverload when every candidate shed, engine.ErrDeadlineExceeded
+// past the caller's context deadline, engine.ErrBadParams for invalid
+// parameters.
 func (r *Router) Run(ctx context.Context, q engine.QueryID, p engine.Params) (*engine.Result, bool, error) {
-	if r.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, r.timeout)
-		defer cancel()
-	}
 	res, hit, err := r.run(ctx, q, p)
 	if err != nil && errors.Is(err, context.DeadlineExceeded) {
 		r.deadline.Add(1)
@@ -201,10 +153,6 @@ func (r *Router) run(ctx context.Context, q engine.QueryID, p engine.Params) (*e
 	ranked, err := r.rank(pl, q)
 	if err != nil {
 		return nil, false, err
-	}
-	if r.cache == nil {
-		res, _, _, err := r.tryCandidates(ctx, ranked, pl, q, p, fp)
-		return res, false, err
 	}
 	// Probe the cache once per distinct answer class, best-ranked class
 	// first: a hit from any backend of a class is valid for every backend
@@ -233,7 +181,7 @@ func (r *Router) run(ctx context.Context, q engine.QueryID, p engine.Params) (*e
 	// takes a cross-class failover or a mid-flight epoch swap).
 	flightKey := Key{System: ranked[0].class, Fingerprint: fp, Epoch: ranked[0].srv.Epoch()}
 	return r.flights.run(ctx, r.cache, flightKey, func() (*engine.Result, error) {
-		res, served, epoch, err := r.tryCandidates(ctx, ranked, pl, q, p, fp)
+		res, served, epoch, err := r.tryCandidates(ctx, ranked, q, p)
 		if err == nil && served != nil {
 			r.cache.put(Key{System: served.class, Fingerprint: fp, Epoch: epoch}, res)
 		}
@@ -241,23 +189,10 @@ func (r *Router) run(ctx context.Context, q engine.QueryID, p engine.Params) (*e
 	})
 }
 
-// rank returns the candidate backends for a query in routing order. Cost
-// policy: supported backends sorted by predicted cost under the online
-// model, ties broken by registration order. Static policy: exactly the
-// pinned backend, which must support the query.
+// rank returns the candidate backends for a query in routing order: the
+// supported backends sorted by predicted cost under the measured table, ties
+// broken by registration order.
 func (r *Router) rank(pl *plan.Plan, q engine.QueryID) ([]*routerBackend, error) {
-	if st := r.policy.Static; st != "" {
-		for _, b := range r.backends {
-			if b.key != st {
-				continue
-			}
-			if !b.srv.Engine().Supports(q) {
-				return nil, fmt.Errorf("serve: pinned configuration %s does not support %s: %w", st, q, engine.ErrUnsupported)
-			}
-			return []*routerBackend{b}, nil
-		}
-		return nil, fmt.Errorf("serve: pinned configuration %s not in fleet: %w", st, engine.ErrUnsupported)
-	}
 	type scored struct {
 		b    *routerBackend
 		cost float64
@@ -300,9 +235,7 @@ func (r *Router) rank(pl *plan.Plan, q engine.QueryID) ([]*routerBackend, error)
 
 // tryCandidates executes on the ranked candidates with hedged re-route:
 // overload (shed or breaker-open) moves to the next candidate; any other
-// outcome — success, engine failure, cancellation — is final. Successful
-// timings feed the online model, so the ranking self-corrects from the
-// traffic it serves.
+// outcome — success, engine failure, cancellation — is final.
 //
 // The returned epoch is the snapshot epoch the winning backend served at,
 // valid for cache publication only when the backend is also returned non-nil:
@@ -311,7 +244,7 @@ func (r *Router) rank(pl *plan.Plan, q engine.QueryID) ([]*routerBackend, error)
 // pinned a generation at admission — but this layer can no longer prove
 // *which* epoch it pinned, so it withholds publication rather than risk
 // poisoning the class cache with an answer filed under the wrong epoch.
-func (r *Router) tryCandidates(ctx context.Context, ranked []*routerBackend, pl *plan.Plan, q engine.QueryID, p engine.Params, fp string) (*engine.Result, *routerBackend, uint64, error) {
+func (r *Router) tryCandidates(ctx context.Context, ranked []*routerBackend, q engine.QueryID, p engine.Params) (*engine.Result, *routerBackend, uint64, error) {
 	cur := r.inflight.Add(1)
 	defer r.inflight.Add(-1)
 	for {
@@ -328,28 +261,14 @@ func (r *Router) tryCandidates(ctx context.Context, ranked []*routerBackend, pl 
 			}
 			break
 		}
-		start := time.Now()
 		e1 := b.srv.Epoch()
 		res, _, err := b.srv.Run(ctx, q, p)
 		e2 := b.srv.Epoch()
 		if err == nil {
-			r.routed.Add(1)
 			if i > 0 {
 				r.rerouted.Add(1)
 			}
 			b.served.Add(1)
-			// Feed back measured host wall-clock, not the engine's phase
-			// Timing: the virtual-platform engines account simulated time,
-			// and the router's ranking must converge on what serving here
-			// actually costs. Only uncontended samples qualify — a wall
-			// measured while other requests share the host folds their CPU
-			// pressure into this backend's intrinsic cost, and it folds
-			// unevenly (a simulated platform waiting out a sleep is immune
-			// to CPU contention), which would steadily misrank the fleet.
-			// Contention is the live load term's job at ranking time.
-			if cur == 1 && r.inflight.Load() == 1 {
-				r.model.ObserveWall(b.cfg, pl, float64(time.Since(start).Nanoseconds()))
-			}
 			if e1 != e2 {
 				// Epoch moved mid-flight: correct answer, unprovable epoch —
 				// serve it, don't publish it.
@@ -408,10 +327,8 @@ func (r *Router) Stats() Stats {
 			st.BreakerOpen = true
 		}
 	}
-	if r.cache != nil {
-		st.CacheHits = r.cache.hits.Load()
-		st.CacheMisses = r.cache.misses.Load()
-	}
+	st.CacheHits = r.cache.hits.Load()
+	st.CacheMisses = r.cache.misses.Load()
 	return st
 }
 

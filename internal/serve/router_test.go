@@ -53,7 +53,7 @@ func routerBackends(fast, slow engine.Engine) []Backend {
 func TestRouterRoutesToPredictedCheapest(t *testing.T) {
 	fast := &routeEngine{stubEngine: stubEngine{name: "fast"}}
 	slow := &routeEngine{stubEngine: stubEngine{name: "slow"}}
-	r, err := NewRouter(routerBackends(fast, slow), RouterOptions{Model: testModel(), DisableCache: true})
+	r, err := NewRouter(routerBackends(fast, slow), RouterOptions{Model: testModel()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestRouterNeverSelectsUnsupportedBackend(t *testing.T) {
 	// query must land on "slow" without ever touching "fast".
 	fast := &routeEngine{stubEngine: stubEngine{name: "fast"}, supports: map[engine.QueryID]bool{engine.Q4SVD: true}}
 	slow := &routeEngine{stubEngine: stubEngine{name: "slow"}}
-	r, err := NewRouter(routerBackends(fast, slow), RouterOptions{Model: testModel(), DisableCache: true})
+	r, err := NewRouter(routerBackends(fast, slow), RouterOptions{Model: testModel()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestRouterNeverSelectsUnsupportedBackend(t *testing.T) {
 	// A query no fleet member supports is rejected as typed unsupported,
 	// before any backend runs — including a query id that does not exist.
 	none := &routeEngine{stubEngine: stubEngine{name: "fast"}, supports: map[engine.QueryID]bool{}}
-	r2, err := NewRouter(routerBackends(none, none)[:1], RouterOptions{Model: testModel(), DisableCache: true})
+	r2, err := NewRouter(routerBackends(none, none)[:1], RouterOptions{Model: testModel()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,46 +119,40 @@ func TestRouterNeverSelectsUnsupportedBackend(t *testing.T) {
 	}
 }
 
-func TestRouterStaticPolicyPins(t *testing.T) {
-	fast := &routeEngine{stubEngine: stubEngine{name: "fast"}}
+// A pinned baseline is a router over one backend: every request it
+// supports runs there, and a query it does not support is a typed
+// unsupported error, never a re-route.
+func TestRouterOneMemberFleet(t *testing.T) {
 	slow := &routeEngine{stubEngine: stubEngine{name: "slow"}}
-	r, err := NewRouter(routerBackends(fast, slow), RouterOptions{
-		Model: testModel(), DisableCache: true, Policy: Policy{Static: "slow"},
-	})
+	r, err := NewRouter([]Backend{
+		{Server: New(slow, Options{MaxConcurrent: 2, DisableCache: true}), Config: cost.Config{System: "slow"}, Class: "a"},
+	}, RouterOptions{Model: testModel()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := engine.DefaultParams()
 	for i := 0; i < 4; i++ {
-		p.Seed = uint64(i)
+		p.DiseaseID = int64(i + 1) // distinct fingerprints: no cache hits
 		if _, _, err := r.Run(context.Background(), engine.Q2Covariance, p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if fast.runs.Load() != 0 || slow.runs.Load() != 4 {
-		t.Fatalf("static pin leaked: fast=%d slow=%d", fast.runs.Load(), slow.runs.Load())
+	if got := slow.runs.Load(); got != 4 {
+		t.Fatalf("the only member ran %d of 4", got)
 	}
 
-	// Pinning to a backend that does not support the query is a typed
-	// unsupported error, not a silent re-route.
 	noQ2 := &routeEngine{stubEngine: stubEngine{name: "fast"}, supports: map[engine.QueryID]bool{engine.Q4SVD: true}}
-	r2, err := NewRouter(routerBackends(noQ2, slow), RouterOptions{
-		Model: testModel(), DisableCache: true, Policy: Policy{Static: "fast"},
-	})
+	r2, err := NewRouter([]Backend{
+		{Server: New(noQ2, Options{MaxConcurrent: 2, DisableCache: true}), Config: cost.Config{System: "fast"}, Class: "a"},
+	}, RouterOptions{Model: testModel()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := r2.Run(context.Background(), engine.Q2Covariance, p); !errors.Is(err, engine.ErrUnsupported) {
-		t.Fatalf("pinned-unsupported error = %v, want ErrUnsupported", err)
+		t.Fatalf("unsupported query on a one-member fleet: %v, want ErrUnsupported", err)
 	}
-	if slow.runs.Load() != 4 {
-		t.Fatal("static pin re-routed to another backend")
-	}
-
-	// A static policy naming a configuration outside the fleet fails at
-	// construction, listing the fleet.
-	if _, err := NewRouter(routerBackends(fast, slow), RouterOptions{Policy: Policy{Static: "nope"}}); err == nil {
-		t.Fatal("unknown static configuration accepted")
+	if got := noQ2.runs.Load(); got != 0 {
+		t.Fatalf("the member ran %d queries it does not support", got)
 	}
 }
 
@@ -170,7 +164,7 @@ func TestRouterHedgesToNextOnOverload(t *testing.T) {
 		{Server: New(fast, Options{MaxConcurrent: 1, DisableCache: true, BreakerThreshold: 1}), Config: cost.Config{System: "fast"}, Class: "a"},
 		{Server: New(slow, Options{MaxConcurrent: 1, DisableCache: true}), Config: cost.Config{System: "slow"}, Class: "a"},
 	}
-	r, err := NewRouter(backends, RouterOptions{Model: testModel(), DisableCache: true})
+	r, err := NewRouter(backends, RouterOptions{Model: testModel()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +178,7 @@ func TestRouterHedgesToNextOnOverload(t *testing.T) {
 	// Subsequent requests: the open breaker sheds with ErrOverload, and the
 	// router hedges to the next-cheapest backend instead of failing.
 	for i := 0; i < 3; i++ {
-		p.Seed = uint64(i + 1)
+		p.FunctionThreshold = int64(251 + i) // distinct fingerprints: no cache hits
 		if _, _, err := r.Run(context.Background(), engine.Q1Regression, p); err != nil {
 			t.Fatalf("hedged request %d: %v", i, err)
 		}
@@ -193,12 +187,8 @@ func TestRouterHedgesToNextOnOverload(t *testing.T) {
 		t.Fatalf("fallback backend ran %d of 3", got)
 	}
 	rs := r.RouterStats()
-	// The first fallback success is a hedged re-route; after it, the online
-	// model has learned the fallback's true (near-zero) wall cost and may
-	// rank it first outright — so later successes need not count as
-	// re-routes.
-	if rs.Rerouted < 1 {
-		t.Fatalf("rerouted = %d, want >= 1", rs.Rerouted)
+	if rs.Rerouted != 3 {
+		t.Fatalf("rerouted = %d, want 3", rs.Rerouted)
 	}
 	if rs.Shares[0].Failed != 1 {
 		t.Fatalf("failed backend share %+v", rs.Shares[0])
@@ -206,61 +196,46 @@ func TestRouterHedgesToNextOnOverload(t *testing.T) {
 }
 
 func TestRouterCacheIsClassKeyed(t *testing.T) {
-	shared := NewCache(0)
-	mkBackends := func(a, b, c engine.Engine) []Backend {
-		return []Backend{
-			{Server: New(a, Options{MaxConcurrent: 1, DisableCache: true}), Config: cost.Config{System: "fast"}, Class: "x"},
-			{Server: New(b, Options{MaxConcurrent: 1, DisableCache: true}), Config: cost.Config{System: "fast", Nodes: 2}, Class: "x"},
-			{Server: New(c, Options{MaxConcurrent: 1, DisableCache: true}), Config: cost.Config{System: "slow"}, Class: "y"},
-		}
-	}
-	a := &routeEngine{stubEngine: stubEngine{name: "a"}}
-	b := &routeEngine{stubEngine: stubEngine{name: "b"}}
+	a := &routeEngine{stubEngine: stubEngine{name: "a"}, supports: map[engine.QueryID]bool{engine.Q2Covariance: true}}
+	b := &routeEngine{stubEngine: stubEngine{name: "b"}, supports: map[engine.QueryID]bool{engine.Q2Covariance: true}}
 	c := &routeEngine{stubEngine: stubEngine{name: "c"}}
+	r, err := NewRouter([]Backend{
+		{Server: New(a, Options{MaxConcurrent: 1, DisableCache: true}), Config: cost.Config{System: "fast"}, Class: "x"},
+		{Server: New(b, Options{MaxConcurrent: 1, DisableCache: true}), Config: cost.Config{System: "fast", Nodes: 2}, Class: "x"},
+		{Server: New(c, Options{MaxConcurrent: 1, DisableCache: true}), Config: cost.Config{System: "slow"}, Class: "y"},
+	}, RouterOptions{Model: testModel()})
+	if err != nil {
+		t.Fatal(err)
+	}
 	p := engine.DefaultParams()
 
-	// Cost-routed: the first request executes on a backend of class "x" and
-	// caches under that class; the repeat is a hit.
-	r1, err := NewRouter(mkBackends(a, b, c), RouterOptions{Model: testModel(), Cache: shared})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, hit, err := r1.Run(context.Background(), engine.Q2Covariance, p); err != nil || hit {
+	// The first request executes on the cheapest backend, a, and caches
+	// under class "x"; the repeat is a hit.
+	if _, hit, err := r.Run(context.Background(), engine.Q2Covariance, p); err != nil || hit {
 		t.Fatalf("first run: hit=%v err=%v", hit, err)
 	}
-	if _, hit, err := r1.Run(context.Background(), engine.Q2Covariance, p); err != nil || !hit {
+	if _, hit, err := r.Run(context.Background(), engine.Q2Covariance, p); err != nil || !hit {
 		t.Fatalf("repeat run: hit=%v err=%v", hit, err)
 	}
-	if a.runs.Load()+b.runs.Load() != 1 {
-		t.Fatalf("class-x backends ran %d, want 1", a.runs.Load()+b.runs.Load())
+	if a.runs.Load() != 1 || b.runs.Load() != 0 {
+		t.Fatalf("class-x backends ran %d and %d, want 1 and 0", a.runs.Load(), b.runs.Load())
 	}
 
-	// A second router over the same shared cache, pinned to the class-"x"
-	// sibling that did NOT execute: still a hit — entries are shared within
-	// the class.
-	r2, err := NewRouter(mkBackends(a, b, c), RouterOptions{
-		Model: testModel(), Cache: shared, Policy: Policy{Static: "fast@2n"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, hit, err := r2.Run(context.Background(), engine.Q2Covariance, p); err != nil || !hit {
-		t.Fatalf("same-class pinned run: hit=%v err=%v", hit, err)
+	// Once a can no longer take the query, its class sibling b ranks first
+	// and is served a's answer: entries are shared within the class.
+	a.supports = map[engine.QueryID]bool{}
+	if _, hit, err := r.Run(context.Background(), engine.Q2Covariance, p); err != nil || !hit {
+		t.Fatalf("same-class run: hit=%v err=%v", hit, err)
 	}
 	if b.runs.Load() != 0 {
 		t.Fatal("same-class sibling executed despite cached answer")
 	}
 
-	// Pinned to the class-"y" backend: the class-"x" entry must NOT serve
-	// it — different class, different bits.
-	r3, err := NewRouter(mkBackends(a, b, c), RouterOptions{
-		Model: testModel(), Cache: shared, Policy: Policy{Static: "slow"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, hit, err := r3.Run(context.Background(), engine.Q2Covariance, p); err != nil || hit {
-		t.Fatalf("cross-class pinned run: hit=%v err=%v (class-x answer leaked to class y)", hit, err)
+	// Once only the class-"y" backend can take it, the class-"x" entry must
+	// NOT serve it: different class, different bits.
+	b.supports = map[engine.QueryID]bool{}
+	if _, hit, err := r.Run(context.Background(), engine.Q2Covariance, p); err != nil || hit {
+		t.Fatalf("cross-class run: hit=%v err=%v (class-x answer leaked to class y)", hit, err)
 	}
 	if c.runs.Load() != 1 {
 		t.Fatalf("class-y backend ran %d, want 1", c.runs.Load())
