@@ -2,7 +2,9 @@ package genbase
 
 import (
 	"context"
+	"os"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -16,6 +18,16 @@ import (
 // regression, a covariance, and a GO-enrichment query cover the distinct
 // kernel families without paying for the full six-query sweep per config.
 var ingestQueries = []engine.QueryID{engine.Q1Regression, engine.Q2Covariance, engine.Q5Statistics}
+
+// openFiles counts this process's open file descriptors, or -1 where
+// /proc/self/fd is unavailable.
+func openFiles() int {
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return -1
+	}
+	return len(fds)
+}
 
 // loadFleet loads every fleet configuration over ds and returns the engines
 // aligned with the members.
@@ -42,20 +54,26 @@ func loadFleet(t *testing.T, fleet []core.FleetMember, ds *datagen.Dataset) []en
 // 14 fresh engines and their answers must again agree exactly within each
 // answer-equivalence class: the new epoch is as deterministic as the old.
 // Once every store and engine is closed, no goroutine the test started may
-// remain.
+// remain, and no file it opened may stay open.
 func TestIngestEpochPinnedInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet sweep is not short")
 	}
+	// With the collector off, no finalizer can close a leaked file for us.
+	gcPercent := debug.SetGCPercent(-1)
 	// Registered first, so it runs after every deferred Close and every
 	// engine's cleanup.
-	before := runtime.NumGoroutine()
+	before, fdsBefore := runtime.NumGoroutine(), openFiles()
 	t.Cleanup(func() {
+		defer debug.SetGCPercent(gcPercent)
 		for i := 0; i < 1000 && runtime.NumGoroutine() > before; i++ {
 			runtime.Gosched()
 		}
 		if after := runtime.NumGoroutine(); after > before {
 			t.Errorf("%d goroutines before the test, %d after it closed everything", before, after)
+		}
+		if after := openFiles(); after != fdsBefore {
+			t.Errorf("%d open files before the test, %d after it closed everything", fdsBefore, after)
 		}
 	})
 	ds, err := datagen.Generate(datagen.Config{Size: datagen.Small, Seed: 1})

@@ -25,13 +25,13 @@ var (
 	// failures via errors.Join.
 	ErrReplicasExhausted = errors.New("engine: all shard replicas exhausted")
 
-	// ErrDeadlineExceeded marks a request that ran past its per-request
+	// ErrDeadlineExceeded marks a request that ran past its caller's
 	// deadline. The serving tier maps context.DeadlineExceeded from an
 	// expired request context onto it so clients see one typed outcome.
 	ErrDeadlineExceeded = errors.New("engine: request deadline exceeded")
 
-	// ErrOverload marks a request shed at admission — the queue was full or
-	// the engine's circuit breaker was open. Shedding is the serving tier
+	// ErrOverload marks a request shed at admission: the circuit breaker of
+	// every candidate server was open. Shedding is the serving tier
 	// degrading gracefully instead of collapsing; clients should back off and
 	// retry.
 	ErrOverload = errors.New("engine: server overloaded, request shed")

@@ -1,14 +1,13 @@
 package serve
 
-// Fault-tolerance tests for the serving layer (DESIGN.md §14): per-request
-// deadlines mapping to the typed engine.ErrDeadlineExceeded, queue-depth
-// load shedding, the count-based circuit breaker's open → probe → close
-// cycle, and a caller's context deadline interrupting an in-flight query.
+// Fault-tolerance tests for the serving layer (DESIGN.md §14): a caller's
+// context deadline interrupting an in-flight query or a wait for a slot,
+// both typed engine.ErrDeadlineExceeded, and the count-based circuit
+// breaker's open → probe → close cycle.
 
 import (
 	"context"
 	"errors"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -32,22 +31,9 @@ func (f *faultyEngine) Run(ctx context.Context, q engine.QueryID, p engine.Param
 	return f.stubEngine.Run(ctx, q, p)
 }
 
-func TestFaultServeRequestDeadlineTyped(t *testing.T) {
-	noLeak(t)
-	eng := &stubEngine{name: "stub", delay: 200 * time.Millisecond}
-	srv := New(eng, Options{MaxConcurrent: 1, DisableCache: true, RequestTimeout: 5 * time.Millisecond})
-	_, _, err := srv.Run(context.Background(), engine.Q1Regression, engine.DefaultParams())
-	if !errors.Is(err, engine.ErrDeadlineExceeded) {
-		t.Fatalf("got %v, want ErrDeadlineExceeded", err)
-	}
-	if st := srv.Stats(); st.Deadlined != 1 {
-		t.Fatalf("Deadlined = %d, want 1", st.Deadlined)
-	}
-}
-
-// A deadline on the caller's context — no RequestTimeout configured —
-// interrupts a query already executing on the engine: Run returns the typed
-// error and frees the slot instead of waiting the query out.
+// A deadline on the caller's context interrupts a query already executing
+// on the engine: Run returns the typed error and frees the slot instead of
+// waiting the query out.
 func TestFaultServeContextDeadlineInterruptsQuery(t *testing.T) {
 	noLeak(t)
 	eng := &stubEngine{name: "stub", delay: 10 * time.Second}
@@ -66,51 +52,21 @@ func TestFaultServeContextDeadlineInterruptsQuery(t *testing.T) {
 	}
 }
 
-func TestFaultServeQueueDepthSheds(t *testing.T) {
-	noLeak(t)
-	eng := &stubEngine{name: "stub", delay: time.Second, started: make(chan struct{})}
-	srv := New(eng, Options{MaxConcurrent: 1, MaxQueue: 1, DisableCache: true})
-	p := engine.DefaultParams()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); srv.Run(ctx, engine.Q1Regression, p) }() // occupies the slot
-	<-eng.started
-	go func() { defer wg.Done(); srv.Run(ctx, engine.Q2Covariance, p) }() // fills the queue
-	for srv.waiting.Load() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-
-	// Queue at capacity: the next request is shed with the typed overload
-	// error instead of queueing without bound.
-	_, _, err := srv.Run(ctx, engine.Q5Statistics, p)
-	if !errors.Is(err, engine.ErrOverload) {
-		t.Fatalf("got %v, want ErrOverload from the full admission queue", err)
-	}
-	if st := srv.Stats(); st.Shed != 1 {
-		t.Fatalf("Shed = %d, want 1", st.Shed)
-	}
-	cancel() // unwind the occupant and the queued request
-	wg.Wait()
-}
-
 func TestFaultServeBreakerOpensProbesCloses(t *testing.T) {
 	eng := &faultyEngine{stubEngine: stubEngine{name: "stub"}}
 	eng.fail.Store(true)
-	srv := New(eng, Options{MaxConcurrent: 1, DisableCache: true, BreakerThreshold: 2})
+	srv := New(eng, Options{MaxConcurrent: 1, DisableCache: true})
 	p := engine.DefaultParams()
 	ctx := context.Background()
 
-	// Two consecutive engine failures trip the breaker.
-	for i := 0; i < 2; i++ {
+	// DefaultBreakerThreshold consecutive engine failures trip the breaker.
+	for i := 0; i < DefaultBreakerThreshold; i++ {
 		if _, _, err := srv.Run(ctx, engine.Q1Regression, p); !errors.Is(err, errEngineDown) {
 			t.Fatalf("failure %d: got %v, want the engine error", i, err)
 		}
 	}
-	if st := srv.Stats(); !st.BreakerOpen || st.EngineFailures != 2 {
-		t.Fatalf("after threshold failures: open=%v failures=%d, want open with 2", st.BreakerOpen, st.EngineFailures)
+	if st := srv.Stats(); !st.BreakerOpen || st.EngineFailures != DefaultBreakerThreshold {
+		t.Fatalf("after threshold failures: open=%v failures=%d, want open with %d", st.BreakerOpen, st.EngineFailures, DefaultBreakerThreshold)
 	}
 
 	// The engine recovers, but the open circuit keeps denying requests with
@@ -140,8 +96,10 @@ func TestFaultServeBreakerOpensProbesCloses(t *testing.T) {
 	if st.BreakerOpen {
 		t.Fatal("breaker still open after a successful probe")
 	}
-	if st.BreakerDenials != int64(breakerProbeEvery-1) {
-		t.Fatalf("BreakerDenials = %d, want %d", st.BreakerDenials, breakerProbeEvery-1)
+	// The Server's one-member Router sheds every denial: its only
+	// candidate turned the request away.
+	if st.BreakerDenials != int64(breakerProbeEvery-1) || st.Shed != st.BreakerDenials {
+		t.Fatalf("BreakerDenials = %d, Shed = %d, want %d each", st.BreakerDenials, st.Shed, breakerProbeEvery-1)
 	}
 	// Closed again: requests flow normally.
 	if _, _, err := srv.Run(ctx, engine.Q1Regression, p); err != nil {
@@ -149,17 +107,47 @@ func TestFaultServeBreakerOpensProbesCloses(t *testing.T) {
 	}
 }
 
-func TestFaultServeBreakerDisabled(t *testing.T) {
-	eng := &faultyEngine{stubEngine: stubEngine{name: "stub"}}
-	eng.fail.Store(true)
-	srv := New(eng, Options{MaxConcurrent: 1, DisableCache: true, BreakerThreshold: -1})
+// A request waiting for the only admission slot gives up when its caller's
+// deadline passes: it fails typed, is never admitted, and the request
+// holding the slot finishes normally.
+func TestFaultServeDeadlineWhileQueued(t *testing.T) {
+	noLeak(t)
+	eng := &stubEngine{name: "stub", started: make(chan struct{}), hold: make(chan struct{})}
+	srv := New(eng, Options{MaxConcurrent: 1, DisableCache: true})
 	p := engine.DefaultParams()
-	for i := 0; i < 2*DefaultBreakerThreshold; i++ {
-		if _, _, err := srv.Run(context.Background(), engine.Q1Regression, p); !errors.Is(err, errEngineDown) {
-			t.Fatalf("run %d: got %v, want the raw engine error (breaker disabled)", i, err)
+
+	holder := make(chan error, 1)
+	go func() {
+		_, _, err := srv.Run(context.Background(), engine.Q1Regression, p)
+		holder <- err
+	}()
+	<-eng.started // the holder has the slot and is inside the engine
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	queued := make(chan error, 1)
+	go func() {
+		_, _, err := srv.Run(ctx, engine.Q2Covariance, p)
+		queued <- err
+	}()
+	select {
+	case err := <-queued:
+		if !errors.Is(err, engine.ErrDeadlineExceeded) {
+			t.Errorf("queued request: got %v, want ErrDeadlineExceeded", err)
 		}
+	case <-time.After(10 * time.Second):
+		t.Error("queued request outlived its deadline waiting for the slot")
 	}
-	if st := srv.Stats(); st.BreakerOpen || st.BreakerDenials != 0 {
-		t.Fatalf("disabled breaker tripped: %+v", st)
+	st := srv.Stats()
+	if st.Admitted != 1 || st.Deadlined != 1 {
+		t.Errorf("admitted %d, deadlined %d; want 1, 1", st.Admitted, st.Deadlined)
+	}
+
+	close(eng.hold)
+	if err := <-holder; err != nil {
+		t.Fatalf("slot holder: %v", err)
+	}
+	if got := eng.runs.Load(); got != 1 {
+		t.Fatalf("engine completed %d queries, want the holder's 1", got)
 	}
 }

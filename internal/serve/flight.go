@@ -11,10 +11,10 @@ import (
 // flights coalesces cold-cache twins (single-flight): the first caller of a
 // key becomes its leader and executes; concurrent callers of the same key
 // wait on the leader's channel and re-check the cache — a stampede of
-// identical queries executes once instead of once per client. Shared by the
-// single-engine Server and the fleet Router (which coalesces across its
-// whole fleet: the key's System field carries the answer-equivalence class
-// there, so twins coalesce no matter which backend each would have picked).
+// identical queries executes once instead of once per client. The Router
+// coalesces across its whole fleet: the key's System field carries the
+// answer-equivalence class, so twins coalesce no matter which backend each
+// would have picked.
 type flights struct {
 	mu      sync.Mutex
 	pending map[Key]chan struct{}
@@ -25,18 +25,18 @@ type flights struct {
 // run executes fn single-flight per key. The leader runs fn — which is
 // responsible for publishing its result to the cache before run returns
 // (the Router may cache under a different key than the flight key when it
-// re-routes, so publication can't live here) — and wakes the waiters.
+// re-routes or its gate pins a newer epoch, so publication can't live here) — and wakes the waiters.
 // Waiters re-check the cache with peek (their miss was already recorded)
 // and either return the leader's published result or contend to lead the
 // retry when the leader failed or published elsewhere.
-func (f *flights) run(ctx context.Context, cache *Cache, key Key, fn func() (*engine.Result, error)) (*engine.Result, bool, error) {
+func (f *flights) run(ctx context.Context, c *cache, key Key, fn func() (*engine.Result, error)) (*engine.Result, bool, error) {
 	for first := true; ; first = false {
 		// Re-check the cache on every pass but the first (whose miss the
 		// caller's get just recorded): a woken waiter's twin, or a retrier
 		// that raced ahead after a failed leader, may have cached the answer
 		// between the last wait and this contention round.
 		if !first {
-			if res, ok := cache.peek(key); ok {
+			if res, ok := c.peek(key); ok {
 				f.coalesced.Add(1)
 				return res, true, nil
 			}

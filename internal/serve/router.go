@@ -12,13 +12,15 @@ import (
 	"github.com/genbase/genbase/internal/plan"
 )
 
-// Router is the fleet front end (DESIGN.md §16): it holds every loaded
-// configuration — single-node engines and virtual clusters at their node
-// counts — behind one admission/cache/coalescing layer and routes each
-// request to the supported configuration cheapest in its measured cost table
-// (cost.Online). Served traffic never moves that ranking; only the caller's
-// explicit warm-up of that table does. A pinned baseline is a Router over a
-// single backend.
+// Router is the serving request path (DESIGN.md §11, §16): plan memo,
+// result cache, single-flight coalescing, deadline typing and ranking, in
+// front of the admission gates of its members. Over a fleet it holds every
+// loaded configuration — single-node engines and virtual clusters at their
+// node counts — and routes each request to the supported configuration
+// cheapest in its measured cost table (cost.Online). Served traffic never
+// moves that ranking; only the caller's explicit warm-up of that table
+// does. Every Server is a one-member Router over its own gate, and a pinned
+// baseline is a Router over a single backend.
 //
 // The paper's finding is that no engine wins everywhere; the Router is that
 // finding operationalized. Three properties make it safe:
@@ -34,18 +36,16 @@ import (
 //     (answer class, plan fingerprint): a cache entry produced by any
 //     backend serves every backend of its class, and never a backend of
 //     another class.
-//   - Overload re-routes instead of failing: when the chosen backend sheds
-//     (admission queue full or circuit open, both typed engine.ErrOverload),
+//   - Overload re-routes instead of failing: when the chosen backend's gate
+//     turns the request away (its circuit is open, typed engine.ErrOverload),
 //     the router hedges down the ranked candidate list; only a fleet-wide
 //     overload surfaces to the caller.
 type Router struct {
 	backends []*routerBackend
-	model    *cost.Online
-	cache    *Cache
+	model    *cost.Online // nil on a Server's one-member Router
+	cache    *cache       // nil under a Server's DisableCache
 	flights  flights
 
-	inflight atomic.Int64
-	peak     atomic.Int64
 	rerouted atomic.Int64 // served by other than the first-ranked backend
 	shed     atomic.Int64 // fleet-wide overload: every candidate shed
 	deadline atomic.Int64
@@ -59,10 +59,12 @@ type Router struct {
 
 // Backend declares one fleet member for NewRouter.
 type Backend struct {
-	// Server wraps the loaded engine with its per-backend admission width
-	// and circuit breaker. The server must not have its own cache
-	// (NewRouter enforces this): result caching is the router's, keyed by
-	// answer class.
+	// Server is the member's admission gate: its width, worker share,
+	// circuit breaker and pinned engine generation. The fleet Router admits
+	// requests to the gate directly, never through Server.Run, so a cache
+	// the Server was built with goes unused (fleet members set
+	// DisableCache); result caching is the fleet Router's, keyed by answer
+	// class.
 	Server *Server
 	// Config is the backend's cost-model identity: system and node count.
 	Config cost.Config
@@ -99,14 +101,11 @@ func NewRouter(backends []Backend, opts RouterOptions) (*Router, error) {
 	if model == nil {
 		model = cost.NewOnline(cost.Default(), cost.FitDims)
 	}
-	r := &Router{model: model, cache: NewCache(0)}
+	r := &Router{model: model, cache: newCache(0)}
 	seen := map[string]bool{}
 	for _, b := range backends {
 		if b.Server == nil {
 			return nil, fmt.Errorf("serve: backend %q has no server", b.Config.Key())
-		}
-		if b.Server.cache != nil {
-			return nil, fmt.Errorf("serve: backend %q has its own cache; the router owns caching (class-keyed)", b.Config.Key())
 		}
 		if b.Class == "" {
 			return nil, fmt.Errorf("serve: backend %q has no answer class", b.Config.Key())
@@ -125,11 +124,12 @@ func NewRouter(backends []Backend, opts RouterOptions) (*Router, error) {
 func (r *Router) Name() string { return "fleet/cost" }
 
 // Run routes one request. The bool reports a cache hit (including a
-// coalesced twin's execution). Error typing matches Server.Run:
-// engine.ErrUnsupported when no fleet member supports the query,
-// engine.ErrOverload when every candidate shed, engine.ErrDeadlineExceeded
-// past the caller's context deadline, engine.ErrBadParams for invalid
-// parameters.
+// coalesced twin's execution). Admission outcomes are typed for errors.Is:
+// engine.ErrBadParams for invalid parameters, engine.ErrUnsupported when no
+// member supports the query, engine.ErrOverload when every candidate's
+// circuit is open, engine.ErrDeadlineExceeded once the caller's context
+// deadline passes (a wait for a slot included), and the engine's own error
+// otherwise.
 func (r *Router) Run(ctx context.Context, q engine.QueryID, p engine.Params) (*engine.Result, bool, error) {
 	res, hit, err := r.run(ctx, q, p)
 	if err != nil && errors.Is(err, context.DeadlineExceeded) {
@@ -154,17 +154,22 @@ func (r *Router) run(ctx context.Context, q engine.QueryID, p engine.Params) (*e
 	if err != nil {
 		return nil, false, err
 	}
+	if r.cache == nil {
+		res, _, _, err := r.tryCandidates(ctx, ranked, q, p)
+		return res, false, err
+	}
 	// Probe the cache once per distinct answer class, best-ranked class
 	// first: a hit from any backend of a class is valid for every backend
 	// of that class at the same snapshot epoch, and only for them. The probe
 	// key carries the backend's current epoch, so entries from superseded
 	// snapshots are never served forward.
-	probed := map[string]bool{}
+probe:
 	for i, b := range ranked {
-		if probed[b.class] {
-			continue
+		for _, prev := range ranked[:i] {
+			if prev.class == b.class {
+				continue probe // already probed under a better-ranked member
+			}
 		}
-		probed[b.class] = true
 		key := Key{System: b.class, Fingerprint: fp, Epoch: b.srv.Epoch()}
 		if i == 0 {
 			if res, ok := r.cache.get(key); ok { // get: record hit/miss once
@@ -175,14 +180,14 @@ func (r *Router) run(ctx context.Context, q engine.QueryID, p engine.Params) (*e
 		}
 	}
 	// Coalesce on the best-ranked (class, epoch): twins wait for one
-	// execution. tryCandidates publishes under the class and epoch that
-	// actually served, which the flight loop re-checks only for the flight
-	// key — a re-routed leader's waiters simply contend again (rare: it
-	// takes a cross-class failover or a mid-flight epoch swap).
+	// execution. The leader publishes under the class that served and the
+	// epoch its gate pinned, which the flight loop re-checks only for the
+	// flight key — a leader re-routed to another class, or one that a Swap
+	// moved to a newer epoch, leaves its waiters to contend again.
 	flightKey := Key{System: ranked[0].class, Fingerprint: fp, Epoch: ranked[0].srv.Epoch()}
 	return r.flights.run(ctx, r.cache, flightKey, func() (*engine.Result, error) {
 		res, served, epoch, err := r.tryCandidates(ctx, ranked, q, p)
-		if err == nil && served != nil {
+		if err == nil {
 			r.cache.put(Key{System: served.class, Fingerprint: fp, Epoch: epoch}, res)
 		}
 		return res, err
@@ -190,69 +195,58 @@ func (r *Router) run(ctx context.Context, q engine.QueryID, p engine.Params) (*e
 }
 
 // rank returns the candidate backends for a query in routing order: the
-// supported backends sorted by predicted cost under the measured table, ties
-// broken by registration order.
+// supported backends, sorted by predicted cost under the measured table
+// when more than one supports it, ties kept in registration order. A
+// one-member Router never prices.
 func (r *Router) rank(pl *plan.Plan, q engine.QueryID) ([]*routerBackend, error) {
+	ranked := make([]*routerBackend, 0, len(r.backends))
+	for _, b := range r.backends {
+		if b.srv.Engine().Supports(q) {
+			ranked = append(ranked, b)
+		}
+	}
+	if len(ranked) > 1 {
+		ranked = r.byCost(pl, ranked)
+	}
+	if len(ranked) == 0 {
+		return nil, fmt.Errorf("serve: no fleet configuration supports %s: %w", q, engine.ErrUnsupported)
+	}
+	return ranked, nil
+}
+
+// byCost orders cands by intrinsic predicted cost, stably, dropping any the
+// table cannot price. Load is handled reactively — breakers open and
+// tryCandidates hedges down this ranking — rather than folded into the
+// score: predictive load scaling spills traffic to the second-cheapest
+// backend whenever the cheapest is busy, which on a contended host adds no
+// capacity, only slower service. Queueing briefly behind the most
+// efficient backend beats dispatching to an idle one that is meaningfully
+// slower.
+func (r *Router) byCost(pl *plan.Plan, cands []*routerBackend) []*routerBackend {
 	type scored struct {
 		b    *routerBackend
 		cost float64
-		idx  int
 	}
-	var cands []scored
-	for i, b := range r.backends {
-		if !b.srv.Engine().Supports(q) {
-			continue
+	sc := make([]scored, 0, len(cands))
+	for _, b := range cands {
+		if est, ok := r.model.Estimate(pl, b.cfg); ok {
+			sc = append(sc, scored{b, est.TotalNs})
 		}
-		est, ok := r.model.Estimate(pl, b.cfg)
-		if !ok {
-			continue
-		}
-		// Rank by intrinsic predicted cost alone. Load is handled
-		// reactively — bounded queues shed, breakers open, and
-		// tryCandidates hedges down this ranking — rather than folded into
-		// the score: predictive load scaling spills traffic to the
-		// second-cheapest backend whenever the cheapest is busy, which on a
-		// contended host adds no capacity, only slower service. Queueing
-		// briefly behind the most efficient backend beats dispatching to an
-		// idle one that is meaningfully slower.
-		cands = append(cands, scored{b: b, cost: est.TotalNs, idx: i})
 	}
-	if len(cands) == 0 {
-		return nil, fmt.Errorf("serve: no fleet configuration supports %s: %w", q, engine.ErrUnsupported)
+	sort.SliceStable(sc, func(i, j int) bool { return sc[i].cost < sc[j].cost })
+	cands = cands[:0]
+	for _, c := range sc {
+		cands = append(cands, c.b)
 	}
-	sort.SliceStable(cands, func(a, b int) bool {
-		if cands[a].cost != cands[b].cost {
-			return cands[a].cost < cands[b].cost
-		}
-		return cands[a].idx < cands[b].idx
-	})
-	out := make([]*routerBackend, len(cands))
-	for i, c := range cands {
-		out[i] = c.b
-	}
-	return out, nil
+	return cands
 }
 
-// tryCandidates executes on the ranked candidates with hedged re-route:
-// overload (shed or breaker-open) moves to the next candidate; any other
-// outcome — success, engine failure, cancellation — is final.
-//
-// The returned epoch is the snapshot epoch the winning backend served at,
-// valid for cache publication only when the backend is also returned non-nil:
-// when the backend's epoch moved while the request was in flight (Swap raced
-// the execution), the answer is still correct for its caller — the server
-// pinned a generation at admission — but this layer can no longer prove
-// *which* epoch it pinned, so it withholds publication rather than risk
-// poisoning the class cache with an answer filed under the wrong epoch.
+// tryCandidates admits the request to the ranked members' gates in order,
+// a hedged re-route: overload (an open circuit) moves to the next
+// candidate; any other outcome — success, engine failure, cancellation — is
+// final. On success it returns the member that served and the snapshot
+// epoch its gate pinned, the epoch the answer is cached under.
 func (r *Router) tryCandidates(ctx context.Context, ranked []*routerBackend, q engine.QueryID, p engine.Params) (*engine.Result, *routerBackend, uint64, error) {
-	cur := r.inflight.Add(1)
-	defer r.inflight.Add(-1)
-	for {
-		old := r.peak.Load()
-		if cur <= old || r.peak.CompareAndSwap(old, cur) {
-			break
-		}
-	}
 	var lastErr error
 	for i, b := range ranked {
 		if ctx.Err() != nil {
@@ -261,20 +255,13 @@ func (r *Router) tryCandidates(ctx context.Context, ranked []*routerBackend, q e
 			}
 			break
 		}
-		e1 := b.srv.Epoch()
-		res, _, err := b.srv.Run(ctx, q, p)
-		e2 := b.srv.Epoch()
+		res, epoch, err := b.srv.execute(ctx, q, p)
 		if err == nil {
 			if i > 0 {
 				r.rerouted.Add(1)
 			}
 			b.served.Add(1)
-			if e1 != e2 {
-				// Epoch moved mid-flight: correct answer, unprovable epoch —
-				// serve it, don't publish it.
-				return res, nil, 0, nil
-			}
-			return res, b, e1, nil
+			return res, b, epoch, nil
 		}
 		if errors.Is(err, engine.ErrOverload) {
 			lastErr = err
@@ -294,7 +281,7 @@ type BackendShare struct {
 	Class  string // answer-equivalence class
 	Served int64  // completions this backend produced
 	Failed int64  // engine errors this backend produced
-	Stats  Stats  // the backend server's own counters
+	Stats  Stats  // the backend's gate counters
 }
 
 // RouterStats is the fleet-level snapshot.
@@ -307,28 +294,29 @@ type RouterStats struct {
 	Shares []BackendShare
 }
 
-// Stats implements Runner with fleet-aggregated counters.
+// Stats implements Runner: the members' gate counters added up (the peak
+// is the highest member's), with the Router's own shedding, deadline,
+// degradation, coalescing and cache counters.
 func (r *Router) Stats() Stats {
 	st := Stats{
-		InFlight:     r.inflight.Load(),
-		PeakInFlight: r.peak.Load(),
-		Shed:         r.shed.Load(),
-		Deadlined:    r.deadline.Load(),
-		Degraded:     r.degraded.Load(),
-		Coalesced:    r.flights.coalesced.Load(),
+		Shed:      r.shed.Load(),
+		Deadlined: r.deadline.Load(),
+		Degraded:  r.degraded.Load(),
+		Coalesced: r.flights.coalesced.Load(),
 	}
 	for _, b := range r.backends {
-		bs := b.srv.Stats()
-		st.Admitted += bs.Admitted
-		st.EngineFailures += bs.EngineFailures
-		st.BreakerDenials += bs.BreakerDenials
-		st.Shed += bs.Shed
-		if bs.BreakerOpen {
-			st.BreakerOpen = true
-		}
+		gs := b.srv.gateStats()
+		st.Admitted += gs.Admitted
+		st.InFlight += gs.InFlight
+		st.PeakInFlight = max(st.PeakInFlight, gs.PeakInFlight)
+		st.EngineFailures += gs.EngineFailures
+		st.BreakerDenials += gs.BreakerDenials
+		st.BreakerOpen = st.BreakerOpen || gs.BreakerOpen
 	}
-	st.CacheHits = r.cache.hits.Load()
-	st.CacheMisses = r.cache.misses.Load()
+	if r.cache != nil {
+		st.CacheHits = r.cache.hits.Load()
+		st.CacheMisses = r.cache.misses.Load()
+	}
 	return st
 }
 
@@ -341,7 +329,7 @@ func (r *Router) RouterStats() RouterStats {
 			Class:  b.class,
 			Served: b.served.Load(),
 			Failed: b.failed.Load(),
-			Stats:  b.srv.Stats(),
+			Stats:  b.srv.gateStats(),
 		})
 	}
 	return rs

@@ -161,7 +161,7 @@ func TestRouterHedgesToNextOnOverload(t *testing.T) {
 	fast := &routeEngine{stubEngine: stubEngine{name: "fast"}, fail: fmt.Errorf("kernel exploded")}
 	slow := &routeEngine{stubEngine: stubEngine{name: "slow"}}
 	backends := []Backend{
-		{Server: New(fast, Options{MaxConcurrent: 1, DisableCache: true, BreakerThreshold: 1}), Config: cost.Config{System: "fast"}, Class: "a"},
+		{Server: New(fast, Options{MaxConcurrent: 1, DisableCache: true}), Config: cost.Config{System: "fast"}, Class: "a"},
 		{Server: New(slow, Options{MaxConcurrent: 1, DisableCache: true}), Config: cost.Config{System: "slow"}, Class: "a"},
 	}
 	r, err := NewRouter(backends, RouterOptions{Model: testModel()})
@@ -169,11 +169,13 @@ func TestRouterHedgesToNextOnOverload(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := engine.DefaultParams()
-	// First request: routed to the cheap backend, whose engine fails — an
-	// engine failure is final (never silently re-run elsewhere), and it
-	// opens the breaker.
-	if _, _, err := r.Run(context.Background(), engine.Q1Regression, p); err == nil {
-		t.Fatal("engine failure swallowed")
+	// The first DefaultBreakerThreshold requests are routed to the cheap
+	// backend, whose engine fails — an engine failure is final (never
+	// silently re-run elsewhere) — and together they open its breaker.
+	for i := 0; i < DefaultBreakerThreshold; i++ {
+		if _, _, err := r.Run(context.Background(), engine.Q1Regression, p); err == nil {
+			t.Fatal("engine failure swallowed")
+		}
 	}
 	// Subsequent requests: the open breaker sheds with ErrOverload, and the
 	// router hedges to the next-cheapest backend instead of failing.
@@ -190,7 +192,7 @@ func TestRouterHedgesToNextOnOverload(t *testing.T) {
 	if rs.Rerouted != 3 {
 		t.Fatalf("rerouted = %d, want 3", rs.Rerouted)
 	}
-	if rs.Shares[0].Failed != 1 {
+	if rs.Shares[0].Failed != DefaultBreakerThreshold {
 		t.Fatalf("failed backend share %+v", rs.Shares[0])
 	}
 }
@@ -268,14 +270,4 @@ func TestRouterCoalescesAcrossFleet(t *testing.T) {
 		t.Fatalf("%d identical cold requests executed %d times, want 1 (single-flight)", twins, got)
 	}
 	checkCoalesced(t, r.Stats(), twins)
-}
-
-func TestRouterRejectsBackendWithOwnCache(t *testing.T) {
-	eng := &routeEngine{stubEngine: stubEngine{name: "fast"}}
-	_, err := NewRouter([]Backend{
-		{Server: New(eng, Options{MaxConcurrent: 1}), Config: cost.Config{System: "fast"}, Class: "a"},
-	}, RouterOptions{})
-	if err == nil {
-		t.Fatal("backend with private cache accepted; double-caching would bypass class keying")
-	}
 }

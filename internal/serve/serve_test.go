@@ -29,6 +29,9 @@ type stubEngine struct {
 	// started, when non-nil, is closed by the first Run.
 	started   chan struct{}
 	startOnce sync.Once
+	// hold, when non-nil, keeps every Run until it is closed (or the
+	// request's context ends).
+	hold chan struct{}
 }
 
 func (s *stubEngine) Name() string                 { return s.name }
@@ -52,6 +55,13 @@ func (s *stubEngine) Run(ctx context.Context, q engine.QueryID, p engine.Params)
 	if s.delay > 0 {
 		select {
 		case <-time.After(s.delay):
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	if s.hold != nil {
+		select {
+		case <-s.hold:
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
@@ -313,7 +323,7 @@ func TestWorkerBudgetSplitAcrossSlots(t *testing.T) {
 }
 
 func TestCacheEvictsFIFO(t *testing.T) {
-	c := NewCache(2)
+	c := newCache(2)
 	mk := func(i int) (Key, *engine.Result) {
 		return Key{System: "s", Fingerprint: fmt.Sprintf("q1|fp%d", i)},
 			&engine.Result{Query: engine.Q1Regression}

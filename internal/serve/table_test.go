@@ -316,10 +316,10 @@ stats admitted=0 inflight=0 peak=0 hits=0 misses=0 coalesced=0 shed=0 denials=0 
 stats admitted=0 inflight=0 peak=0 hits=0 misses=0 coalesced=0 shed=0 denials=0 deadlined=0 failures=0 degraded=0 open=false`,
 	"bad-params/router": `miss badparams tag=- calls=0
 stats admitted=0 inflight=0 peak=0 hits=0 misses=0 coalesced=0 shed=0 denials=0 deadlined=0 failures=0 degraded=0 open=false`,
-	"unsupported/cached": `miss unsupported tag=- calls=1
-stats admitted=1 inflight=0 peak=1 hits=0 misses=1 coalesced=0 shed=0 denials=0 deadlined=0 failures=0 degraded=0 open=false`,
-	"unsupported/uncached": `miss unsupported tag=- calls=1
-stats admitted=1 inflight=0 peak=1 hits=0 misses=0 coalesced=0 shed=0 denials=0 deadlined=0 failures=0 degraded=0 open=false`,
+	"unsupported/cached": `miss unsupported tag=- calls=0
+stats admitted=0 inflight=0 peak=0 hits=0 misses=0 coalesced=0 shed=0 denials=0 deadlined=0 failures=0 degraded=0 open=false`,
+	"unsupported/uncached": `miss unsupported tag=- calls=0
+stats admitted=0 inflight=0 peak=0 hits=0 misses=0 coalesced=0 shed=0 denials=0 deadlined=0 failures=0 degraded=0 open=false`,
 	"unsupported/router": `miss unsupported tag=- calls=0
 stats admitted=0 inflight=0 peak=0 hits=0 misses=0 coalesced=0 shed=0 denials=0 deadlined=0 failures=0 degraded=0 open=false`,
 	"deadline/cached": `miss deadline tag=- calls=1
@@ -330,7 +330,7 @@ miss ok tag=10 calls=2
 stats admitted=2 inflight=0 peak=1 hits=0 misses=0 coalesced=0 shed=0 denials=0 deadlined=1 failures=1 degraded=0 open=false`,
 	"deadline/router": `miss deadline tag=- calls=1
 miss ok tag=10 calls=2
-stats admitted=2 inflight=0 peak=1 hits=0 misses=2 coalesced=0 shed=0 denials=0 deadlined=0 failures=1 degraded=0 open=false`,
+stats admitted=2 inflight=0 peak=1 hits=0 misses=2 coalesced=0 shed=0 denials=0 deadlined=1 failures=1 degraded=0 open=false`,
 	"swap/cached": `miss ok tag=10 calls=1
 swap epoch=1 displaced=true
 miss ok tag=20 calls=2
@@ -359,7 +359,7 @@ miss overload tag=- calls=5
 miss overload tag=- calls=5
 miss overload tag=- calls=5
 miss ok tag=10 calls=6
-stats admitted=6 inflight=0 peak=1 hits=0 misses=13 coalesced=0 shed=0 denials=7 deadlined=0 failures=5 degraded=0 open=false`,
+stats admitted=6 inflight=0 peak=1 hits=0 misses=13 coalesced=0 shed=7 denials=7 deadlined=0 failures=5 degraded=0 open=false`,
 	"breaker/uncached": `miss enginedown tag=- calls=1
 miss enginedown tag=- calls=2
 miss enginedown tag=- calls=3
@@ -373,7 +373,7 @@ miss overload tag=- calls=5
 miss overload tag=- calls=5
 miss overload tag=- calls=5
 miss ok tag=10 calls=6
-stats admitted=6 inflight=0 peak=1 hits=0 misses=0 coalesced=0 shed=0 denials=7 deadlined=0 failures=5 degraded=0 open=false`,
+stats admitted=6 inflight=0 peak=1 hits=0 misses=0 coalesced=0 shed=7 denials=7 deadlined=0 failures=5 degraded=0 open=false`,
 	"breaker/router": `miss enginedown tag=- calls=1
 miss enginedown tag=- calls=2
 miss enginedown tag=- calls=3

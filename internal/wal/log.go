@@ -55,7 +55,7 @@ func openLog(path string, size int64) (*Log, error) {
 }
 
 // enqueue appends rec's encoding to the pending buffer and returns its
-// sequence number, without waiting for durability. Store.Append uses the
+// sequence number before the record is durable. Store.Append uses the
 // enqueue/waitDurable split so WAL order and delta order are assigned under
 // one lock while the fsync wait stays concurrent (that concurrency is what
 // group commit batches).
