@@ -172,7 +172,7 @@ func crashDrill(ctx context.Context, stdout io.Writer, scale float64, seed uint6
 			eng.Close()
 			return err
 		}
-		srv := serve.New(eng, serve.Options{MaxConcurrent: 2, DisableCache: true})
+		srv := serve.New(eng, serve.Options{MaxConcurrent: 2})
 		for _, q := range queries {
 			res, _, err := srv.Run(ctx, q, p)
 			if err != nil {

@@ -125,7 +125,7 @@ func TestWALEpochPinnedAtAdmission(t *testing.T) {
 }
 
 func TestWALEpochSwapRejectsForeignSystem(t *testing.T) {
-	srv := New(&epochStub{stubEngine: stubEngine{name: "stub"}}, Options{DisableCache: true})
+	srv := New(&epochStub{stubEngine: stubEngine{name: "stub"}}, Options{})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("swap of a different system did not panic")
@@ -141,7 +141,7 @@ func TestWALEpochRouterProbe(t *testing.T) {
 	noLeak(t)
 	e0 := &epochStub{stubEngine: stubEngine{name: "stub"}, answer: 10}
 	e1 := &epochStub{stubEngine: stubEngine{name: "stub"}, answer: 20}
-	srv := New(e0, Options{MaxConcurrent: 2, DisableCache: true})
+	srv := New(e0, Options{MaxConcurrent: 2})
 	r, err := NewRouter([]Backend{{Server: srv, Config: cost.Config{System: "stub"}, Class: "dense"}}, RouterOptions{})
 	if err != nil {
 		t.Fatal(err)

@@ -37,7 +37,7 @@ func (f *faultyEngine) Run(ctx context.Context, q engine.QueryID, p engine.Param
 func TestFaultServeContextDeadlineInterruptsQuery(t *testing.T) {
 	noLeak(t)
 	eng := &stubEngine{name: "stub", delay: 10 * time.Second}
-	srv := New(eng, Options{MaxConcurrent: 1, DisableCache: true})
+	srv := New(eng, Options{MaxConcurrent: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	if _, _, err := srv.Run(ctx, engine.Q1Regression, engine.DefaultParams()); !errors.Is(err, engine.ErrDeadlineExceeded) {
@@ -55,7 +55,7 @@ func TestFaultServeContextDeadlineInterruptsQuery(t *testing.T) {
 func TestFaultServeBreakerOpensProbesCloses(t *testing.T) {
 	eng := &faultyEngine{stubEngine: stubEngine{name: "stub"}}
 	eng.fail.Store(true)
-	srv := New(eng, Options{MaxConcurrent: 1, DisableCache: true})
+	srv := New(eng, Options{MaxConcurrent: 1})
 	p := engine.DefaultParams()
 	ctx := context.Background()
 
@@ -101,9 +101,12 @@ func TestFaultServeBreakerOpensProbesCloses(t *testing.T) {
 	if st.BreakerDenials != int64(breakerProbeEvery-1) || st.Shed != st.BreakerDenials {
 		t.Fatalf("BreakerDenials = %d, Shed = %d, want %d each", st.BreakerDenials, st.Shed, breakerProbeEvery-1)
 	}
-	// Closed again: requests flow normally.
-	if _, _, err := srv.Run(ctx, engine.Q1Regression, p); err != nil {
-		t.Fatalf("after close: %v", err)
+	// Closed again: requests flow normally. The probe's answer is cached, so
+	// the next request changes a parameter Q1 reads to reach the engine.
+	next := p
+	next.FunctionThreshold++
+	if _, hit, err := srv.Run(ctx, engine.Q1Regression, next); err != nil || hit {
+		t.Fatalf("after close: hit=%v err=%v, want an executed answer", hit, err)
 	}
 }
 
@@ -113,7 +116,7 @@ func TestFaultServeBreakerOpensProbesCloses(t *testing.T) {
 func TestFaultServeDeadlineWhileQueued(t *testing.T) {
 	noLeak(t)
 	eng := &stubEngine{name: "stub", started: make(chan struct{}), hold: make(chan struct{})}
-	srv := New(eng, Options{MaxConcurrent: 1, DisableCache: true})
+	srv := New(eng, Options{MaxConcurrent: 1})
 	p := engine.DefaultParams()
 
 	holder := make(chan error, 1)

@@ -43,7 +43,7 @@ import (
 type Router struct {
 	backends []*routerBackend
 	model    *cost.Online // nil on a Server's one-member Router
-	cache    *cache       // nil under a Server's DisableCache
+	cache    *cache       // class-keyed results
 	flights  flights
 
 	rerouted atomic.Int64 // served by other than the first-ranked backend
@@ -61,10 +61,9 @@ type Router struct {
 type Backend struct {
 	// Server is the member's admission gate: its width, worker share,
 	// circuit breaker and pinned engine generation. The fleet Router admits
-	// requests to the gate directly, never through Server.Run, so a cache
-	// the Server was built with goes unused (fleet members set
-	// DisableCache); result caching is the fleet Router's, keyed by answer
-	// class.
+	// requests to the gate directly, never through Server.Run, so the
+	// Server's own cache goes unused; result caching is the fleet Router's,
+	// keyed by answer class.
 	Server *Server
 	// Config is the backend's cost-model identity: system and node count.
 	Config cost.Config
@@ -154,10 +153,6 @@ func (r *Router) run(ctx context.Context, q engine.QueryID, p engine.Params) (*e
 	if err != nil {
 		return nil, false, err
 	}
-	if r.cache == nil {
-		res, _, _, err := r.tryCandidates(ctx, ranked, q, p)
-		return res, false, err
-	}
 	// Probe the cache once per distinct answer class, best-ranked class
 	// first: a hit from any backend of a class is valid for every backend
 	// of that class at the same snapshot epoch, and only for them. The probe
@@ -244,16 +239,15 @@ func (r *Router) byCost(pl *plan.Plan, cands []*routerBackend) []*routerBackend 
 // tryCandidates admits the request to the ranked members' gates in order,
 // a hedged re-route: overload (an open circuit) moves to the next
 // candidate; any other outcome — success, engine failure, cancellation — is
-// final. On success it returns the member that served and the snapshot
-// epoch its gate pinned, the epoch the answer is cached under.
+// final. A caller context that has ended before the next gate is tried
+// returns its own error, not an overload: no gate turned the request away.
+// On success it returns the member that served and the snapshot epoch its
+// gate pinned, the epoch the answer is cached under.
 func (r *Router) tryCandidates(ctx context.Context, ranked []*routerBackend, q engine.QueryID, p engine.Params) (*engine.Result, *routerBackend, uint64, error) {
 	var lastErr error
 	for i, b := range ranked {
-		if ctx.Err() != nil {
-			if lastErr == nil {
-				lastErr = ctx.Err()
-			}
-			break
+		if err := ctx.Err(); err != nil {
+			return nil, nil, 0, err
 		}
 		res, epoch, err := b.srv.execute(ctx, q, p)
 		if err == nil {
@@ -313,10 +307,8 @@ func (r *Router) Stats() Stats {
 		st.BreakerDenials += gs.BreakerDenials
 		st.BreakerOpen = st.BreakerOpen || gs.BreakerOpen
 	}
-	if r.cache != nil {
-		st.CacheHits = r.cache.hits.Load()
-		st.CacheMisses = r.cache.misses.Load()
-	}
+	st.CacheHits = r.cache.hits.Load()
+	st.CacheMisses = r.cache.misses.Load()
 	return st
 }
 

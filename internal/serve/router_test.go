@@ -45,8 +45,8 @@ func testModel() *cost.Online {
 
 func routerBackends(fast, slow engine.Engine) []Backend {
 	return []Backend{
-		{Server: New(fast, Options{MaxConcurrent: 2, DisableCache: true}), Config: cost.Config{System: "fast"}, Class: "a"},
-		{Server: New(slow, Options{MaxConcurrent: 2, DisableCache: true}), Config: cost.Config{System: "slow"}, Class: "a"},
+		{Server: New(fast, Options{MaxConcurrent: 2}), Config: cost.Config{System: "fast"}, Class: "a"},
+		{Server: New(slow, Options{MaxConcurrent: 2}), Config: cost.Config{System: "slow"}, Class: "a"},
 	}
 }
 
@@ -125,7 +125,7 @@ func TestRouterNeverSelectsUnsupportedBackend(t *testing.T) {
 func TestRouterOneMemberFleet(t *testing.T) {
 	slow := &routeEngine{stubEngine: stubEngine{name: "slow"}}
 	r, err := NewRouter([]Backend{
-		{Server: New(slow, Options{MaxConcurrent: 2, DisableCache: true}), Config: cost.Config{System: "slow"}, Class: "a"},
+		{Server: New(slow, Options{MaxConcurrent: 2}), Config: cost.Config{System: "slow"}, Class: "a"},
 	}, RouterOptions{Model: testModel()})
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +143,7 @@ func TestRouterOneMemberFleet(t *testing.T) {
 
 	noQ2 := &routeEngine{stubEngine: stubEngine{name: "fast"}, supports: map[engine.QueryID]bool{engine.Q4SVD: true}}
 	r2, err := NewRouter([]Backend{
-		{Server: New(noQ2, Options{MaxConcurrent: 2, DisableCache: true}), Config: cost.Config{System: "fast"}, Class: "a"},
+		{Server: New(noQ2, Options{MaxConcurrent: 2}), Config: cost.Config{System: "fast"}, Class: "a"},
 	}, RouterOptions{Model: testModel()})
 	if err != nil {
 		t.Fatal(err)
@@ -161,8 +161,8 @@ func TestRouterHedgesToNextOnOverload(t *testing.T) {
 	fast := &routeEngine{stubEngine: stubEngine{name: "fast"}, fail: fmt.Errorf("kernel exploded")}
 	slow := &routeEngine{stubEngine: stubEngine{name: "slow"}}
 	backends := []Backend{
-		{Server: New(fast, Options{MaxConcurrent: 1, DisableCache: true}), Config: cost.Config{System: "fast"}, Class: "a"},
-		{Server: New(slow, Options{MaxConcurrent: 1, DisableCache: true}), Config: cost.Config{System: "slow"}, Class: "a"},
+		{Server: New(fast, Options{MaxConcurrent: 1}), Config: cost.Config{System: "fast"}, Class: "a"},
+		{Server: New(slow, Options{MaxConcurrent: 1}), Config: cost.Config{System: "slow"}, Class: "a"},
 	}
 	r, err := NewRouter(backends, RouterOptions{Model: testModel()})
 	if err != nil {
@@ -202,9 +202,9 @@ func TestRouterCacheIsClassKeyed(t *testing.T) {
 	b := &routeEngine{stubEngine: stubEngine{name: "b"}, supports: map[engine.QueryID]bool{engine.Q2Covariance: true}}
 	c := &routeEngine{stubEngine: stubEngine{name: "c"}}
 	r, err := NewRouter([]Backend{
-		{Server: New(a, Options{MaxConcurrent: 1, DisableCache: true}), Config: cost.Config{System: "fast"}, Class: "x"},
-		{Server: New(b, Options{MaxConcurrent: 1, DisableCache: true}), Config: cost.Config{System: "fast", Nodes: 2}, Class: "x"},
-		{Server: New(c, Options{MaxConcurrent: 1, DisableCache: true}), Config: cost.Config{System: "slow"}, Class: "y"},
+		{Server: New(a, Options{MaxConcurrent: 1}), Config: cost.Config{System: "fast"}, Class: "x"},
+		{Server: New(b, Options{MaxConcurrent: 1}), Config: cost.Config{System: "fast", Nodes: 2}, Class: "x"},
+		{Server: New(c, Options{MaxConcurrent: 1}), Config: cost.Config{System: "slow"}, Class: "y"},
 	}, RouterOptions{Model: testModel()})
 	if err != nil {
 		t.Fatal(err)

@@ -84,8 +84,10 @@ type Options struct {
 	// (default parallel.Default(), i.e. GENBASE_PARALLEL or NumCPU). Each
 	// admitted query runs with max(1, WorkerBudget/MaxConcurrent) workers.
 	WorkerBudget int
-	// DisableCache turns result caching off (every query executes). A fleet
-	// member sets it: the Router in front of the fleet owns the cache.
+	// DisableCache is read by nothing. A Server always caches through its
+	// one-member Router, and a fleet member's cache goes unused because the
+	// fleet Router admits to its gate directly; the field is kept because the
+	// benchmark harness still sets it on fleet members.
 	DisableCache bool
 }
 
@@ -172,11 +174,11 @@ func (b *breaker) isOpen() bool {
 	return b.open
 }
 
-// New wraps a loaded engine in an admission gate and a one-member Router
-// over it, with a result cache unless opts.DisableCache. It pins the
-// engine's worker count to the per-slot share of the budget, so it must be
-// called before concurrent queries begin (SetWorkers is not synchronized —
-// by contract it happens while the engine is idle).
+// New wraps a loaded engine in an admission gate and a caching one-member
+// Router over it. It pins the engine's worker count to the per-slot share
+// of the budget, so it must be called before concurrent queries begin
+// (SetWorkers is not synchronized — by contract it happens while the
+// engine is idle).
 func New(eng engine.Engine, opts Options) *Server {
 	maxc := opts.MaxConcurrent
 	if maxc <= 0 {
@@ -199,10 +201,7 @@ func New(eng engine.Engine, opts Options) *Server {
 	// One member is never ranked or listed in shares, so this Router needs
 	// no cost model and its member no cost identity; its answer class is
 	// the system.
-	s.front = &Router{backends: []*routerBackend{{srv: s, class: s.system}}}
-	if !opts.DisableCache {
-		s.front.cache = newCache(0)
-	}
+	s.front = &Router{backends: []*routerBackend{{srv: s, class: s.system}}, cache: newCache(0)}
 	return s
 }
 
@@ -380,8 +379,8 @@ type Stats struct {
 	// PeakInFlight is the highest member's high-water mark of concurrent
 	// executing queries; it can never exceed that member's MaxConcurrent.
 	PeakInFlight int64
-	// CacheHits / CacheMisses are the cache counters, zero when caching is
-	// disabled.
+	// CacheHits / CacheMisses are the Router's result-cache counters (zero
+	// in a BackendShare, which carries only its gate's counters).
 	CacheHits, CacheMisses int64
 	// Coalesced counts requests answered by a twin's execution: they missed
 	// the cache, waited on an identical in-flight query, and found its
@@ -494,10 +493,11 @@ func (c *cache) put(k Key, res *engine.Result) {
 // sync/atomic.(*Int64).Add linked, as they were while the serving layer had
 // a per-request timeout and Router-level in-flight counters. Without them
 // every package linked after those two moves by 32 bytes mod 64, the linalg
-// kernels' hot loops with it, and ingest-serve's kernel cells — which run no
-// serve code — read 5 to 20 % slower (suite_ms, q1, q4; alternating pairs on
-// a 2-vCPU host). The verify skill's layout recipe checks the addresses;
-// delete these with a change that re-checks them.
+// kernels' hot loops with it: in ten alternating ingest-serve pairs on a
+// 2-vCPU host, that build read serve_capacity_qps -16 %, setup_s +17 % and
+// q1_regression_ms +9 % against the build before the timeout was deleted.
+// The verify skill's layout recipe checks the addresses; delete these with
+// a change that re-checks them.
 var keepTimeout, keepAdd any
 
 func init() { keepTimeout, keepAdd = context.WithTimeout, (*atomic.Int64).Add }

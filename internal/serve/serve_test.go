@@ -89,7 +89,7 @@ func noLeak(t *testing.T) {
 func TestAdmissionNeverExceedsWidth(t *testing.T) {
 	noLeak(t)
 	eng := &stubEngine{name: "stub", delay: 5 * time.Millisecond}
-	srv := New(eng, Options{MaxConcurrent: 2, DisableCache: true})
+	srv := New(eng, Options{MaxConcurrent: 2})
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
@@ -290,19 +290,17 @@ func TestCacheKeyIgnoresIrrelevantParams(t *testing.T) {
 }
 
 // Admission rejects out-of-range parameters by compiling the plan — the
-// engine must never see the request, with or without a cache.
+// engine must never see the request.
 func TestAdmissionRejectsBadParams(t *testing.T) {
-	for _, disableCache := range []bool{false, true} {
-		eng := &stubEngine{name: "stub"}
-		srv := New(eng, Options{MaxConcurrent: 2, DisableCache: disableCache})
-		p := engine.DefaultParams()
-		p.SVDK = 0
-		if _, _, err := srv.Run(context.Background(), engine.Q4SVD, p); !errors.Is(err, engine.ErrBadParams) {
-			t.Fatalf("cache=%v: want ErrBadParams, got %v", !disableCache, err)
-		}
-		if got := eng.runs.Load(); got != 0 {
-			t.Fatalf("cache=%v: engine executed %d times for a rejected request", !disableCache, got)
-		}
+	eng := &stubEngine{name: "stub"}
+	srv := New(eng, Options{MaxConcurrent: 2})
+	p := engine.DefaultParams()
+	p.SVDK = 0
+	if _, _, err := srv.Run(context.Background(), engine.Q4SVD, p); !errors.Is(err, engine.ErrBadParams) {
+		t.Fatalf("want ErrBadParams, got %v", err)
+	}
+	if got := eng.runs.Load(); got != 0 {
+		t.Fatalf("engine executed %d times for a rejected request", got)
 	}
 }
 
@@ -385,9 +383,13 @@ func TestConcurrentAnswersBitwiseIdenticalToSerial(t *testing.T) {
 			}
 
 			// Concurrent: C clients each run the full supported list through
-			// the serving layer, cache off so every run truly executes.
+			// the serving layer, one Server per client so that no client's
+			// run is answered from another's cache: every run truly executes.
 			const clients = 4
-			srv := New(eng, Options{MaxConcurrent: clients, DisableCache: true})
+			srvs := make([]*Server, clients)
+			for c := range srvs {
+				srvs[c] = New(eng, Options{MaxConcurrent: 1})
+			}
 			errCh := make(chan error, clients)
 			var wg sync.WaitGroup
 			for c := 0; c < clients; c++ {
@@ -397,7 +399,7 @@ func TestConcurrentAnswersBitwiseIdenticalToSerial(t *testing.T) {
 					for i := range supported {
 						// Stagger starting points so different queries overlap.
 						q := supported[(i+c)%len(supported)]
-						res, _, err := srv.Run(context.Background(), q, params)
+						res, _, err := srvs[c].Run(context.Background(), q, params)
 						if err != nil {
 							errCh <- fmt.Errorf("client %d %s: %w", c, q, err)
 							return
@@ -503,7 +505,10 @@ func TestDistServeConcurrentMatchesSerial(t *testing.T) {
 			}
 
 			const clients = 4
-			srv := New(eng, Options{MaxConcurrent: clients, DisableCache: true})
+			srvs := make([]*Server, clients) // one per client, as above
+			for c := range srvs {
+				srvs[c] = New(eng, Options{MaxConcurrent: 1})
+			}
 			errCh := make(chan error, clients)
 			var wg sync.WaitGroup
 			for c := 0; c < clients; c++ {
@@ -512,7 +517,7 @@ func TestDistServeConcurrentMatchesSerial(t *testing.T) {
 					defer wg.Done()
 					for i := range supported {
 						q := supported[(i+c)%len(supported)]
-						res, _, err := srv.Run(context.Background(), q, params)
+						res, _, err := srvs[c].Run(context.Background(), q, params)
 						if err != nil {
 							errCh <- fmt.Errorf("client %d %s: %w", c, q, err)
 							return

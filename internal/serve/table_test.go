@@ -120,6 +120,8 @@ func errClass(err error) string {
 		return "deadline"
 	case errors.Is(err, engine.ErrOverload):
 		return "overload"
+	case errors.Is(err, context.Canceled):
+		return "canceled"
 	case errors.Is(err, errEngineDown):
 		return "enginedown"
 	}
@@ -142,26 +144,27 @@ func statsLine(st Stats, stampede bool) string {
 }
 
 // TestServeRequestTable holds the serving request path to a recorded table.
-// Each script runs on three fronts: a caching Server, a Server with
-// DisableCache, and a Router over one DisableCache Server. Every step pins
-// its hit flag, error class, answer tag and the engine's Run calls so far;
-// the last line pins the front's final Stats. On a mismatch it logs the
-// observed table in source form.
+// Each script runs on three fronts: a Server, a Server built with the inert
+// DisableCache (its transcript must equal the plain Server's), and a Router
+// over one Server. Every step pins its hit flag, error class, answer tag and
+// the engine's Run calls so far; the last line pins the front's final Stats.
+// On a mismatch it logs the observed table in source form.
 func TestServeRequestTable(t *testing.T) {
 	fronts := []struct {
-		name  string
-		build func(t *testing.T, eng engine.Engine) (Runner, *Server)
+		name   string
+		sameAs string // the front whose recorded cells this one must match
+		build  func(t *testing.T, eng engine.Engine) (Runner, *Server)
 	}{
-		{"cached", func(t *testing.T, eng engine.Engine) (Runner, *Server) {
+		{name: "server", build: func(t *testing.T, eng engine.Engine) (Runner, *Server) {
 			s := New(eng, Options{})
 			return s, s
 		}},
-		{"uncached", func(t *testing.T, eng engine.Engine) (Runner, *Server) {
+		{name: "disablecache", sameAs: "server", build: func(t *testing.T, eng engine.Engine) (Runner, *Server) {
 			s := New(eng, Options{DisableCache: true})
 			return s, s
 		}},
-		{"router", func(t *testing.T, eng engine.Engine) (Runner, *Server) {
-			s := New(eng, Options{DisableCache: true})
+		{name: "router", build: func(t *testing.T, eng engine.Engine) (Runner, *Server) {
+			s := New(eng, Options{})
 			r, err := NewRouter([]Backend{{Server: s, Config: cost.Config{System: "stub"}, Class: "dense"}}, RouterOptions{})
 			if err != nil {
 				t.Fatal(err)
@@ -204,6 +207,18 @@ func TestServeRequestTable(t *testing.T) {
 		}},
 		{name: "deadline", steps: func(x *tableRun) {
 			x.run(newExpiringCtx(), p)
+			x.run(bg, p)
+		}},
+		{name: "cancelled", steps: func(x *tableRun) {
+			ctx, cancel := context.WithCancel(bg)
+			cancel()
+			x.run(ctx, p)
+			x.run(bg, p)
+		}},
+		{name: "expired", steps: func(x *tableRun) {
+			ctx, cancel := context.WithDeadline(bg, time.Unix(0, 0))
+			defer cancel()
+			x.run(ctx, p)
 			x.run(bg, p)
 		}},
 		{name: "swap", steps: func(x *tableRun) {
@@ -264,7 +279,11 @@ func TestServeRequestTable(t *testing.T) {
 				}
 				x.lines = append(x.lines, statsLine(st, sc.name == "stampede"))
 				got[name] = strings.Join(x.lines, "\n")
-				if want := requestTable[name]; got[name] != want {
+				want := requestTable[name]
+				if fr.sameAs != "" {
+					want = requestTable[sc.name+"/"+fr.sameAs]
+				}
+				if got[name] != want {
 					t.Errorf("transcript\n%s\nwant\n%s", got[name], want)
 				}
 			})
@@ -275,6 +294,9 @@ func TestServeRequestTable(t *testing.T) {
 		b.WriteString("observed table:\nvar requestTable = map[string]string{\n")
 		for _, sc := range scripts {
 			for _, fr := range fronts {
+				if fr.sameAs != "" {
+					continue
+				}
 				name := sc.name + "/" + fr.name
 				fmt.Fprintf(&b, "\t%q: `%s`,\n", name, got[name])
 			}
@@ -286,67 +308,59 @@ func TestServeRequestTable(t *testing.T) {
 
 // requestTable is the recorded transcript of every (script, front) cell.
 var requestTable = map[string]string{
-	"repeat/cached": `miss ok tag=10 calls=1
+	"repeat/server": `miss ok tag=10 calls=1
 hit ok tag=10 calls=1
 hit ok tag=10 calls=1
 stats admitted=1 inflight=0 peak=1 hits=2 misses=1 coalesced=0 shed=0 denials=0 deadlined=0 failures=0 degraded=0 open=false`,
-	"repeat/uncached": `miss ok tag=10 calls=1
-miss ok tag=10 calls=2
-miss ok tag=10 calls=3
-stats admitted=3 inflight=0 peak=1 hits=0 misses=0 coalesced=0 shed=0 denials=0 deadlined=0 failures=0 degraded=0 open=false`,
 	"repeat/router": `miss ok tag=10 calls=1
 hit ok tag=10 calls=1
 hit ok tag=10 calls=1
 stats admitted=1 inflight=0 peak=1 hits=2 misses=1 coalesced=0 shed=0 denials=0 deadlined=0 failures=0 degraded=0 open=false`,
-	"ignored-params/cached": `miss ok tag=10 calls=1
+	"ignored-params/server": `miss ok tag=10 calls=1
 hit ok tag=10 calls=1
 miss ok tag=10 calls=2
 stats admitted=2 inflight=0 peak=1 hits=1 misses=2 coalesced=0 shed=0 denials=0 deadlined=0 failures=0 degraded=0 open=false`,
-	"ignored-params/uncached": `miss ok tag=10 calls=1
-miss ok tag=10 calls=2
-miss ok tag=10 calls=3
-stats admitted=3 inflight=0 peak=1 hits=0 misses=0 coalesced=0 shed=0 denials=0 deadlined=0 failures=0 degraded=0 open=false`,
 	"ignored-params/router": `miss ok tag=10 calls=1
 hit ok tag=10 calls=1
 miss ok tag=10 calls=2
 stats admitted=2 inflight=0 peak=1 hits=1 misses=2 coalesced=0 shed=0 denials=0 deadlined=0 failures=0 degraded=0 open=false`,
-	"bad-params/cached": `miss badparams tag=- calls=0
-stats admitted=0 inflight=0 peak=0 hits=0 misses=0 coalesced=0 shed=0 denials=0 deadlined=0 failures=0 degraded=0 open=false`,
-	"bad-params/uncached": `miss badparams tag=- calls=0
+	"bad-params/server": `miss badparams tag=- calls=0
 stats admitted=0 inflight=0 peak=0 hits=0 misses=0 coalesced=0 shed=0 denials=0 deadlined=0 failures=0 degraded=0 open=false`,
 	"bad-params/router": `miss badparams tag=- calls=0
 stats admitted=0 inflight=0 peak=0 hits=0 misses=0 coalesced=0 shed=0 denials=0 deadlined=0 failures=0 degraded=0 open=false`,
-	"unsupported/cached": `miss unsupported tag=- calls=0
-stats admitted=0 inflight=0 peak=0 hits=0 misses=0 coalesced=0 shed=0 denials=0 deadlined=0 failures=0 degraded=0 open=false`,
-	"unsupported/uncached": `miss unsupported tag=- calls=0
+	"unsupported/server": `miss unsupported tag=- calls=0
 stats admitted=0 inflight=0 peak=0 hits=0 misses=0 coalesced=0 shed=0 denials=0 deadlined=0 failures=0 degraded=0 open=false`,
 	"unsupported/router": `miss unsupported tag=- calls=0
 stats admitted=0 inflight=0 peak=0 hits=0 misses=0 coalesced=0 shed=0 denials=0 deadlined=0 failures=0 degraded=0 open=false`,
-	"deadline/cached": `miss deadline tag=- calls=1
+	"deadline/server": `miss deadline tag=- calls=1
 miss ok tag=10 calls=2
 stats admitted=2 inflight=0 peak=1 hits=0 misses=2 coalesced=0 shed=0 denials=0 deadlined=1 failures=1 degraded=0 open=false`,
-	"deadline/uncached": `miss deadline tag=- calls=1
-miss ok tag=10 calls=2
-stats admitted=2 inflight=0 peak=1 hits=0 misses=0 coalesced=0 shed=0 denials=0 deadlined=1 failures=1 degraded=0 open=false`,
 	"deadline/router": `miss deadline tag=- calls=1
 miss ok tag=10 calls=2
 stats admitted=2 inflight=0 peak=1 hits=0 misses=2 coalesced=0 shed=0 denials=0 deadlined=1 failures=1 degraded=0 open=false`,
-	"swap/cached": `miss ok tag=10 calls=1
+	"cancelled/server": `miss canceled tag=- calls=0
+miss ok tag=10 calls=1
+stats admitted=1 inflight=0 peak=1 hits=0 misses=2 coalesced=0 shed=0 denials=0 deadlined=0 failures=0 degraded=0 open=false`,
+	"cancelled/router": `miss canceled tag=- calls=0
+miss ok tag=10 calls=1
+stats admitted=1 inflight=0 peak=1 hits=0 misses=2 coalesced=0 shed=0 denials=0 deadlined=0 failures=0 degraded=0 open=false`,
+	"expired/server": `miss deadline tag=- calls=0
+miss ok tag=10 calls=1
+stats admitted=1 inflight=0 peak=1 hits=0 misses=2 coalesced=0 shed=0 denials=0 deadlined=1 failures=0 degraded=0 open=false`,
+	"expired/router": `miss deadline tag=- calls=0
+miss ok tag=10 calls=1
+stats admitted=1 inflight=0 peak=1 hits=0 misses=2 coalesced=0 shed=0 denials=0 deadlined=1 failures=0 degraded=0 open=false`,
+	"swap/server": `miss ok tag=10 calls=1
 swap epoch=1 displaced=true
 miss ok tag=20 calls=2
 hit ok tag=20 calls=2
 stats admitted=2 inflight=0 peak=1 hits=1 misses=2 coalesced=0 shed=0 denials=0 deadlined=0 failures=0 degraded=0 open=false`,
-	"swap/uncached": `miss ok tag=10 calls=1
-swap epoch=1 displaced=true
-miss ok tag=20 calls=2
-miss ok tag=20 calls=3
-stats admitted=3 inflight=0 peak=1 hits=0 misses=0 coalesced=0 shed=0 denials=0 deadlined=0 failures=0 degraded=0 open=false`,
 	"swap/router": `miss ok tag=10 calls=1
 swap epoch=1 displaced=true
 miss ok tag=20 calls=2
 hit ok tag=20 calls=2
 stats admitted=2 inflight=0 peak=1 hits=1 misses=2 coalesced=0 shed=0 denials=0 deadlined=0 failures=0 degraded=0 open=false`,
-	"breaker/cached": `miss enginedown tag=- calls=1
+	"breaker/server": `miss enginedown tag=- calls=1
 miss enginedown tag=- calls=2
 miss enginedown tag=- calls=3
 miss enginedown tag=- calls=4
@@ -360,20 +374,6 @@ miss overload tag=- calls=5
 miss overload tag=- calls=5
 miss ok tag=10 calls=6
 stats admitted=6 inflight=0 peak=1 hits=0 misses=13 coalesced=0 shed=7 denials=7 deadlined=0 failures=5 degraded=0 open=false`,
-	"breaker/uncached": `miss enginedown tag=- calls=1
-miss enginedown tag=- calls=2
-miss enginedown tag=- calls=3
-miss enginedown tag=- calls=4
-miss enginedown tag=- calls=5
-miss overload tag=- calls=5
-miss overload tag=- calls=5
-miss overload tag=- calls=5
-miss overload tag=- calls=5
-miss overload tag=- calls=5
-miss overload tag=- calls=5
-miss overload tag=- calls=5
-miss ok tag=10 calls=6
-stats admitted=6 inflight=0 peak=1 hits=0 misses=0 coalesced=0 shed=7 denials=7 deadlined=0 failures=5 degraded=0 open=false`,
 	"breaker/router": `miss enginedown tag=- calls=1
 miss enginedown tag=- calls=2
 miss enginedown tag=- calls=3
@@ -388,10 +388,8 @@ miss overload tag=- calls=5
 miss overload tag=- calls=5
 miss ok tag=10 calls=6
 stats admitted=6 inflight=0 peak=1 hits=0 misses=13 coalesced=0 shed=7 denials=7 deadlined=0 failures=5 degraded=0 open=false`,
-	"stampede/cached": `8 twins: ok tag=10 .. ok tag=10 hits=7 calls=1
+	"stampede/server": `8 twins: ok tag=10 .. ok tag=10 hits=7 calls=1
 stats admitted=1 inflight=0 hits=7 misses-coalesced=1 shed=0 denials=0 deadlined=0 failures=0 degraded=0 open=false`,
-	"stampede/uncached": `8 twins: ok tag=10 .. ok tag=10 hits=0 calls=8
-stats admitted=8 inflight=0 hits=0 misses-coalesced=0 shed=0 denials=0 deadlined=0 failures=0 degraded=0 open=false`,
 	"stampede/router": `8 twins: ok tag=10 .. ok tag=10 hits=7 calls=1
 stats admitted=1 inflight=0 hits=7 misses-coalesced=1 shed=0 denials=0 deadlined=0 failures=0 degraded=0 open=false`,
 }

@@ -63,7 +63,7 @@ func fleetUnderTest(t *testing.T) ([]core.FleetMember, func() []serve.Backend) {
 		out := make([]serve.Backend, len(fleet))
 		for i, m := range fleet {
 			out[i] = serve.Backend{
-				Server: serve.New(engines[i], serve.Options{MaxConcurrent: 2, DisableCache: true}),
+				Server: serve.New(engines[i], serve.Options{MaxConcurrent: 2}),
 				Config: m.Config,
 				Class:  m.Class,
 			}
