@@ -109,6 +109,7 @@ func (mk *Masker) Mask(work *linalg.Matrix, bc *Bicluster) {
 // node deletion, node addition) on the working matrix. opts must already
 // have defaults resolved (see Options.WithDefaults). Returns nil when no
 // sub-matrix reaches the delta threshold.
+// Test seam: the root package's TestChengChurchMatchesReference.
 func FindOne(work *linalg.Matrix, opts Options) *Bicluster {
 	bc, _ := FindOneCtx(context.Background(), work, opts)
 	return bc

@@ -1,7 +1,7 @@
 // Package cluster simulates a multi-node cluster with virtual time. Real
 // wall-clock on one host cannot exhibit multi-node speedup; instead, every
 // distributed operator executes its real per-partition work (serially on a
-// single-core host, concurrently across nodes via ExecAll when the host has
+// single-core host, concurrently across nodes via RunNodes when the host has
 // spare cores) while the simulator charges each measured duration to the
 // owning virtual node's clock and charges communication with a
 // latency/bandwidth model. Virtual nodes model the paper's one-kernel-at-a-
@@ -115,7 +115,7 @@ type Cluster struct {
 	MessagesSent int64
 	BytesSent    int64
 
-	// Fault-recovery stats (atomic: nodes run concurrently under ExecAll).
+	// Fault-recovery stats (atomic: nodes run concurrently under RunNodes).
 	// Retries counts in-place transient retries, Failovers shard re-executions
 	// on a replica after an owner death, Hedges speculative re-routes of a
 	// straggler's shard. Any non-zero value marks the run degraded.
@@ -166,21 +166,10 @@ func (c *Cluster) Reset() {
 
 // IsDead reports whether a node has fail-stopped. Only the goroutine running
 // a node's work writes its slot, and shard routing reads it between waves, so
-// the usual ExecAll ownership discipline keeps this race-free.
+// the usual RunNodes ownership discipline keeps this race-free.
 func (c *Cluster) IsDead(node int) bool {
 	c.checkNode(node)
 	return c.dead[node]
-}
-
-// LiveNodes returns the number of nodes that have not fail-stopped.
-func (c *Cluster) LiveNodes() int {
-	n := 0
-	for _, d := range c.dead {
-		if !d {
-			n++
-		}
-	}
-	return n
 }
 
 // Coordinator returns the lowest-numbered live node — the node that runs
@@ -315,16 +304,7 @@ func (c *Cluster) ExecCoordinator(fn func() error) error {
 	return fmt.Errorf("coordinator: %w", errors.Join(append(attempts, engine.ErrReplicasExhausted)...))
 }
 
-// ExecAll runs fn(node) once per node, charging each node's measured
-// duration to its own clock. See ExecAllCtx for the scheduling and error
-// semantics.
-func (c *Cluster) ExecAll(fn func(node int) error) error {
-	return c.ExecAllCtx(context.Background(), func(_ context.Context, node int) error {
-		return fn(node)
-	})
-}
-
-// ExecAllCtx runs fn(ctx, node) once per node. When the host has at least
+// RunNodes runs fn(ctx, node) once per node. When the host has at least
 // one CPU per node the closures run concurrently — real clusters run their
 // nodes in parallel, and each closure's wall-clock is still measured
 // individually — otherwise they run serially in node order: with fewer cores
@@ -341,18 +321,10 @@ func (c *Cluster) ExecAll(fn func(node int) error) error {
 // Sibling cancellations themselves are filtered out of the aggregate when a
 // real error is present (and the parent context is still live), so callers
 // see causes, not echoes.
-func (c *Cluster) ExecAllCtx(ctx context.Context, fn func(ctx context.Context, node int) error) error {
-	return c.RunNodes(ctx, func(cctx context.Context, i int) error {
-		return c.ExecCtx(cctx, i, func() error { return fn(cctx, i) })
-	})
-}
-
-// RunNodes applies ExecAll's scheduling policy — concurrent when the host
-// has a core per node, serial in node order otherwise — and its error
-// semantics (first failure cancels the shared context, all errors joined)
-// WITHOUT wrapping each node in Exec. Callers that need per-unit fault and
-// timing granularity (the shard scheduler) issue their own Exec calls per
-// work item inside fn.
+//
+// Unlike Exec, RunNodes does not wrap a node's work in a fault-injected,
+// timed step: callers that need per-unit fault and timing granularity (the
+// shard scheduler) issue their own ExecCtx calls per work item inside fn.
 func (c *Cluster) RunNodes(ctx context.Context, fn func(ctx context.Context, node int) error) error {
 	n := c.cfg.Nodes
 	cctx, cancel := context.WithCancel(ctx)
@@ -508,25 +480,6 @@ func (c *Cluster) MakespanSeconds() float64 {
 		}
 	}
 	return max
-}
-
-// Partition splits n items into per-node contiguous ranges: node i owns
-// [starts[i], starts[i+1]).
-func (c *Cluster) Partition(n int) []int {
-	nodes := c.cfg.Nodes
-	starts := make([]int, nodes+1)
-	per := n / nodes
-	rem := n % nodes
-	pos := 0
-	for i := 0; i < nodes; i++ {
-		starts[i] = pos
-		pos += per
-		if i < rem {
-			pos++
-		}
-	}
-	starts[nodes] = n
-	return starts
 }
 
 func (c *Cluster) checkNode(n int) {

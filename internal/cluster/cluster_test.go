@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -23,7 +24,7 @@ func steppedConfig(nodes int, tick time.Duration) Config {
 	return cfg
 }
 
-// With an injected clock every exec costs one tick, and ExecAll runs its
+// With an injected clock every exec costs one tick, and ExecAllCtx runs its
 // nodes serially so the readings do not interleave.
 func TestInjectedClockChargesExactTicks(t *testing.T) {
 	const tick = 10 * time.Millisecond
@@ -33,7 +34,7 @@ func TestInjectedClockChargesExactTicks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := c.ExecAll(func(int) error { return nil }); err != nil {
+	if err := c.ExecAllCtx(context.Background(), func(context.Context, int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	per := tick.Seconds()
@@ -149,32 +150,6 @@ func TestAllReduceSynchronizes(t *testing.T) {
 	}
 }
 
-func TestPartitionCoversAll(t *testing.T) {
-	f := func(n uint16, nodes uint8) bool {
-		c := New(DefaultConfig(int(nodes%7) + 1))
-		starts := c.Partition(int(n))
-		if starts[0] != 0 || starts[len(starts)-1] != int(n) {
-			return false
-		}
-		for i := 1; i < len(starts); i++ {
-			if starts[i] < starts[i-1] {
-				return false
-			}
-			// Balanced within one item.
-			if int(n) >= c.Nodes() {
-				size := starts[i] - starts[i-1]
-				if size < int(n)/c.Nodes() || size > int(n)/c.Nodes()+1 {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestResetClearsState(t *testing.T) {
 	c := New(DefaultConfig(2))
 	c.Charge(0, 3)
@@ -182,25 +157,5 @@ func TestResetClearsState(t *testing.T) {
 	c.Reset()
 	if c.MakespanSeconds() != 0 || c.MessagesSent != 0 || c.BytesSent != 0 {
 		t.Fatal("reset incomplete")
-	}
-}
-
-func TestMoreNodesShrinkComputeMakespan(t *testing.T) {
-	// A fixed amount of divisible work should take less virtual time on more
-	// nodes — the core property behind Figure 3.
-	work := func(nodes int) float64 {
-		c := New(DefaultConfig(nodes))
-		total := 80
-		starts := c.Partition(total)
-		for i := 0; i < nodes; i++ {
-			units := starts[i+1] - starts[i]
-			c.Charge(i, float64(units)*0.01)
-		}
-		c.Barrier()
-		return c.MakespanSeconds()
-	}
-	t1, t2, t4 := work(1), work(2), work(4)
-	if !(t4 < t2 && t2 < t1) {
-		t.Fatalf("scaling broken: %v %v %v", t1, t2, t4)
 	}
 }

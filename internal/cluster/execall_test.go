@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"testing"
 )
@@ -8,7 +9,7 @@ import (
 func TestExecAllChargesEveryNode(t *testing.T) {
 	c := New(DefaultConfig(4))
 	seen := make([]int, 4)
-	if err := c.ExecAll(func(node int) error {
+	if err := c.ExecAllCtx(context.Background(), func(_ context.Context, node int) error {
 		seen[node]++
 		// A little real work so every clock advances.
 		s := 0.0
@@ -26,14 +27,14 @@ func TestExecAllChargesEveryNode(t *testing.T) {
 		}
 	}
 	if c.MakespanSeconds() <= 0 {
-		t.Fatal("ExecAll charged no virtual time")
+		t.Fatal("ExecAllCtx charged no virtual time")
 	}
 }
 
 func TestExecAllSurfacesError(t *testing.T) {
 	c := New(DefaultConfig(3))
 	want := errors.New("node 1 broke")
-	err := c.ExecAll(func(node int) error {
+	err := c.ExecAllCtx(context.Background(), func(_ context.Context, node int) error {
 		if node == 1 {
 			return want
 		}

@@ -2,7 +2,7 @@ package cluster_test
 
 // Fault-path tests for the virtual cluster (DESIGN.md §14): fail-stop
 // crashes, in-place transient retries, the per-exec virtual timeout,
-// ExecAll's join-all-errors/cancel-siblings contract, and coordinator
+// ExecAllCtx's join-all-errors/cancel-siblings contract, and coordinator
 // failover. The external test package lets these use internal/faults as the
 // injector, exactly as production callers do.
 
@@ -173,7 +173,7 @@ func TestFaultRunNodesJoinsAllErrors(t *testing.T) {
 	}
 }
 
-// ExecAll's first failure cancels the shared context; siblings that honor it
+// ExecAllCtx's first failure cancels the shared context; siblings that honor it
 // stop early instead of running to completion, and their cancellations are
 // filtered from the aggregate so callers see the cause, not echoes.
 func TestFaultExecAllCancelsSiblings(t *testing.T) {

@@ -6,6 +6,27 @@ import (
 	"testing"
 )
 
+// EncodedBytes is the in-memory payload size of the encoded form.
+func (p *FloatPage) EncodedBytes() int {
+	if p.enc == RLE {
+		return 12 * len(p.runBits)
+	}
+	return 8 * len(p.raw)
+}
+
+// EncodedBytes is the in-memory payload size of the encoded form.
+func (p *IntPage) EncodedBytes() int {
+	switch p.enc {
+	case RLE:
+		return 12 * len(p.runVals)
+	case Dict:
+		return 8*len(p.dict) + 8*len(p.words)
+	case Packed:
+		return 8 + 8*len(p.words)
+	}
+	return 8 * len(p.raw)
+}
+
 // intShapes are the column shapes the builder must recognize, each paired
 // with the encoding the size heuristic should pick.
 func intShapes() map[string]struct {

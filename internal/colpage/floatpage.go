@@ -53,14 +53,6 @@ func (p *FloatPage) Len() int { return p.n }
 // Encoding reports the chosen encoding.
 func (p *FloatPage) Encoding() Encoding { return p.enc }
 
-// EncodedBytes is the in-memory payload size of the encoded form.
-func (p *FloatPage) EncodedBytes() int {
-	if p.enc == RLE {
-		return 12 * len(p.runBits)
-	}
-	return 8 * len(p.raw)
-}
-
 // At decodes one value.
 func (p *FloatPage) At(i int) float64 {
 	if p.enc == RLE {

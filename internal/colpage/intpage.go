@@ -172,19 +172,6 @@ func (p *IntPage) Len() int { return p.n }
 // Encoding reports the chosen encoding.
 func (p *IntPage) Encoding() Encoding { return p.enc }
 
-// EncodedBytes is the in-memory payload size of the encoded form.
-func (p *IntPage) EncodedBytes() int {
-	switch p.enc {
-	case RLE:
-		return 12 * len(p.runVals)
-	case Dict:
-		return 8*len(p.dict) + 8*len(p.words)
-	case Packed:
-		return 8 + 8*len(p.words)
-	}
-	return 8 * len(p.raw)
-}
-
 // At decodes one value.
 func (p *IntPage) At(i int) int64 {
 	switch p.enc {

@@ -63,9 +63,6 @@ func PresetDims(s Size, scale float64) (Dims, error) {
 	return d, nil
 }
 
-// Sizes lists the presets in ascending order.
-func Sizes() []Size { return []Size{Small, Medium, Large, XLarge} }
-
 // Patient is one row of the patient metadata table (paper §3.1.2).
 type Patient struct {
 	ID           int32

@@ -84,8 +84,8 @@ func Generate(cfg Config) (*Dataset, error) {
 	return ds, nil
 }
 
-// MustGenerate is Generate for known-good configs (presets used in tests and
-// benches); it panics on error.
+// MustGenerate is Generate for known-good configs; it panics on error.
+// Test seam: the engine packages' test datasets and the root close_test.go.
 func MustGenerate(cfg Config) *Dataset {
 	ds, err := Generate(cfg)
 	if err != nil {

@@ -2,9 +2,9 @@
 // by row blocks over the virtual cluster, with distributed Gram products,
 // column statistics, mat-vec (for Lanczos), and least squares. Per-node
 // compute is real executed Go, with the per-node partials of every reduction
-// running concurrently through cluster.ExecAll when the host has spare cores
-// (each node's kernel pinned to one worker so virtual-time calibration is
-// unchanged); communication and synchronization are charged to the cluster's
+// running concurrently through cluster.RunNodes when the host has spare
+// cores (each node's kernel pinned to one worker so virtual-time calibration
+// is unchanged); communication and synchronization are charged to the cluster's
 // virtual clocks.
 //
 // # Shards versus nodes
@@ -38,7 +38,7 @@ import (
 const DefaultNumericShards = 4
 
 // ShardOwners places shards contiguous-first onto nodes: the same split rule
-// cluster.Partition applies to rows, so at shards == nodes every shard sits
+// partitionRows applies to rows, so at shards == nodes every shard sits
 // on its own node. Extra nodes beyond the shard count stay idle — the
 // chunk-limited parallelism real fixed-chunk stores exhibit.
 func ShardOwners(shards, nodes int) []int {
@@ -114,34 +114,8 @@ func (d *DistMatrix) replicas() [][]int {
 	return out
 }
 
-// Distribute scatters m from the coordinator (node 0) into
-// DefaultNumericShards row blocks placed contiguously over the nodes,
-// charging the scatter communication.
-func Distribute(c *cluster.Cluster, m *linalg.Matrix) *DistMatrix {
-	starts := partitionRows(m.Rows, DefaultNumericShards)
-	shards := len(starts) - 1
-	d := &DistMatrix{C: c, Starts: starts, Cols: m.Cols,
-		Owners:   ShardOwners(shards, c.Nodes()),
-		Replicas: ReplicaPlacement(shards, c.Nodes(), c.ReplicationFactor())}
-	for s := 0; s+1 < len(starts); s++ {
-		rows := starts[s+1] - starts[s]
-		part := linalg.NewMatrix(rows, m.Cols)
-		for r := 0; r < rows; r++ {
-			copy(part.Row(r), m.Row(starts[s]+r))
-		}
-		d.Parts = append(d.Parts, part)
-		for _, o := range d.Replicas[s] {
-			if o != 0 {
-				c.Send(0, o, int64(rows)*int64(m.Cols)*8)
-			}
-		}
-	}
-	c.Barrier()
-	return d
-}
-
-// partitionRows splits n rows into the given number of contiguous blocks
-// (cluster.Partition's rule, independent of any cluster).
+// partitionRows splits n rows into the given number of contiguous blocks,
+// sizes differing by at most one, the larger blocks first.
 func partitionRows(n, blocks int) []int {
 	if blocks < 1 {
 		blocks = 1

@@ -12,6 +12,32 @@ import (
 	"github.com/genbase/genbase/internal/linalg"
 )
 
+// Distribute scatters m from the coordinator (node 0) into
+// DefaultNumericShards row blocks placed contiguously over the nodes,
+// charging the scatter communication.
+func Distribute(c *cluster.Cluster, m *linalg.Matrix) *DistMatrix {
+	starts := partitionRows(m.Rows, DefaultNumericShards)
+	shards := len(starts) - 1
+	d := &DistMatrix{C: c, Starts: starts, Cols: m.Cols,
+		Owners:   ShardOwners(shards, c.Nodes()),
+		Replicas: ReplicaPlacement(shards, c.Nodes(), c.ReplicationFactor())}
+	for s := 0; s+1 < len(starts); s++ {
+		rows := starts[s+1] - starts[s]
+		part := linalg.NewMatrix(rows, m.Cols)
+		for r := 0; r < rows; r++ {
+			copy(part.Row(r), m.Row(starts[s]+r))
+		}
+		d.Parts = append(d.Parts, part)
+		for _, o := range d.Replicas[s] {
+			if o != 0 {
+				c.Send(0, o, int64(rows)*int64(m.Cols)*8)
+			}
+		}
+	}
+	c.Barrier()
+	return d
+}
+
 func randMatrix(r, c int, seed uint64) *linalg.Matrix {
 	rng := datagen.NewRNG(seed)
 	m := linalg.NewMatrix(r, c)
@@ -65,7 +91,7 @@ func TestCovarianceMatchesDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := linalg.Covariance(m)
+	want := linalg.CovarianceP(m, 0)
 	if linalg.MaxAbsDiff(cov, want) > 1e-10 {
 		t.Fatalf("diff %v", linalg.MaxAbsDiff(cov, want))
 	}
@@ -235,6 +261,52 @@ func TestGramVirtualTimeScales(t *testing.T) {
 	// Sub-linear: 4 nodes must not be 4× faster (communication overhead).
 	if times[1]/times[4] >= 4 {
 		t.Fatalf("scaling suspiciously ideal: %v", times)
+	}
+}
+
+func TestPartitionRowsCoversAll(t *testing.T) {
+	f := func(n uint16, nodes uint8) bool {
+		blocks := int(nodes%7) + 1
+		starts := PartitionRows(int(n), blocks)
+		if starts[0] != 0 || starts[len(starts)-1] != int(n) {
+			return false
+		}
+		for i := 1; i < len(starts); i++ {
+			if starts[i] < starts[i-1] {
+				return false
+			}
+			// Balanced within one item.
+			if int(n) >= blocks {
+				size := starts[i] - starts[i-1]
+				if size < int(n)/blocks || size > int(n)/blocks+1 {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestMoreNodesShrinkComputeMakespan(t *testing.T) {
+	// A fixed amount of divisible work should take less virtual time on more
+	// nodes — the core property behind Figure 3.
+	work := func(nodes int) float64 {
+		c := cluster.New(cluster.DefaultConfig(nodes))
+		total := 80
+		starts := PartitionRows(total, nodes)
+		for i := 0; i < nodes; i++ {
+			units := starts[i+1] - starts[i]
+			c.Charge(i, float64(units)*0.01)
+		}
+		c.Barrier()
+		return c.MakespanSeconds()
+	}
+	t1, t2, t4 := work(1), work(2), work(4)
+	if !(t4 < t2 && t2 < t1) {
+		t.Fatalf("scaling broken: %v %v %v", t1, t2, t4)
 	}
 }
 

@@ -3,10 +3,9 @@
 // it names which per-node execution steps crash, which fail transiently, and
 // which nodes run slow — no wall clock, no global randomness — so any fault
 // drill can be replayed bit for bit from its textual spec, and the injected
-// behavior is identical on the serial and concurrent ExecAll paths.
+// behavior is identical on the serial and concurrent RunNodes paths.
 //
-// The textual form (the genbase-bench -faults flag) is a comma-separated
-// list of directives:
+// The textual form is a comma-separated list of directives:
 //
 //	crash:N@K   node N fail-stops at its K-th exec (0-based; K and later
 //	            execs fail without running — fail-stop, no recovery)
@@ -157,6 +156,8 @@ func sortedKeys[V any](m map[int]V) []int {
 
 // Parse builds a plan from its textual form (see the package comment). An
 // empty string is the fault-free plan.
+// Test seam: the root package's fault drills (fault_test.go) and serve's
+// TestDistServeConcurrentMatchesSerial.
 func Parse(s string) (*Plan, error) {
 	p := New()
 	s = strings.TrimSpace(s)
@@ -221,6 +222,7 @@ func parseBounded(s string, max int, what string) (int, error) {
 // size from a seed: one crash, one straggler, and one flaky step, spread over
 // distinct nodes (when the cluster has enough). The same (nodes, seed) always
 // yields the same plan — the replayable "random" drill.
+// Test seam: the root package's TestFaultGoldenInvariance.
 func Seeded(nodes int, seed uint64) *Plan {
 	if nodes < 1 {
 		nodes = 1

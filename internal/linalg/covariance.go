@@ -2,19 +2,11 @@ package linalg
 
 import "github.com/genbase/genbase/internal/parallel"
 
-// ColumnMeansP returns the mean of each column of a, computed by workers
-// goroutines (0 = the GENBASE_PARALLEL / NumCPU default). Columns are
-// partitioned across workers; each column still sums rows in ascending order,
-// so the result is bitwise identical at any worker count.
-func ColumnMeansP(a *Matrix, workers int) []float64 {
-	means := make([]float64, a.Cols)
-	columnMeansInto(means, a, workers)
-	return means
-}
-
 // columnMeansInto computes column means into dst (len a.Cols, overwritten).
-// Same accumulation order as ColumnMeansP — bitwise identical. The serial
-// path calls the range body directly (no closure, no allocation).
+// Columns are partitioned across workers (0 = the GENBASE_PARALLEL / NumCPU
+// default); each column still sums rows in ascending order, so the result is
+// bitwise identical at any worker count. The serial path calls the range
+// body directly (no closure, no allocation).
 func columnMeansInto(dst []float64, a *Matrix, workers int) {
 	for j := range dst {
 		dst[j] = 0
@@ -43,18 +35,9 @@ func columnSumRange(dst []float64, a *Matrix, lo, hi int) {
 	}
 }
 
-// CenterColumnsP returns a copy of a with each column shifted to zero mean,
-// computed by workers goroutines (0 = the default; rows are independent, so
-// the partition cannot affect the result).
-func CenterColumnsP(a *Matrix, workers int) *Matrix {
-	out := NewMatrix(a.Rows, a.Cols)
-	centerColumnsInto(out, a, workers)
-	return out
-}
-
 // centerColumnsInto centers a's columns into out (same shape, fully
-// overwritten). Means come from pooled scratch; the arithmetic and its order
-// match CenterColumnsP exactly.
+// overwritten). Means come from pooled scratch; rows are independent, so the
+// worker partition cannot affect the result.
 func centerColumnsInto(out *Matrix, a *Matrix, workers int) {
 	means := GetSlice(a.Cols)
 	columnMeansInto(means, a, workers)
@@ -76,16 +59,13 @@ func centerRange(out, a *Matrix, means []float64, lo, hi int) {
 	}
 }
 
-// Covariance returns the unbiased sample covariance matrix of the columns of
+// CovarianceP returns the unbiased sample covariance matrix of the columns of
 // a: C = XᵀX/(n−1) where X is column-centered a. This is Q2's analytics
-// kernel. With fewer than two rows the result is all zeros.
-func Covariance(a *Matrix) *Matrix { return CovarianceP(a, 0) }
-
-// CovarianceP is Covariance with an explicit worker count; every stage
-// (column means, centering, the Gram product) runs on the shared pool and is
-// bitwise deterministic across worker counts. The centered intermediate is
-// pooled scratch, so a warm covariance loop allocates only the output Gram
-// matrix.
+// kernel. With fewer than two rows the result is all zeros. Every stage
+// (column means, centering, the Gram product) runs on the shared pool with
+// workers goroutines (0 = the default) and is bitwise deterministic across
+// worker counts. The centered intermediate is pooled scratch, so a warm
+// covariance loop allocates only the output Gram matrix.
 func CovarianceP(a *Matrix, workers int) *Matrix {
 	if a.Rows < 2 {
 		return NewMatrix(a.Cols, a.Cols)

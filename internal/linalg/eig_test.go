@@ -291,7 +291,7 @@ func TestTopKSVDTripletConsistency(t *testing.T) {
 func TestCovarianceKnown(t *testing.T) {
 	// Two perfectly anticorrelated columns.
 	a := FromRows([][]float64{{1, -1}, {2, -2}, {3, -3}})
-	c := Covariance(a)
+	c := CovarianceP(a, 0)
 	if !almostEqual(c.At(0, 0), 1, 1e-12) || !almostEqual(c.At(0, 1), -1, 1e-12) {
 		t.Fatalf("cov=%v", c.Data)
 	}
@@ -299,7 +299,7 @@ func TestCovarianceKnown(t *testing.T) {
 
 func TestCovarianceMatchesPairwise(t *testing.T) {
 	a := randMatrix(50, 6, 321)
-	c := Covariance(a)
+	c := CovarianceP(a, 0)
 	// Spot-check against the definitional pairwise formula.
 	for j := 0; j < 6; j++ {
 		for k := j; k < 6; k++ {
@@ -322,7 +322,7 @@ func TestCovarianceMatchesPairwise(t *testing.T) {
 func TestCovariancePSD(t *testing.T) {
 	f := func(seed uint64) bool {
 		a := randMatrix(int(seed%30)+3, int((seed>>8)%8)+2, seed)
-		c := Covariance(a)
+		c := CovarianceP(a, 0)
 		if !c.IsSymmetric(1e-12) {
 			return false
 		}
@@ -343,7 +343,7 @@ func TestCovariancePSD(t *testing.T) {
 }
 
 func TestCovarianceDegenerate(t *testing.T) {
-	c := Covariance(NewMatrix(1, 3))
+	c := CovarianceP(NewMatrix(1, 3), 0)
 	if c.FrobeniusNorm() != 0 {
 		t.Fatal("covariance of a single row must be zero")
 	}

@@ -65,8 +65,8 @@ func gemmWorkers(workers int, flops int64) int {
 }
 
 // MulNaive computes C = A·B with the textbook triple loop (ikj order so the
-// inner loop is stride-1). Kept for ablation benchmarks and as a test oracle;
-// it stays single-threaded on purpose.
+// inner loop is stride-1). It stays single-threaded on purpose.
+// Test seam: the root package's TestKernelPerfFloor512 and GEMM benchmarks.
 func MulNaive(a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
 		panic("linalg: mul dimension mismatch")

@@ -133,15 +133,12 @@ func TestNorm2OverflowSafe(t *testing.T) {
 	}
 }
 
-func TestMeanVariance(t *testing.T) {
+func TestMean(t *testing.T) {
 	x := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if !almostEqual(Mean(x), 5, 1e-14) {
 		t.Fatalf("mean=%v", Mean(x))
 	}
-	if !almostEqual(Variance(x), 32.0/7.0, 1e-12) {
-		t.Fatalf("variance=%v", Variance(x))
-	}
-	if Variance([]float64{1}) != 0 || Mean(nil) != 0 {
-		t.Fatal("degenerate cases")
+	if Mean(nil) != 0 {
+		t.Fatal("mean of empty input")
 	}
 }

@@ -40,22 +40,6 @@ func NewMatrix(r, c int) *Matrix {
 	return &Matrix{Rows: r, Cols: c, Stride: c, Data: make([]float64, r*c)}
 }
 
-// FromRows builds a matrix from a slice of equal-length rows.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
-	}
-	c := len(rows[0])
-	m := NewMatrix(len(rows), c)
-	for i, row := range rows {
-		if len(row) != c {
-			panic("linalg: ragged rows")
-		}
-		copy(m.Data[i*m.Stride:i*m.Stride+c], row)
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Stride+j] }
 
@@ -85,23 +69,12 @@ func (m *Matrix) Clone() *Matrix {
 
 // View returns an r×c window whose top-left corner is (i0, j0). The view
 // shares storage with m; writes are visible in both.
+// Test seam: the root package's TestQRMatchesReference.
 func (m *Matrix) View(i0, j0, r, c int) *Matrix {
 	if i0 < 0 || j0 < 0 || i0+r > m.Rows || j0+c > m.Cols {
 		panic(fmt.Sprintf("linalg: view [%d:%d,%d:%d] out of %d×%d", i0, i0+r, j0, j0+c, m.Rows, m.Cols))
 	}
 	return &Matrix{Rows: r, Cols: c, Stride: m.Stride, Data: m.Data[i0*m.Stride+j0:]}
-}
-
-// Transpose returns a newly allocated transpose of m.
-func (m *Matrix) Transpose() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		ri := m.Row(i)
-		for j, v := range ri {
-			t.Data[j*t.Stride+i] = v
-		}
-	}
-	return t
 }
 
 // Scale multiplies every element by s in place.
@@ -139,6 +112,7 @@ func (m *Matrix) Sub(a, b *Matrix) {
 }
 
 // MaxAbsDiff returns the largest absolute elementwise difference between a and b.
+// Test seam: the arraydb, analytics and distlinalg tests compare through it.
 func MaxAbsDiff(a, b *Matrix) float64 {
 	checkSameShape(a, b)
 	max := 0.0
@@ -154,6 +128,7 @@ func MaxAbsDiff(a, b *Matrix) float64 {
 }
 
 // FrobeniusNorm returns sqrt(Σ m_ij²).
+// Test seam: distlinalg's TestGramMatchesDense.
 func (m *Matrix) FrobeniusNorm() float64 {
 	s := 0.0
 	for i := 0; i < m.Rows; i++ {
@@ -162,21 +137,6 @@ func (m *Matrix) FrobeniusNorm() float64 {
 		}
 	}
 	return math.Sqrt(s)
-}
-
-// IsSymmetric reports whether m is square and symmetric to within tol.
-func (m *Matrix) IsSymmetric(tol float64) bool {
-	if m.Rows != m.Cols {
-		return false
-	}
-	for i := 0; i < m.Rows; i++ {
-		for j := i + 1; j < m.Cols; j++ {
-			if math.Abs(m.At(i, j)-m.At(j, i)) > tol {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Identity returns the n×n identity matrix.

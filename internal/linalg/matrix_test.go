@@ -8,6 +8,49 @@ import (
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// FromRows builds a matrix from a slice of equal-length rows.
+func FromRows(rows [][]float64) *Matrix {
+	if len(rows) == 0 {
+		return NewMatrix(0, 0)
+	}
+	c := len(rows[0])
+	m := NewMatrix(len(rows), c)
+	for i, row := range rows {
+		if len(row) != c {
+			panic("linalg: ragged rows")
+		}
+		copy(m.Data[i*m.Stride:i*m.Stride+c], row)
+	}
+	return m
+}
+
+// Transpose returns a newly allocated transpose of m.
+func (m *Matrix) Transpose() *Matrix {
+	t := NewMatrix(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		ri := m.Row(i)
+		for j, v := range ri {
+			t.Data[j*t.Stride+i] = v
+		}
+	}
+	return t
+}
+
+// IsSymmetric reports whether m is square and symmetric to within tol.
+func (m *Matrix) IsSymmetric(tol float64) bool {
+	if m.Rows != m.Cols {
+		return false
+	}
+	for i := 0; i < m.Rows; i++ {
+		for j := i + 1; j < m.Cols; j++ {
+			if math.Abs(m.At(i, j)-m.At(j, i)) > tol {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func randMatrix(r, c int, seed uint64) *Matrix {
 	rng := splitMix64(seed)
 	m := NewMatrix(r, c)

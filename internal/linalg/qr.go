@@ -157,6 +157,7 @@ func (f *QR) Release() {
 }
 
 // R returns the upper-triangular factor (n×n).
+// Test seam: the root package's TestQRMatchesReference.
 func (f *QR) R() *Matrix {
 	n := f.n
 	r := NewMatrix(n, n)
@@ -171,6 +172,7 @@ func (f *QR) R() *Matrix {
 
 // Q returns the thin orthonormal factor (m×n). It is accumulated column-major
 // in scratch, like the factor, and transposed out once.
+// Test seam: the root package's TestQRMatchesReference.
 func (f *QR) Q() *Matrix {
 	m, n := f.m, f.n
 	qc := GetSlice(m * n)
@@ -197,6 +199,7 @@ func (f *QR) Q() *Matrix {
 
 // QTVec applies Qᵀ to a vector of length m, returning the first n entries
 // (enough for a least-squares solve) followed by the residual part.
+// Test seam: the root package's TestQRMatchesReference.
 func (f *QR) QTVec(b []float64) []float64 {
 	y := make([]float64, f.m)
 	f.qtvecInto(y, b)

@@ -67,21 +67,6 @@ func Mean(x []float64) float64 {
 	return s / float64(len(x))
 }
 
-// Variance returns the unbiased sample variance of x (0 for n < 2).
-func Variance(x []float64) float64 {
-	n := len(x)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(x)
-	s := 0.0
-	for _, v := range x {
-		d := v - m
-		s += d * d
-	}
-	return s / float64(n-1)
-}
-
 // MatVecInto computes y = A·x into caller-owned y (len A.Rows, fully
 // overwritten) over workers (0 = the default count). len(x) must equal
 // A.Cols. Output rows are partitioned across workers and every y[i] is its

@@ -121,17 +121,22 @@ func (e *Engine) Nodes() int { return e.nodes }
 // consulted by every subsequent Run's virtual cluster. Nil restores
 // fault-free execution. Call before serving begins: the field is read-only
 // during Runs, matching the engine concurrency contract.
+// Test seam: the root package's fault drills (fault_test.go) and serve's
+// TestDistServeConcurrentMatchesSerial.
 func (e *Engine) SetFaults(inj cluster.Injector) { e.injector = inj }
 
 // SetReplication sets the shard replication factor for subsequent Runs
 // (clamped to the node count by the cluster; ≤1 disables replication). With
 // a factor of 2 every single-node crash schedule leaves each shard a live
 // replica, so fault drills complete with bitwise-identical answers.
+// Test seam: the root package's fault drills (fault_test.go) and serve's
+// TestDistServeConcurrentMatchesSerial.
 func (e *Engine) SetReplication(factor int) { e.replication = factor }
 
 // Cluster exposes the virtual cluster of the most recent completed Run (for
 // traffic and fault-recovery assertions). Before any Run it returns an idle
 // cluster of the configured size.
+// Test seam: the root package's TestFaultRecoveryObservable.
 func (e *Engine) Cluster() *cluster.Cluster {
 	if c := e.lastC.Load(); c != nil {
 		return c

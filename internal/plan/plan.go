@@ -275,15 +275,6 @@ func inputName(i int) string {
 // the operator footprint of a plan.
 type OpSet uint32
 
-// NewOpSet builds a set from the listed kinds.
-func NewOpSet(ks ...OpKind) OpSet {
-	var s OpSet
-	for _, k := range ks {
-		s |= 1 << uint(k)
-	}
-	return s
-}
-
 // AllOps is the full operator vocabulary.
 func AllOps() OpSet { return 1<<uint(numOpKinds) - 1 }
 

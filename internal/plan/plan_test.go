@@ -9,6 +9,15 @@ import (
 	"github.com/genbase/genbase/internal/engine"
 )
 
+// NewOpSet builds a set from the listed kinds.
+func NewOpSet(ks ...OpKind) OpSet {
+	var s OpSet
+	for _, k := range ks {
+		s |= 1 << uint(k)
+	}
+	return s
+}
+
 // Every scenario must compile to a DAG that ends in Emit, whose edges all
 // point backwards (topological order), and whose operator footprint is
 // resolvable via OpsFor.

@@ -60,15 +60,6 @@ func (s Schema) MustColIndex(name string) int {
 	return i
 }
 
-// Project returns the schema restricted to the named columns, in order.
-func (s Schema) Project(names ...string) Schema {
-	out := make(Schema, len(names))
-	for i, n := range names {
-		out[i] = s[s.MustColIndex(n)]
-	}
-	return out
-}
-
 // Value is a compact tagged union. Exactly one of I/F/S is meaningful,
 // selected by Kind.
 type Value struct {
@@ -86,21 +77,6 @@ func FloatVal(v float64) Value { return Value{Kind: KindFloat64, F: v} }
 
 // StrVal makes a string value.
 func StrVal(v string) Value { return Value{Kind: KindString, S: v} }
-
-// Equal reports deep equality (kind and payload).
-func (v Value) Equal(o Value) bool {
-	if v.Kind != o.Kind {
-		return false
-	}
-	switch v.Kind {
-	case KindInt64:
-		return v.I == o.I
-	case KindFloat64:
-		return v.F == o.F
-	default:
-		return v.S == o.S
-	}
-}
 
 // Less orders values of the same kind (used by the sort operator).
 func (v Value) Less(o Value) bool {

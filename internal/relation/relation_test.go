@@ -5,6 +5,21 @@ import (
 	"testing/quick"
 )
 
+// Equal reports deep equality (kind and payload).
+func (v Value) Equal(o Value) bool {
+	if v.Kind != o.Kind {
+		return false
+	}
+	switch v.Kind {
+	case KindInt64:
+		return v.I == o.I
+	case KindFloat64:
+		return v.F == o.F
+	default:
+		return v.S == o.S
+	}
+}
+
 func TestSchemaColIndex(t *testing.T) {
 	s := Schema{{"a", KindInt64}, {"b", KindFloat64}}
 	if s.ColIndex("b") != 1 || s.ColIndex("z") != -1 {
@@ -22,14 +37,6 @@ func TestMustColIndexPanics(t *testing.T) {
 		}
 	}()
 	Schema{{"a", KindInt64}}.MustColIndex("missing")
-}
-
-func TestSchemaProject(t *testing.T) {
-	s := Schema{{"a", KindInt64}, {"b", KindFloat64}, {"c", KindString}}
-	p := s.Project("c", "a")
-	if len(p) != 2 || p[0].Name != "c" || p[1].Name != "a" {
-		t.Fatalf("projected %v", p)
-	}
 }
 
 func TestValueEqualLess(t *testing.T) {

@@ -131,26 +131,6 @@ func (t *BTree) Search(key int64) []storage.RID {
 	return nil
 }
 
-// Range calls fn for every entry with lo ≤ key < hi, in key order. fn
-// returning false stops the scan.
-func (t *BTree) Range(lo, hi int64, fn func(key int64, rids []storage.RID) bool) {
-	n := t.findLeaf(lo)
-	for n != nil {
-		for i, k := range n.keys {
-			if k < lo {
-				continue
-			}
-			if k >= hi {
-				return
-			}
-			if !fn(k, n.rids[i]) {
-				return
-			}
-		}
-		n = n.next
-	}
-}
-
 // CollectRIDs gathers the locators for a set of keys, sorted in physical
 // file order — the bitmap-index-scan access pattern, which converts random
 // index lookups into near-sequential page access.

@@ -199,3 +199,23 @@ func TestIndexPlanMatchesSeqScanPlan(t *testing.T) {
 		}
 	}
 }
+
+// Range calls fn for every entry with lo ≤ key < hi, in key order. fn
+// returning false stops the scan.
+func (t *BTree) Range(lo, hi int64, fn func(key int64, rids []storage.RID) bool) {
+	n := t.findLeaf(lo)
+	for n != nil {
+		for i, k := range n.keys {
+			if k < lo {
+				continue
+			}
+			if k >= hi {
+				return
+			}
+			if !fn(k, n.rids[i]) {
+				return
+			}
+		}
+		n = n.next
+	}
+}

@@ -396,22 +396,3 @@ func Drain(it Iterator, fn func(relation.Row) error) error {
 		}
 	}
 }
-
-// Collect materializes an iterator into an in-memory table.
-func Collect(it Iterator) (*relation.Table, error) {
-	if err := it.Open(); err != nil {
-		return nil, err
-	}
-	defer it.Close()
-	t := relation.NewTable("result", it.Schema())
-	for {
-		r, ok, err := it.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return t, nil
-		}
-		t.Rows = append(t.Rows, r.Clone())
-	}
-}

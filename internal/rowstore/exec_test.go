@@ -8,6 +8,25 @@ import (
 	"github.com/genbase/genbase/internal/relation"
 )
 
+// Collect materializes an iterator into an in-memory table.
+func Collect(it Iterator) (*relation.Table, error) {
+	if err := it.Open(); err != nil {
+		return nil, err
+	}
+	defer it.Close()
+	t := relation.NewTable("result", it.Schema())
+	for {
+		r, ok, err := it.Next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return t, nil
+		}
+		t.Rows = append(t.Rows, r.Clone())
+	}
+}
+
 func memTable(name string, schema relation.Schema, rows ...relation.Row) *relation.Table {
 	t := relation.NewTable(name, schema)
 	t.Rows = rows

@@ -10,19 +10,6 @@ import (
 	"sort"
 )
 
-// Ranks returns the 1-based mid-ranks of xs: tied values receive the average
-// of the ranks they would span. This is the standard ranking used by the
-// Wilcoxon test (and by R's rank()).
-func Ranks(xs []float64) []float64 {
-	sorted := slices.Clone(xs)
-	slices.Sort(sorted)
-	ranks := make([]float64, len(xs))
-	for i, v := range xs {
-		ranks[i] = midRank(sorted, v)
-	}
-	return ranks
-}
-
 // midRank returns the mid-rank of v, which must occur in sorted: its run of
 // equal values spans 0-based positions [lo, hi) and shares rank
 // ((lo+1) + hi)/2.
@@ -30,16 +17,6 @@ func midRank(sorted []float64, v float64) float64 {
 	lo, _ := slices.BinarySearch(sorted, v)
 	hi := lo + sort.Search(len(sorted)-lo, func(i int) bool { return cmp.Compare(sorted[lo+i], v) > 0 })
 	return float64(lo+hi+1) / 2
-}
-
-// TieGroups returns the size of every group of tied values in xs with size
-// greater than one. Used for the Wilcoxon variance tie correction.
-func TieGroups(xs []float64) []int {
-	sorted := slices.Clone(xs)
-	slices.Sort(sorted)
-	var groups []int
-	forEachTie(sorted, func(t int) { groups = append(groups, t) })
-	return groups
 }
 
 // forEachTie calls fn with the size of every run of two or more equal values

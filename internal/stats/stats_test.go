@@ -2,12 +2,36 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 )
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
+
+// Ranks returns the 1-based mid-ranks of xs: tied values receive the average
+// of the ranks they would span. This is the standard ranking used by the
+// Wilcoxon test (and by R's rank()).
+func Ranks(xs []float64) []float64 {
+	sorted := slices.Clone(xs)
+	slices.Sort(sorted)
+	ranks := make([]float64, len(xs))
+	for i, v := range xs {
+		ranks[i] = midRank(sorted, v)
+	}
+	return ranks
+}
+
+// TieGroups returns the size of every group of tied values in xs with size
+// greater than one. Used for the Wilcoxon variance tie correction.
+func TieGroups(xs []float64) []int {
+	sorted := slices.Clone(xs)
+	slices.Sort(sorted)
+	var groups []int
+	forEachTie(sorted, func(t int) { groups = append(groups, t) })
+	return groups
+}
 
 func TestRanksNoTies(t *testing.T) {
 	r := Ranks([]float64{10, 30, 20})
@@ -102,46 +126,6 @@ func TestTieGroups(t *testing.T) {
 	}
 	if TieGroups([]float64{1, 2, 3}) != nil {
 		t.Fatal("no ties expected")
-	}
-}
-
-func TestNormalCDFKnown(t *testing.T) {
-	cases := []struct{ z, p float64 }{
-		{0, 0.5},
-		{1.959963984540054, 0.975},
-		{-1.959963984540054, 0.025},
-		{1, 0.8413447460685429},
-	}
-	for _, c := range cases {
-		if !almostEqual(NormalCDF(c.z), c.p, 1e-9) {
-			t.Fatalf("CDF(%v)=%v want %v", c.z, NormalCDF(c.z), c.p)
-		}
-	}
-}
-
-func TestNormalCDFSFComplement(t *testing.T) {
-	f := func(z float64) bool {
-		if math.IsNaN(z) || math.IsInf(z, 0) {
-			z = 0.3
-		}
-		z = math.Mod(z, 10)
-		return almostEqual(NormalCDF(z)+NormalSF(z), 1, 1e-12)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: quantile inverts the CDF.
-func TestNormalQuantileInvertsCDF(t *testing.T) {
-	for _, p := range []float64{1e-8, 0.001, 0.025, 0.2, 0.5, 0.7, 0.975, 0.999, 1 - 1e-8} {
-		z := NormalQuantile(p)
-		if !almostEqual(NormalCDF(z), p, 1e-7) {
-			t.Fatalf("CDF(Q(%v))=%v", p, NormalCDF(z))
-		}
-	}
-	if !math.IsInf(NormalQuantile(0), -1) || !math.IsInf(NormalQuantile(1), 1) {
-		t.Fatal("quantile boundary behaviour")
 	}
 }
 

@@ -208,6 +208,7 @@ func (bp *BufferPool) NumPages() int64 {
 
 // PinnedPages returns the number of resident pages with a nonzero pin count
 // — the pin-leak detector's probe: after a query finishes it must be zero.
+// Test seam: rowstore's pin-leak tests (pinleak_test.go).
 func (bp *BufferPool) PinnedPages() int {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()

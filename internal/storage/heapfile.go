@@ -54,9 +54,6 @@ func (h *HeapFile) Remove() error {
 	return os.Remove(h.path)
 }
 
-// NumRecords returns the number of records appended.
-func (h *HeapFile) NumRecords() int64 { return h.records }
-
 // NumPages returns the number of allocated pages.
 func (h *HeapFile) NumPages() int64 { return h.numPages }
 

@@ -8,7 +8,6 @@ package storage
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 )
 
 // PageSize is the fixed on-disk page size.
@@ -20,7 +19,7 @@ const PageSize = 8192
 //	[2:4)  uint16 freeEnd — records grow downward from PageSize toward the
 //	       slot array, which grows upward from byte 4.
 //	[4:4+4*numSlots) slot array; each slot is uint16 offset + uint16 length.
-//	A slot with offset 0 is a dead (deleted) record.
+//	A slot with offset 0 is dead: Record reports it absent.
 type Page [PageSize]byte
 
 const (
@@ -83,14 +82,4 @@ func (p *Page) Record(slot int) ([]byte, bool) {
 		return nil, false
 	}
 	return p[off : off+ln], true
-}
-
-// DeleteRecord marks a slot dead. Space is not compacted (heap-file
-// semantics; GenBase's workload is append + scan).
-func (p *Page) DeleteRecord(slot int) error {
-	if slot < 0 || slot >= p.NumSlots() {
-		return fmt.Errorf("storage: slot %d out of range", slot)
-	}
-	binary.LittleEndian.PutUint16(p[pageHeaderSize+slotSize*slot:], 0)
-	return nil
 }

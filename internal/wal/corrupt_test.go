@@ -71,13 +71,6 @@ func TestWALOpenLogBadPath(t *testing.T) {
 	}
 }
 
-func TestWALEncodedLenUnknownType(t *testing.T) {
-	r := Record{Type: 77}
-	if got := r.EncodedLen(); got != len(r.AppendEncoded(nil)) {
-		t.Fatalf("EncodedLen %d, encoded %d", got, len(r.AppendEncoded(nil)))
-	}
-}
-
 func TestWALScanFnError(t *testing.T) {
 	buf := sampleRow(1).AppendEncoded(nil)
 	buf = sampleRow(2).AppendEncoded(buf)
@@ -93,7 +86,7 @@ func TestWALScanFnError(t *testing.T) {
 	if !errors.Is(err, boom) || calls != 2 {
 		t.Fatalf("scan: err %v after %d calls", err, calls)
 	}
-	if want := sampleRow(1).EncodedLen(); off != want {
+	if want := len(sampleRow(1).AppendEncoded(nil)); off != want {
 		t.Fatalf("aborted scan reported offset %d, want %d", off, want)
 	}
 }

@@ -28,7 +28,7 @@ func TestWALLogAppendDurable(t *testing.T) {
 		if err := l.Append(r); err != nil {
 			t.Fatal(err)
 		}
-		want += r.EncodedLen()
+		want += len(r.AppendEncoded(nil))
 		// Durable on return: the bytes are on disk, not just buffered.
 		fi, err := os.Stat(path)
 		if err != nil {
@@ -83,7 +83,7 @@ func TestWALLogGroupCommit(t *testing.T) {
 		}()
 	}
 	// Wait until all followers have enqueued (pending holds their bytes).
-	wantPending := followers * sampleRow(2).EncodedLen()
+	wantPending := followers * len(sampleRow(2).AppendEncoded(nil))
 	for deadline := time.Now().Add(5 * time.Second); l.pendingLen() < wantPending; {
 		if time.Now().After(deadline) {
 			t.Fatalf("followers never enqueued: pending %d, want %d", l.pendingLen(), wantPending)

@@ -142,18 +142,6 @@ func (r Record) AppendEncoded(dst []byte) []byte {
 	return dst
 }
 
-// EncodedLen returns the wire size of r.
-func (r Record) EncodedLen() int {
-	switch r.Type {
-	case RecRow:
-		return headerSize + rowBodyLen(len(r.Row.Expr))
-	case RecCheckpoint:
-		return headerSize + checkpointBodyLen
-	default:
-		return headerSize + 1
-	}
-}
-
 // ParseRecord parses one record from the head of b, returning the record and
 // the number of bytes consumed. Any malformed input — short frame, body
 // length out of bounds, truncated body, CRC mismatch, unknown type, payload
