@@ -6,8 +6,8 @@ import (
 	"math"
 )
 
-// EncodeRow serializes a row for slotted-page storage: int64 and float64 as
-// 8 little-endian bytes, strings as uint16 length + bytes. The schema is not
+// EncodeRow serializes a row for slotted-page storage: every column as 8
+// little-endian bytes (an int64, or a float64's bits). The schema is not
 // stored — the heap file's catalog entry carries it.
 func EncodeRow(schema Schema, r Row, buf []byte) []byte {
 	for i, col := range schema {
@@ -20,15 +20,6 @@ func EncodeRow(schema Schema, r Row, buf []byte) []byte {
 			var b [8]byte
 			binary.LittleEndian.PutUint64(b[:], math.Float64bits(r[i].F))
 			buf = append(buf, b[:]...)
-		case KindString:
-			s := r[i].S
-			if len(s) > math.MaxUint16 {
-				panic("relation: string too long to encode")
-			}
-			var b [2]byte
-			binary.LittleEndian.PutUint16(b[:], uint16(len(s)))
-			buf = append(buf, b[:]...)
-			buf = append(buf, s...)
 		}
 	}
 	return buf
@@ -41,15 +32,13 @@ func EncodeRow(schema Schema, r Row, buf []byte) []byte {
 // capacity, and a steady-state scan allocates nothing.
 type ColumnBatch struct {
 	Schema Schema
-	// Ints[i] / Floats[i] / Strs[i] holds column i's values when the
-	// schema's kind matches; the other two are nil for that index.
+	// Ints[i] / Floats[i] holds column i's values when the schema's kind
+	// matches; the other is nil for that index.
 	Ints   [][]int64
 	Floats [][]float64
-	Strs   [][]string
 
-	n        int
-	fixed    int  // total encoded width of the fixed-width columns
-	varWidth bool // schema has string columns (records vary in length)
+	n     int
+	fixed int // encoded width of one record
 }
 
 // NewColumnBatch prepares a batch for the schema with the given row
@@ -59,7 +48,6 @@ func NewColumnBatch(schema Schema, capacity int) *ColumnBatch {
 		Schema: schema,
 		Ints:   make([][]int64, len(schema)),
 		Floats: make([][]float64, len(schema)),
-		Strs:   make([][]string, len(schema)),
 	}
 	for i, col := range schema {
 		switch col.Kind {
@@ -69,9 +57,6 @@ func NewColumnBatch(schema Schema, capacity int) *ColumnBatch {
 		case KindFloat64:
 			b.Floats[i] = make([]float64, 0, capacity)
 			b.fixed += 8
-		case KindString:
-			b.Strs[i] = make([]string, 0, capacity)
-			b.varWidth = true
 		}
 	}
 	return b
@@ -88,9 +73,6 @@ func (b *ColumnBatch) Reset() {
 		}
 		if b.Floats[i] != nil {
 			b.Floats[i] = b.Floats[i][:0]
-		}
-		if b.Strs[i] != nil {
-			b.Strs[i] = b.Strs[i][:0]
 		}
 	}
 	b.n = 0
@@ -120,8 +102,6 @@ func (b *ColumnBatch) GrowRows(n int) error {
 			got = len(b.Ints[i])
 		case KindFloat64:
 			got = len(b.Floats[i])
-		case KindString:
-			got = len(b.Strs[i])
 		}
 		if got != b.n {
 			return fmt.Errorf("relation: column %d has %d rows after grow, batch has %d", i, got, b.n)
@@ -132,63 +112,24 @@ func (b *ColumnBatch) GrowRows(n int) error {
 
 // DecodeColumns appends one encoded record's values to the batch's typed
 // columns, decoding directly from the page bytes. This is the columnar
-// counterpart of DecodeRow: same wire format, no Value boxing. On error the
-// batch is left exactly as it was — a partially decoded row is rolled back,
-// so columns can never end up misaligned.
-func (b *ColumnBatch) DecodeColumns(data []byte) (err error) {
-	if !b.varWidth && len(data) != b.fixed {
+// counterpart of DecodeRow: same wire format, no Value boxing. Every column
+// is 8 bytes wide, so the record's length is checked against the schema's
+// before any column is touched: a record of any other length is rejected
+// and leaves the batch exactly as it was.
+func (b *ColumnBatch) DecodeColumns(data []byte) error {
+	if len(data) != b.fixed {
 		return fmt.Errorf("relation: record is %d bytes, schema needs %d", len(data), b.fixed)
-	}
-	if b.varWidth {
-		// Variable-width rows can fail mid-record; restore every column to
-		// its entry length so the batch stays rectangular.
-		defer func() {
-			if err == nil {
-				return
-			}
-			for i := range b.Schema {
-				if b.Ints[i] != nil && len(b.Ints[i]) > b.n {
-					b.Ints[i] = b.Ints[i][:b.n]
-				}
-				if b.Floats[i] != nil && len(b.Floats[i]) > b.n {
-					b.Floats[i] = b.Floats[i][:b.n]
-				}
-				if b.Strs[i] != nil && len(b.Strs[i]) > b.n {
-					b.Strs[i] = b.Strs[i][:b.n]
-				}
-			}
-		}()
 	}
 	off := 0
 	for i, col := range b.Schema {
 		switch col.Kind {
 		case KindInt64:
-			if off+8 > len(data) {
-				return fmt.Errorf("relation: truncated int64 at column %d", i)
-			}
 			b.Ints[i] = append(b.Ints[i], int64(binary.LittleEndian.Uint64(data[off:])))
 			off += 8
 		case KindFloat64:
-			if off+8 > len(data) {
-				return fmt.Errorf("relation: truncated float64 at column %d", i)
-			}
 			b.Floats[i] = append(b.Floats[i], math.Float64frombits(binary.LittleEndian.Uint64(data[off:])))
 			off += 8
-		case KindString:
-			if off+2 > len(data) {
-				return fmt.Errorf("relation: truncated string length at column %d", i)
-			}
-			n := int(binary.LittleEndian.Uint16(data[off:]))
-			off += 2
-			if off+n > len(data) {
-				return fmt.Errorf("relation: truncated string at column %d", i)
-			}
-			b.Strs[i] = append(b.Strs[i], string(data[off:off+n]))
-			off += n
 		}
-	}
-	if off != len(data) {
-		return fmt.Errorf("relation: %d trailing bytes after row", len(data)-off)
 	}
 	b.n++
 	return nil
@@ -217,17 +158,6 @@ func DecodeRow(schema Schema, data []byte, dst Row) (Row, error) {
 			}
 			dst[i] = Value{Kind: KindFloat64, F: math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))}
 			off += 8
-		case KindString:
-			if off+2 > len(data) {
-				return nil, fmt.Errorf("relation: truncated string length at column %d", i)
-			}
-			n := int(binary.LittleEndian.Uint16(data[off:]))
-			off += 2
-			if off+n > len(data) {
-				return nil, fmt.Errorf("relation: truncated string at column %d", i)
-			}
-			dst[i] = Value{Kind: KindString, S: string(data[off : off+n])}
-			off += n
 		}
 	}
 	if off != len(data) {

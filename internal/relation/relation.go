@@ -1,6 +1,7 @@
-// Package relation defines the shared relational model used by the row
-// store, column store, and MapReduce engines: typed schemas, values, rows,
-// and in-memory tables, plus the binary row codec the storage layer uses.
+// Package relation defines the row store's relational model: typed schemas
+// of int64 and float64 columns (GenBase's four tables hold nothing else),
+// values, rows and in-memory tables, plus the binary row codec its heap
+// files hold. Only internal/rowstore uses it.
 package relation
 
 import (
@@ -15,7 +16,6 @@ type Kind uint8
 const (
 	KindInt64 Kind = iota
 	KindFloat64
-	KindString
 )
 
 func (k Kind) String() string {
@@ -24,8 +24,6 @@ func (k Kind) String() string {
 		return "int64"
 	case KindFloat64:
 		return "float64"
-	case KindString:
-		return "string"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
@@ -60,13 +58,12 @@ func (s Schema) MustColIndex(name string) int {
 	return i
 }
 
-// Value is a compact tagged union. Exactly one of I/F/S is meaningful,
+// Value is a compact tagged union. Exactly one of I/F is meaningful,
 // selected by Kind.
 type Value struct {
 	Kind Kind
 	I    int64
 	F    float64
-	S    string
 }
 
 // IntVal makes an int64 value.
@@ -75,44 +72,28 @@ func IntVal(v int64) Value { return Value{Kind: KindInt64, I: v} }
 // FloatVal makes a float64 value.
 func FloatVal(v float64) Value { return Value{Kind: KindFloat64, F: v} }
 
-// StrVal makes a string value.
-func StrVal(v string) Value { return Value{Kind: KindString, S: v} }
-
 // Less orders values of the same kind (used by the sort operator).
 func (v Value) Less(o Value) bool {
-	switch v.Kind {
-	case KindInt64:
+	if v.Kind == KindInt64 {
 		return v.I < o.I
-	case KindFloat64:
-		return v.F < o.F
-	default:
-		return v.S < o.S
 	}
+	return v.F < o.F
 }
 
-// AsFloat converts numeric values to float64 (strings parse or yield 0).
+// AsFloat converts the value to float64.
 func (v Value) AsFloat() float64 {
-	switch v.Kind {
-	case KindInt64:
+	if v.Kind == KindInt64 {
 		return float64(v.I)
-	case KindFloat64:
-		return v.F
-	default:
-		f, _ := strconv.ParseFloat(v.S, 64)
-		return f
 	}
+	return v.F
 }
 
 // String renders the value for export formats (text COPY).
 func (v Value) String() string {
-	switch v.Kind {
-	case KindInt64:
+	if v.Kind == KindInt64 {
 		return strconv.FormatInt(v.I, 10)
-	case KindFloat64:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
-	default:
-		return v.S
 	}
+	return strconv.FormatFloat(v.F, 'g', -1, 64)
 }
 
 // Row is one tuple.

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -13,10 +14,8 @@ func (v Value) Equal(o Value) bool {
 	switch v.Kind {
 	case KindInt64:
 		return v.I == o.I
-	case KindFloat64:
-		return v.F == o.F
 	default:
-		return v.S == o.S
+		return v.F == o.F
 	}
 }
 
@@ -46,7 +45,7 @@ func TestValueEqualLess(t *testing.T) {
 	if IntVal(3).Equal(FloatVal(3)) {
 		t.Fatal("cross-kind values are never equal")
 	}
-	if !IntVal(1).Less(IntVal(2)) || !FloatVal(1.5).Less(FloatVal(2.5)) || !StrVal("a").Less(StrVal("b")) {
+	if !IntVal(1).Less(IntVal(2)) || !FloatVal(1.5).Less(FloatVal(2.5)) || FloatVal(2.5).Less(FloatVal(2.5)) {
 		t.Fatal("ordering")
 	}
 }
@@ -55,13 +54,10 @@ func TestValueAsFloat(t *testing.T) {
 	if IntVal(4).AsFloat() != 4 || FloatVal(2.5).AsFloat() != 2.5 {
 		t.Fatal("numeric conversion")
 	}
-	if StrVal("3.25").AsFloat() != 3.25 || StrVal("junk").AsFloat() != 0 {
-		t.Fatal("string conversion")
-	}
 }
 
 func TestValueString(t *testing.T) {
-	if IntVal(-7).String() != "-7" || StrVal("x").String() != "x" {
+	if IntVal(-7).String() != "-7" {
 		t.Fatal("string rendering")
 	}
 	if FloatVal(0.5).String() != "0.5" {
@@ -90,10 +86,10 @@ func TestTableAppendChecksArity(t *testing.T) {
 }
 
 func TestTableAppendAndLen(t *testing.T) {
-	tb := NewTable("t", Schema{{"a", KindInt64}, {"s", KindString}})
-	tb.Append(Row{IntVal(1), StrVal("x")})
-	tb.Append(Row{IntVal(2), StrVal("y")})
-	if tb.Len() != 2 || tb.Rows[1][1].S != "y" {
+	tb := NewTable("t", Schema{{"a", KindInt64}, {"v", KindFloat64}})
+	tb.Append(Row{IntVal(1), FloatVal(0.5)})
+	tb.Append(Row{IntVal(2), FloatVal(1.5)})
+	if tb.Len() != 2 || tb.Rows[1][1].F != 1.5 {
 		t.Fatal("append failed")
 	}
 }
@@ -108,8 +104,8 @@ func TestRowClone(t *testing.T) {
 }
 
 func TestCodecRoundTripFixed(t *testing.T) {
-	s := Schema{{"id", KindInt64}, {"v", KindFloat64}, {"name", KindString}}
-	r := Row{IntVal(-42), FloatVal(3.14159), StrVal("héllo")}
+	s := Schema{{"id", KindInt64}, {"v", KindFloat64}}
+	r := Row{IntVal(-42), FloatVal(3.14159)}
 	buf := EncodeRow(s, r, nil)
 	got, err := DecodeRow(s, buf, nil)
 	if err != nil {
@@ -124,12 +120,9 @@ func TestCodecRoundTripFixed(t *testing.T) {
 
 // Property: encode/decode round-trips arbitrary rows.
 func TestCodecRoundTripProperty(t *testing.T) {
-	s := Schema{{"a", KindInt64}, {"b", KindFloat64}, {"c", KindString}, {"d", KindInt64}}
-	f := func(a int64, b float64, c string, d int64) bool {
-		if len(c) > 60000 {
-			c = c[:60000]
-		}
-		r := Row{IntVal(a), FloatVal(b), StrVal(c), IntVal(d)}
+	s := Schema{{"a", KindInt64}, {"b", KindFloat64}, {"d", KindInt64}}
+	f := func(a int64, b float64, d int64) bool {
+		r := Row{IntVal(a), FloatVal(b), IntVal(d)}
 		buf := EncodeRow(s, r, nil)
 		got, err := DecodeRow(s, buf, nil)
 		if err != nil {
@@ -182,12 +175,11 @@ func TestDecodeColumnsMatchesDecodeRow(t *testing.T) {
 	schema := Schema{
 		{"geneid", KindInt64},
 		{"expressionvalue", KindFloat64},
-		{"label", KindString},
 	}
 	rows := []Row{
-		{IntVal(7), FloatVal(3.25), StrVal("alpha")},
-		{IntVal(-1), FloatVal(-0.0), StrVal("")},
-		{IntVal(1 << 40), FloatVal(1e-300), StrVal("βγ")},
+		{IntVal(7), FloatVal(3.25)},
+		{IntVal(-1), FloatVal(-0.0)},
+		{IntVal(1 << 40), FloatVal(1e-300)},
 	}
 	b := NewColumnBatch(schema, 2)
 	var buf []byte
@@ -201,13 +193,13 @@ func TestDecodeColumnsMatchesDecodeRow(t *testing.T) {
 		t.Fatalf("batch len %d", b.Len())
 	}
 	for i, r := range rows {
-		if b.Ints[0][i] != r[0].I || b.Floats[1][i] != r[1].F || b.Strs[2][i] != r[2].S {
-			t.Fatalf("row %d: got (%d, %v, %q)", i, b.Ints[0][i], b.Floats[1][i], b.Strs[2][i])
+		if b.Ints[0][i] != r[0].I || b.Floats[1][i] != r[1].F {
+			t.Fatalf("row %d: got (%d, %v)", i, b.Ints[0][i], b.Floats[1][i])
 		}
 	}
 	// Reset keeps capacity and empties all columns.
 	b.Reset()
-	if b.Len() != 0 || len(b.Ints[0]) != 0 || len(b.Floats[1]) != 0 || len(b.Strs[2]) != 0 {
+	if b.Len() != 0 || len(b.Ints[0]) != 0 || len(b.Floats[1]) != 0 {
 		t.Fatal("Reset did not empty the batch")
 	}
 }
@@ -231,12 +223,58 @@ func TestDecodeColumnsRejectsBadRecords(t *testing.T) {
 		t.Fatal("zero record decoded wrong")
 	}
 
-	// Variable-width schemas validate per field.
-	vs := Schema{{"s", KindString}}
-	vb := NewColumnBatch(vs, 1)
-	if err := vb.DecodeColumns([]byte{5, 0, 'h', 'i'}); err == nil {
-		t.Fatal("accepted truncated string")
+	// A record one byte short or one byte long is rejected before any column
+	// is touched, whatever the schema: the batch keeps its length and every
+	// column its values, so the columns can never end up misaligned.
+	schemas := []Schema{
+		{{"a", KindInt64}},
+		{{"v", KindFloat64}},
+		{{"a", KindInt64}, {"b", KindFloat64}},
+		{{"geneid", KindInt64}, {"patientid", KindInt64}, {"expressionvalue", KindFloat64}},
+		{{"x", KindFloat64}, {"n", KindInt64}, {"y", KindFloat64}, {"m", KindInt64}},
 	}
+	for _, s := range schemas {
+		b := NewColumnBatch(s, 4)
+		row := make(Row, len(s))
+		for i, col := range s {
+			if col.Kind == KindInt64 {
+				row[i] = IntVal(int64(i) - 3)
+			} else {
+				row[i] = FloatVal(float64(i) + 0.25)
+			}
+		}
+		rec := EncodeRow(s, row, nil)
+		if err := b.DecodeColumns(rec); err != nil {
+			t.Fatal(err)
+		}
+		ints, floats := cloneColumns(b)
+		long := append(append([]byte(nil), rec...), 0xff)
+		for _, bad := range [][]byte{rec[:len(rec)-1], long} {
+			if err := b.DecodeColumns(bad); err == nil {
+				t.Fatalf("%v: accepted a %d-byte record, want %d", s, len(bad), len(rec))
+			}
+			if b.Len() != 1 {
+				t.Fatalf("%v: a rejected record changed Len to %d", s, b.Len())
+			}
+			gotInts, gotFloats := cloneColumns(b)
+			for i := range s {
+				if !slices.Equal(gotInts[i], ints[i]) || !slices.Equal(gotFloats[i], floats[i]) {
+					t.Fatalf("%v: a rejected %d-byte record changed column %d", s, len(bad), i)
+				}
+			}
+		}
+	}
+}
+
+// cloneColumns copies every typed column of b.
+func cloneColumns(b *ColumnBatch) ([][]int64, [][]float64) {
+	ints := make([][]int64, len(b.Schema))
+	floats := make([][]float64, len(b.Schema))
+	for i := range b.Schema {
+		ints[i] = slices.Clone(b.Ints[i])
+		floats[i] = slices.Clone(b.Floats[i])
+	}
+	return ints, floats
 }
 
 // A fixed-width decode into a warm batch must not allocate: this is the

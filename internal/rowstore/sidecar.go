@@ -41,8 +41,7 @@ type tableSidecar struct {
 }
 
 // buildTableSidecar scans the heap table columnar and writes each column's
-// values as compressed segments. Only int64/float64 columns are supported
-// (the benchmark tables are all fixed-width).
+// values as compressed segments, an int or a float page per column kind.
 func buildTableSidecar(ctx context.Context, db *DB, name string) (*tableSidecar, error) {
 	t, err := db.Table(name)
 	if err != nil {
@@ -50,10 +49,6 @@ func buildTableSidecar(ctx context.Context, db *DB, name string) (*tableSidecar,
 	}
 	sc := &tableSidecar{schema: t.Schema, heaps: make([]*storage.HeapFile, len(t.Schema))}
 	for i, col := range t.Schema {
-		if col.Kind != relation.KindInt64 && col.Kind != relation.KindFloat64 {
-			sc.remove()
-			return nil, fmt.Errorf("rowstore: sidecar column %s.%s is not fixed-width", name, col.Name)
-		}
 		h, err := storage.CreateHeapFile(filepath.Join(db.dir, name+"."+col.Name+".colseg"), sidecarPoolFrames)
 		if err != nil {
 			sc.remove()

@@ -65,8 +65,6 @@ var unreferencedAllowed = map[string]string{
 	"internal/multinode.Engine.SetFaults":      "seam: root fault drills and serve's distributed test",
 	"internal/multinode.Engine.SetReplication": "seam: root fault drills and serve's distributed test",
 	"internal/storage.BufferPool.PinnedPages":  "seam: rowstore's pin-leak tests",
-
-	"internal/relation.StrVal": "the string value kind's constructor; it goes with KindString",
 }
 
 // implicitMethods are method names the standard library calls through its
