@@ -331,7 +331,7 @@ func (s *Server) execute(ctx context.Context, q engine.QueryID, p engine.Params)
 	s.admitted.Add(1)
 	pin := s.cur.Load()
 	res, err := pin.eng.Run(ctx, q, p)
-	s.noteOutcome(err)
+	s.noteOutcome(ctx, err)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -339,15 +339,17 @@ func (s *Server) execute(ctx context.Context, q engine.QueryID, p engine.Params)
 }
 
 // noteOutcome feeds an engine result into the circuit breaker and failure
-// stats. Client-side rejections and cancellations say nothing about the
-// engine's health, so they neither trip nor reset the breaker.
-func (s *Server) noteOutcome(err error) {
+// stats. Client-side rejections, and a failure of a request whose own
+// context has ended (the caller cancelled it or its deadline passed), say
+// nothing about the engine's health, so they neither trip nor reset the
+// breaker.
+func (s *Server) noteOutcome(ctx context.Context, err error) {
 	if err == nil {
 		s.breaker.onSuccess()
 		return
 	}
-	if errors.Is(err, engine.ErrBadParams) || errors.Is(err, engine.ErrUnsupported) ||
-		errors.Is(err, engine.ErrOverload) || errors.Is(err, context.Canceled) {
+	if ctx.Err() != nil || errors.Is(err, engine.ErrBadParams) ||
+		errors.Is(err, engine.ErrUnsupported) || errors.Is(err, engine.ErrOverload) {
 		return
 	}
 	s.engineFailures.Add(1)

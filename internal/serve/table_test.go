@@ -209,6 +209,15 @@ func TestServeRequestTable(t *testing.T) {
 			x.run(newExpiringCtx(), p)
 			x.run(bg, p)
 		}},
+		{name: "deadline-breaker", steps: func(x *tableRun) {
+			// Requests whose own deadline passes mid-query are the
+			// caller's doing: however many there are, the breaker stays
+			// closed and the next plain request reaches the engine.
+			for i := 0; i < DefaultBreakerThreshold; i++ {
+				x.run(newExpiringCtx(), p)
+			}
+			x.run(bg, p)
+		}},
 		{name: "cancelled", steps: func(x *tableRun) {
 			ctx, cancel := context.WithCancel(bg)
 			cancel()
@@ -334,10 +343,24 @@ stats admitted=0 inflight=0 peak=0 hits=0 misses=0 coalesced=0 shed=0 denials=0 
 stats admitted=0 inflight=0 peak=0 hits=0 misses=0 coalesced=0 shed=0 denials=0 deadlined=0 failures=0 degraded=0 open=false`,
 	"deadline/server": `miss deadline tag=- calls=1
 miss ok tag=10 calls=2
-stats admitted=2 inflight=0 peak=1 hits=0 misses=2 coalesced=0 shed=0 denials=0 deadlined=1 failures=1 degraded=0 open=false`,
+stats admitted=2 inflight=0 peak=1 hits=0 misses=2 coalesced=0 shed=0 denials=0 deadlined=1 failures=0 degraded=0 open=false`,
+	"deadline-breaker/server": `miss deadline tag=- calls=1
+miss deadline tag=- calls=2
+miss deadline tag=- calls=3
+miss deadline tag=- calls=4
+miss deadline tag=- calls=5
+miss ok tag=10 calls=6
+stats admitted=6 inflight=0 peak=1 hits=0 misses=6 coalesced=0 shed=0 denials=0 deadlined=5 failures=0 degraded=0 open=false`,
 	"deadline/router": `miss deadline tag=- calls=1
 miss ok tag=10 calls=2
-stats admitted=2 inflight=0 peak=1 hits=0 misses=2 coalesced=0 shed=0 denials=0 deadlined=1 failures=1 degraded=0 open=false`,
+stats admitted=2 inflight=0 peak=1 hits=0 misses=2 coalesced=0 shed=0 denials=0 deadlined=1 failures=0 degraded=0 open=false`,
+	"deadline-breaker/router": `miss deadline tag=- calls=1
+miss deadline tag=- calls=2
+miss deadline tag=- calls=3
+miss deadline tag=- calls=4
+miss deadline tag=- calls=5
+miss ok tag=10 calls=6
+stats admitted=6 inflight=0 peak=1 hits=0 misses=6 coalesced=0 shed=0 denials=0 deadlined=5 failures=0 degraded=0 open=false`,
 	"cancelled/server": `miss canceled tag=- calls=0
 miss ok tag=10 calls=1
 stats admitted=1 inflight=0 peak=1 hits=0 misses=2 coalesced=0 shed=0 denials=0 deadlined=0 failures=0 degraded=0 open=false`,
