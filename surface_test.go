@@ -5,7 +5,6 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
-	"os"
 	"path"
 	"path/filepath"
 	"slices"
@@ -67,16 +66,6 @@ var unreferencedAllowed = map[string]string{
 	"internal/storage.BufferPool.PinnedPages":  "seam: rowstore's pin-leak tests",
 }
 
-// implicitMethods are method names the standard library calls through its
-// own interfaces (fmt.Stringer, error, errors.Is/As, sort.Interface, ...),
-// so a method of that name is reachable without a reference in this module.
-var implicitMethods = map[string]bool{
-	"String": true, "Error": true, "Unwrap": true, "Is": true,
-	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
-	"Read": true, "Write": true, "Close": true,
-	"MarshalJSON": true, "UnmarshalJSON": true,
-}
-
 // TestNoTestOnlyExports lists every exported function and method declared in
 // a non-test file outside benchmark/ that no non-test file outside benchmark/
 // references, and compares the list with unreferencedAllowed. References are
@@ -114,7 +103,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 // and methods, outside benchmark/, that no non-test file references.
 func unreferencedExports(t *testing.T, root string) []string {
 	t.Helper()
-	module := modulePath(t, root)
+	const module = "github.com/genbase/genbase" // go.mod's module path
 	fset := token.NewFileSet()
 
 	type decl struct {
@@ -201,7 +190,7 @@ func unreferencedExports(t *testing.T, root string) []string {
 			}
 			continue
 		}
-		if !methodRefs[dc.name] && !implicitMethods[dc.name] {
+		if !methodRefs[dc.name] {
 			out = append(out, label+"."+dc.recv+"."+dc.name)
 		}
 	}
@@ -258,20 +247,4 @@ func recvName(e ast.Expr) string {
 			return ""
 		}
 	}
-}
-
-// modulePath reads the module path from root's go.mod.
-func modulePath(t *testing.T, root string) string {
-	t.Helper()
-	b, err := os.ReadFile(filepath.Join(root, "go.mod"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range strings.Split(string(b), "\n") {
-		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
-			return strings.TrimSpace(rest)
-		}
-	}
-	t.Fatal("go.mod has no module line")
-	return ""
 }
