@@ -71,6 +71,18 @@ func TestWALOpenLogBadPath(t *testing.T) {
 	}
 }
 
+// An unknown record type encodes as a frame around a bare type byte, and
+// ParseRecord rejects that frame.
+func TestWALEncodedLenUnknownType(t *testing.T) {
+	enc := Record{Type: 77}.AppendEncoded(nil)
+	if len(enc) != headerSize+1 {
+		t.Fatalf("encoded %d bytes, want %d", len(enc), headerSize+1)
+	}
+	if _, _, err := ParseRecord(enc); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("ParseRecord of an unknown type: %v, want ErrCorrupt", err)
+	}
+}
+
 func TestWALScanFnError(t *testing.T) {
 	buf := sampleRow(1).AppendEncoded(nil)
 	buf = sampleRow(2).AppendEncoded(buf)

@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path"
 	"path/filepath"
 	"slices"
@@ -77,18 +78,7 @@ var unreferencedAllowed = map[string]string{
 // its reason, rather than hidden.
 func TestNoTestOnlyExports(t *testing.T) {
 	got := unreferencedExports(t, ".")
-	var stale, unlisted []string
-	for _, name := range got {
-		if _, ok := unreferencedAllowed[name]; !ok {
-			unlisted = append(unlisted, name)
-		}
-	}
-	for name := range unreferencedAllowed {
-		if !slices.Contains(got, name) {
-			stale = append(stale, name)
-		}
-	}
-	slices.Sort(stale)
+	unlisted, stale := surfaceDrift(got, unreferencedAllowed)
 	for _, name := range unlisted {
 		t.Errorf("%s is exported but only tests (or nothing) call it: move it into a _test.go file, or list it in unreferencedAllowed with its reason", name)
 	}
@@ -96,6 +86,89 @@ func TestNoTestOnlyExports(t *testing.T) {
 		t.Errorf("unreferencedAllowed lists %s, which no longer exists or is now referenced by non-test code: remove the entry", name)
 	}
 	t.Logf("allowlist: %d entries; unreferenced exports found: %d", len(unreferencedAllowed), len(got))
+}
+
+// surfaceDrift compares the unreferenced exports found with an allowlist. It
+// returns the names found but not listed, and the sorted listed names not
+// found.
+func surfaceDrift(got []string, allowed map[string]string) (unlisted, stale []string) {
+	for _, name := range got {
+		if _, ok := allowed[name]; !ok {
+			unlisted = append(unlisted, name)
+		}
+	}
+	for name := range allowed {
+		if !slices.Contains(got, name) {
+			stale = append(stale, name)
+		}
+	}
+	slices.Sort(stale)
+	return unlisted, stale
+}
+
+// The guard catches both ways the surface drifts from its allowlist, shown
+// on a small module: an export that only a test calls, and an allowlist
+// entry for a name that no longer exists.
+func TestNoTestOnlyExportsCatchesMutations(t *testing.T) {
+	root := t.TempDir()
+	for name, src := range map[string]string{
+		"lib.go": `package genbase
+
+import "github.com/genbase/genbase/internal/x"
+
+func run() { x.Used(); var t x.T; t.M() }
+`,
+		"internal/x/x.go": `package x
+
+type T struct{}
+
+func (T) M()           {}
+func (T) OnlyTestedM() {}
+func Used()            {}
+func OnlyTested()      {}
+`,
+		"internal/x/x_test.go": `package x
+
+func use() { OnlyTested(); T{}.OnlyTestedM() }
+`,
+		"benchmark/main.go": `package main
+
+import "github.com/genbase/genbase/internal/x"
+
+func main() { x.OnlyTested() }
+`,
+	} {
+		p := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := unreferencedExports(t, root)
+	want := []string{"internal/x.OnlyTested", "internal/x.T.OnlyTestedM"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("unreferenced exports %v, want %v", got, want)
+	}
+
+	t.Run("test-only-export", func(t *testing.T) {
+		unlisted, stale := surfaceDrift(got, map[string]string{"internal/x.T.OnlyTestedM": "seam"})
+		if !slices.Equal(unlisted, []string{"internal/x.OnlyTested"}) || len(stale) != 0 {
+			t.Fatalf("unlisted %v, stale %v; want only internal/x.OnlyTested unlisted", unlisted, stale)
+		}
+	})
+	t.Run("stale-entry", func(t *testing.T) {
+		allowed := map[string]string{
+			"internal/x.OnlyTested":    "seam",
+			"internal/x.T.OnlyTestedM": "seam",
+			"internal/x.Gone":          "seam",
+		}
+		unlisted, stale := surfaceDrift(got, allowed)
+		if len(unlisted) != 0 || !slices.Equal(stale, []string{"internal/x.Gone"}) {
+			t.Fatalf("unlisted %v, stale %v; want only internal/x.Gone stale", unlisted, stale)
+		}
+	})
 }
 
 // unreferencedExports scans the module rooted at root and returns the
@@ -123,14 +196,19 @@ func unreferencedExports(t *testing.T, root string) []string {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") || strings.HasPrefix(p, "benchmark/") {
+		rel, err := filepath.Rel(root, p)
+		if err != nil {
+			return err
+		}
+		rel = filepath.ToSlash(rel)
+		if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") || strings.HasPrefix(rel, "benchmark/") {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		dir := filepath.ToSlash(filepath.Dir(p))
+		dir := path.Dir(rel)
 		pkgPath := module
 		if dir != "." {
 			pkgPath = module + "/" + dir
