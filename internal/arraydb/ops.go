@@ -118,35 +118,29 @@ func (e *Engine) Pivot(ctx context.Context, patientIDs, geneIDs []int64) (*linal
 	return x, nil
 }
 
-// SampleMeans implements plan.Physical: stream the sampled rows off chunked
-// storage (views of a single-chunk array, else one pooled row buffer),
-// accumulating in ascending patient order.
-func (e *Engine) SampleMeans(_ context.Context, step int) ([]float64, int, error) {
-	var sampled []int64
-	for i := 0; i < e.numPats; i += step {
-		sampled = append(sampled, int64(i))
+// SampleMeans implements plan.Physical: a single-chunk array is the dense
+// value column and aggregates as colstore does; otherwise the sampled rows
+// stream through one pooled row buffer, accumulating in ascending patient
+// order.
+func (e *Engine) SampleMeans(ctx context.Context, step int) ([]float64, int, error) {
+	if v, ok := e.expr.DenseView(); ok && v.Stride == v.Cols {
+		return engine.SampleMeansDense(ctx, v.Data, v.Rows, v.Cols, step)
 	}
 	means := make([]float64, e.numGen)
-	if v, ok := e.expr.DenseView(); ok {
-		for _, pid := range sampled {
-			for j, x := range v.Row(int(pid)) {
-				means[j] += x
-			}
+	buf := linalg.GetSlice(e.numGen)
+	sampled := 0
+	for pid := 0; pid < e.numPats; pid += step {
+		e.expr.CopyRow(pid, buf)
+		for j, v := range buf {
+			means[j] += v
 		}
-	} else {
-		buf := linalg.GetSlice(e.numGen)
-		for _, pid := range sampled {
-			e.expr.CopyRow(int(pid), buf)
-			for j, v := range buf {
-				means[j] += v
-			}
-		}
-		linalg.PutSlice(buf)
+		sampled++
 	}
+	linalg.PutSlice(buf)
 	for j := range means {
-		means[j] /= float64(len(sampled))
+		means[j] /= float64(sampled)
 	}
-	return means, len(sampled), nil
+	return means, sampled, nil
 }
 
 // GOMembers implements plan.Physical over the belongs[gene, term] array.

@@ -89,31 +89,10 @@ func (e *Engine) Pivot(ctx context.Context, patientIDs, geneIDs []int64) (*linal
 	return engine.PivotDense(ctx, e.vals, e.numPatients, e.numGenes, patientIDs, geneIDs)
 }
 
-// SampleMeans implements plan.Physical: Q5's fused sample+aggregate,
-// streaming the sampled patients' contiguous rows off the dense value
-// column in ascending patient order.
+// SampleMeans implements plan.Physical: Q5's fused sample+aggregate over
+// the dense value column.
 func (e *Engine) SampleMeans(ctx context.Context, step int) ([]float64, int, error) {
-	sums := make([]float64, e.numGenes)
-	g := e.numGenes
-	sampled := 0
-	for pid := 0; pid < e.numPatients; pid += step {
-		if sampled%64 == 0 {
-			if err := engine.CheckCtx(ctx); err != nil {
-				return nil, 0, err
-			}
-		}
-		sampled++
-		row := e.vals[pid*g : (pid+1)*g]
-		for j, v := range row {
-			sums[j] += v
-		}
-	}
-	if sampled > 0 {
-		for j := range sums {
-			sums[j] /= float64(sampled)
-		}
-	}
-	return sums, sampled, nil
+	return engine.SampleMeansDense(ctx, e.vals, e.numPatients, e.numGenes, step)
 }
 
 // GOMembers implements plan.Physical: group GO membership by term.

@@ -50,6 +50,33 @@ func PivotDense(ctx context.Context, vals []float64, nPats, nGenes int, patientI
 	return m, nil
 }
 
+// SampleMeansDense is Q5's fused sample+aggregate over the same
+// patient-major dense value column: the mean of every gene over patients 0,
+// step, 2·step, …, accumulated in ascending patient order, with the number
+// of patients sampled. colstore, rengine and arraydb's single-chunk array
+// all aggregate here. An empty sample leaves every mean at 0.
+func SampleMeansDense(ctx context.Context, vals []float64, nPats, nGenes, step int) ([]float64, int, error) {
+	sums := make([]float64, nGenes)
+	sampled := 0
+	for pid := 0; pid < nPats; pid += step {
+		if sampled%64 == 0 {
+			if err := CheckCtx(ctx); err != nil {
+				return nil, 0, err
+			}
+		}
+		sampled++
+		for j, v := range vals[pid*nGenes : (pid+1)*nGenes] {
+			sums[j] += v
+		}
+	}
+	if sampled > 0 {
+		for j := range sums {
+			sums[j] /= float64(sampled)
+		}
+	}
+	return sums, sampled, nil
+}
+
 // isIdentitySel reports whether an id selection keeps all n ids in their
 // natural order (nil means "all"), i.e. a pivot over it is the identity
 // restructuring and can be served as a view.

@@ -94,31 +94,9 @@ func (e *Engine) Pivot(ctx context.Context, patientIDs, geneIDs []int64) (*linal
 }
 
 // SampleMeans implements plan.Physical: an R aggregate over the sampled
-// patients' contiguous rows of the dense value column, accumulated in
-// ascending patient order.
+// patients' contiguous rows of the dense value column.
 func (e *Engine) SampleMeans(ctx context.Context, step int) ([]float64, int, error) {
-	nPat := e.pats.Len()
-	var sampled []int64
-	for i := 0; i < nPat; i += step {
-		sampled = append(sampled, int64(i))
-	}
-	g := e.genes.Len()
-	sums := make([]float64, g)
-	for k, pid := range sampled {
-		if k%64 == 0 {
-			if err := engine.CheckCtx(ctx); err != nil {
-				return nil, 0, err
-			}
-		}
-		row := e.vals[int(pid)*g : (int(pid)+1)*g]
-		for j, v := range row {
-			sums[j] += v
-		}
-	}
-	for j := range sums {
-		sums[j] /= float64(len(sampled))
-	}
-	return sums, len(sampled), nil
+	return engine.SampleMeansDense(ctx, e.vals, e.pats.Len(), e.genes.Len(), step)
 }
 
 // GOMembers implements plan.Physical: group the GO membership triples by

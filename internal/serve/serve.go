@@ -489,17 +489,3 @@ func (c *cache) put(k Key, res *engine.Result) {
 	c.entries[k] = res
 	c.order = append(c.order, k)
 }
-
-// keepTimeout and keepAdd are read by nothing; they exist only for code
-// layout. They keep context.WithTimeout and the standalone
-// sync/atomic.(*Int64).Add linked, as they were while the serving layer had
-// a per-request timeout and Router-level in-flight counters. Without them
-// every package linked after those two moves by 32 bytes mod 64, the linalg
-// kernels' hot loops with it: in ten alternating ingest-serve pairs on a
-// 2-vCPU host, that build read serve_capacity_qps -16 %, setup_s +17 % and
-// q1_regression_ms +9 % against the build before the timeout was deleted.
-// The verify skill's layout recipe checks the addresses; delete these with
-// a change that re-checks them.
-var keepTimeout, keepAdd any
-
-func init() { keepTimeout, keepAdd = context.WithTimeout, (*atomic.Int64).Add }

@@ -18,7 +18,7 @@ func (h *HeapFile) NewCursor() *Cursor {
 	return &Cursor{h: h, pageNum: -1}
 }
 
-// Next returns the next live record. The returned slice aliases buffer-pool
+// Next returns the next record. The returned slice aliases buffer-pool
 // memory and is valid only until the next call to Next or Close.
 func (c *Cursor) Next() ([]byte, bool, error) {
 	if c.finished {
@@ -39,12 +39,10 @@ func (c *Cursor) Next() ([]byte, bool, error) {
 			c.page = p
 			c.slot = 0
 		}
-		for c.slot < c.page.NumSlots() {
-			rec, ok := c.page.Record(c.slot)
+		if c.slot < c.page.NumSlots() {
+			rec, _ := c.page.Record(c.slot)
 			c.slot++
-			if ok {
-				return rec, true, nil
-			}
+			return rec, true, nil
 		}
 		if err := c.h.pool.Unpin(c.pageNum, false); err != nil {
 			c.finished = true

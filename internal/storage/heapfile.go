@@ -21,7 +21,6 @@ type HeapFile struct {
 	numPages int64
 	lastPage int64 // page currently receiving inserts, −1 if none
 	lastSlot int   // slot of the most recent insert
-	records  int64
 }
 
 // CreateHeapFile makes (or truncates) a heap file at path.
@@ -116,7 +115,6 @@ func (h *HeapFile) Append(record []byte) error {
 				return err
 			}
 			h.lastSlot = slot
-			h.records++
 			return nil
 		}
 		if err := h.pool.Unpin(h.lastPage, false); err != nil {
@@ -138,11 +136,10 @@ func (h *HeapFile) Append(record []byte) error {
 	h.lastPage = pageNum
 	h.lastSlot = slot
 	h.numPages = pageNum + 1
-	h.records++
 	return nil
 }
 
-// Scan calls fn for every live record in file order. The byte slice passed to
+// Scan calls fn for every record in file order. The byte slice passed to
 // fn aliases buffer-pool memory and is only valid during the call.
 func (h *HeapFile) Scan(fn func(record []byte) error) error {
 	for pageNum := int64(0); pageNum < h.numPages; pageNum++ {
@@ -152,10 +149,7 @@ func (h *HeapFile) Scan(fn func(record []byte) error) error {
 		}
 		n := p.NumSlots()
 		for s := 0; s < n; s++ {
-			rec, ok := p.Record(s)
-			if !ok {
-				continue
-			}
+			rec, _ := p.Record(s)
 			if err := fn(rec); err != nil {
 				h.pool.Unpin(pageNum, false)
 				return err

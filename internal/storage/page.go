@@ -19,7 +19,6 @@ const PageSize = 8192
 //	[2:4)  uint16 freeEnd — records grow downward from PageSize toward the
 //	       slot array, which grows upward from byte 4.
 //	[4:4+4*numSlots) slot array; each slot is uint16 offset + uint16 length.
-//	A slot with offset 0 is dead: Record reports it absent.
 type Page [PageSize]byte
 
 const (
@@ -36,7 +35,7 @@ func InitPage(p *Page) {
 	binary.LittleEndian.PutUint16(p[2:], PageSize)
 }
 
-// NumSlots returns the slot count, including dead slots.
+// NumSlots returns the slot count.
 func (p *Page) NumSlots() int { return int(binary.LittleEndian.Uint16(p[0:])) }
 
 func (p *Page) freeEnd() int { return int(binary.LittleEndian.Uint16(p[2:])) }
@@ -69,17 +68,14 @@ func (p *Page) InsertRecord(data []byte) (int, error) {
 	return slot, nil
 }
 
-// Record returns the bytes of the record in the given slot. The slice aliases
-// the page; callers must not retain it across page evictions. Deleted slots
-// return nil, false.
+// Record returns the bytes of the record in the given slot, or nil, false
+// for a slot outside the page. The slice aliases the page; callers must not
+// retain it across page evictions.
 func (p *Page) Record(slot int) ([]byte, bool) {
 	if slot < 0 || slot >= p.NumSlots() {
 		return nil, false
 	}
 	off := int(binary.LittleEndian.Uint16(p[pageHeaderSize+slotSize*slot:]))
 	ln := int(binary.LittleEndian.Uint16(p[pageHeaderSize+slotSize*slot+2:]))
-	if off == 0 {
-		return nil, false
-	}
 	return p[off : off+ln], true
 }

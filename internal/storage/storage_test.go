@@ -28,6 +28,43 @@ func TestPageInsertAndRead(t *testing.T) {
 	}
 }
 
+// A slot outside the page is absent, on the page and through the heap
+// file: the range check is all that stands between a bad locator and the
+// bytes of the header or of free space.
+func TestSlotOutsidePageIsAbsent(t *testing.T) {
+	var p Page
+	InitPage(&p)
+	for _, rec := range []string{"a", "bb"} {
+		if _, err := p.InsertRecord([]byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, slot := range []int{-1, p.NumSlots()} {
+		if r, ok := p.Record(slot); ok || r != nil {
+			t.Fatalf("Record(%d) = %d bytes, %v; want nil, false", slot, len(r), ok)
+		}
+	}
+
+	h := tempHeap(t, 2)
+	var last RID
+	for i := 0; i < 3; i++ {
+		rid, err := h.AppendLocated([]byte(fmt.Sprintf("record-%d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = rid
+	}
+	for _, slot := range []int{-1, last.Slot + 1} {
+		rid := RID{Page: last.Page, Slot: slot}
+		if rec, err := h.FetchRecordInto(rid, nil); err == nil {
+			t.Fatalf("FetchRecordInto(%+v) = %d bytes, want an error", rid, len(rec))
+		}
+	}
+	if n := h.Pool().PinnedPages(); n != 0 {
+		t.Fatalf("%d pages still pinned after the failed fetches", n)
+	}
+}
+
 func TestPageRejectsEmptyRecord(t *testing.T) {
 	var p Page
 	InitPage(&p)
