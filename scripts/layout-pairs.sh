@@ -36,10 +36,12 @@ fi
 parent=$1 change=$2 workloads=$3 rounds=$4
 repo=$(git rev-parse --show-toplevel)
 dir=${5:-$(mktemp -d "${TMPDIR:-/tmp}/layout-pairs.XXXXXX")}
-mkdir -p "$dir"
-dir=$(cd "$dir" && pwd -P)
+case "$dir" in
+/*) ;;
+*) dir=$PWD/$dir ;;
+esac
 case "$dir/" in
-"$(cd "$repo" && pwd -P)"/*)
+"$repo"/*)
 	echo "layout-pairs: $dir is inside the repository" >&2
 	exit 2
 	;;
@@ -63,7 +65,7 @@ moved() {
 	LC_ALL=C join "$dir/a.mod64" "$dir/b.mod64" | awk -v m="$module/" '{
 		p = substr($1, length(m) + 1); sub(/\..*/, "", p)
 		n[p]++; if ($2 != $3) k[p]++
-	} END { for (p in n) printf "  %-14s %d/%d moved\n", p, k[p], n[p] }' | LC_ALL=C sort
+	} END { for (p in n) printf "  %-20s %d/%d moved\n", p, k[p], n[p] }' | LC_ALL=C sort
 }
 
 # build SIDE REV archives REV twice and builds SIDE-0 as committed and
@@ -75,7 +77,7 @@ build() {
 		git -C "$repo" archive "$2" | tar -x -C "$dir/$1-$off"
 	done
 	(cd "$dir/$1-0" && go build -o "$dir/bin/$1-0" ./benchmark)
-	first=$(go tool nm -n "$dir/bin/$1-0" | awk -v m="$module" '$2=="T" && index($3, m) == 1 { print $3; exit }')
+	first=$(go tool nm -n "$dir/bin/$1-0" | awk -v m="$module" '!f && $2=="T" && index($3, m) == 1 { print $3; f = 1 }')
 	pkg=$(echo "$first" | awk -v m="$module" '{ p = substr($1, length(m) + 1); sub(/^\//, "", p); sub(/\..*/, "", p); print p }')
 	name=$(cd "$dir/$1-32" && go list -f '{{.Name}}' "./$pkg")
 	printf 'package %s\n\nvar layoutPadCount int\n\nfunc init() { layoutPadCount++ }\n' "$name" >"$dir/$1-32/$pkg/layout_pad.go"
